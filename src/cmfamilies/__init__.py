@@ -2,6 +2,9 @@
 leaves and rigid modules for the Coxeter types A, B, D and I2(m), at exact
 rational parameters."""
 
+# The per-type table and the layers import each other as module objects;
+# entering the package through the table lets every layer finish first.
+from . import coxeter  # noqa: F401
 from .cuspidal import (
     annotated_families,
     cuspidal_families,

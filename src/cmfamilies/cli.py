@@ -8,18 +8,15 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 
-from .cuspidal import (
-    annotated_families,
-    leaves_B,
-    leaves_D,
-    rigid_modules,
-)
+from . import coxeter
+from .cuspidal import annotated_families, rigid_modules
 from .exact import CherednikParameter, parse_rational
-from .families import FamilyPartition, irr_labels
-from .partitions import format_bipartition, format_d_label, parse_bipartition
+from .families import FamilyPartition
+from .partitions import parse_bipartition
 from .symbols import bar, symbol_of
-from .verify import JOBS_ENV_VAR, run_suites
+from .verify import run_suites
 
 
 class ValidationError(Exception):
@@ -27,76 +24,43 @@ class ValidationError(Exception):
 
 
 def _build_param(args) -> CherednikParameter:
-    t = args.type
+    t = coxeter.lookup(args.type)
+    if any(getattr(args, name) is None for name in t.params):
+        flags = " and ".join(f"--{name}" for name in t.params)
+        raise ValidationError(f"type {args.type} needs {flags}")
     try:
-        if t == "A":
-            if args.c is None:
-                raise ValidationError("type A needs --c")
-            return CherednikParameter.type_A(parse_rational(args.c))
-        if t == "B":
-            if args.c1 is None or args.kappa is None:
-                raise ValidationError("type B needs --c1 and --kappa")
-            return CherednikParameter.type_B(parse_rational(args.c1), parse_rational(args.kappa))
-        if t == "D":
-            if args.kappa is None:
-                raise ValidationError("type D needs --kappa")
-            return CherednikParameter.type_D(parse_rational(args.kappa))
-        if args.a is None or args.b is None:
-            raise ValidationError("type I2 needs --a and --b")
-        return CherednikParameter.type_I2(parse_rational(args.a), parse_rational(args.b), m=args.m)
+        values = [parse_rational(getattr(args, name)) for name in t.params]
+        return t.parameter(values, getattr(args, t.size_flag))
     except (ValueError, ZeroDivisionError) as exc:
         raise ValidationError(str(exc)) from None
 
 
 def _size(args) -> int:
-    if args.type == "I2":
-        if args.m is None:
-            raise ValidationError("type I2 needs --m (with m >= 5)")
-        if args.m < 5:
-            raise ValidationError("need m >= 5")
-        return args.m
-    if args.n is None:
-        raise ValidationError(f"type {args.type} needs --n")
-    if args.n < 1 or (args.type == "D" and args.n < 2):
-        raise ValidationError("size out of range")
-    return args.n
-
-
-def _label_str(type_tag: str, label) -> str:
-    if type_tag == "A":
-        return "[" + ",".join(str(p) for p in label) + "]"
-    if type_tag == "B":
-        return format_bipartition(label)
-    if type_tag == "D":
-        return format_d_label(label)
-    return str(label)
-
-
-def _label_json(type_tag: str, label):
-    if type_tag == "A":
-        return list(label)
-    if type_tag == "B":
-        return [list(label[0]), list(label[1])]
-    if type_tag == "D":
-        return [list(label[0]), list(label[1]), label[2]]
-    return label
+    t = coxeter.lookup(args.type)
+    size = getattr(args, t.size_flag)
+    bound = f"{t.size_flag} >= {t.min_size}"
+    if size is None:
+        raise ValidationError(f"type {args.type} needs --{t.size_flag} (with {bound})")
+    if size < t.min_size:
+        raise ValidationError(f"need {bound}")
+    return size
 
 
 def _partition_json(fp: FamilyPartition) -> dict:
+    t = coxeter.lookup(fp.type_tag)
     fams = []
     for f in fp.families:
         fams.append(
             {
-                "members": [_label_json(fp.type_tag, x) for x in f.members],
+                "members": [t.label_json(x) for x in f.members],
                 "is_singleton": f.is_singleton,
                 "cuspidal": f.cuspidal,
                 "leaf_label": f.leaf_label,
             }
         )
-    key = "m" if fp.type_tag == "I2" else "n"
     return {
         "type": fp.type_tag,
-        key: fp.size,
+        t.size_flag: fp.size,
         "param": fp.param.to_json(),
         "method": fp.method,
         "families": fams,
@@ -104,18 +68,12 @@ def _partition_json(fp: FamilyPartition) -> dict:
 
 
 def _partition_text(fp: FamilyPartition) -> str:
+    t = coxeter.lookup(fp.type_tag)
     lines = [f"{fp.type_tag} size={fp.size} param={fp.param.to_json()} method={fp.method}"]
     for f in fp.families:
         mark = " (cuspidal)" if f.cuspidal else ""
-        lines.append("  {" + ", ".join(_label_str(fp.type_tag, x) for x in f.members) + "}" + mark)
+        lines.append("  {" + ", ".join(t.label_text(x) for x in f.members) + "}" + mark)
     return "\n".join(lines)
-
-
-def _singleton_partition(type_tag: str, size: int, param, method: str) -> FamilyPartition:
-    from .families import Family, _canonical
-
-    fams = [Family.of([lab]) for lab in irr_labels(type_tag, size)]
-    return _canonical(fams, type_tag=type_tag, size=size, param=param, method=method)
 
 
 def _emit(args, payload_json, payload_text: str) -> None:
@@ -125,20 +83,24 @@ def _emit(args, payload_json, payload_text: str) -> None:
         print(payload_text)
 
 
+def _annotated(args, size: int, param: CherednikParameter, method: str) -> FamilyPartition:
+    try:
+        return annotated_families(args.type, size, param, method)
+    except ValueError as exc:
+        raise ValidationError(str(exc)) from None
+
+
 def cmd_families(args) -> int:
     param = _build_param(args)
     size = _size(args)
     methods = ["CM", "Lusztig"] if args.method == "both" else [args.method]
-    parts = []
-    for method in methods:
-        if args.generic:
-            # generic (e.g. irrational) parameters: all families are singletons
-            parts.append(_singleton_partition(args.type, size, param, method))
-        else:
-            try:
-                parts.append(annotated_families(args.type, size, param, method))
-            except ValueError as exc:
-                raise ValidationError(str(exc)) from None
+    if args.generic:
+        # the families at the type's generic point, reported for the given param
+        t = coxeter.lookup(args.type)
+        generic = t.parameter(t.generic(size), size)
+        parts = [replace(_annotated(args, size, generic, m), param=param) for m in methods]
+    else:
+        parts = [_annotated(args, size, param, m) for m in methods]
     if args.format == "json":
         out = [_partition_json(fp) for fp in parts]
         payload = out[0] if len(out) == 1 else {
@@ -160,11 +122,8 @@ def cmd_cuspidal(args) -> int:
     methods = ["CM", "Lusztig"] if args.method == "both" else [args.method]
     out = []
     for method in methods:
-        try:
-            fp = annotated_families(args.type, size, param, method)
-        except ValueError as exc:
-            raise ValidationError(str(exc)) from None
-        out.append(replace_families_cuspidal_only(fp))
+        fp = _annotated(args, size, param, method)
+        out.append(replace(fp, families=tuple(f for f in fp.families if f.cuspidal)))
     if args.format == "json":
         payload = [_partition_json(fp) for fp in out]
         _emit(args, payload[0] if len(payload) == 1 else payload, "")
@@ -173,13 +132,8 @@ def cmd_cuspidal(args) -> int:
     return 0
 
 
-def replace_families_cuspidal_only(fp: FamilyPartition) -> FamilyPartition:
-    from dataclasses import replace
-
-    return replace(fp, families=tuple(f for f in fp.families if f.cuspidal))
-
-
 def cmd_rigid(args) -> int:
+    t = coxeter.lookup(args.type)
     param = _build_param(args)
     size = _size(args)
     mode = {"closed": "closed_form", "oracle": "equation_oracle"}.get(args.mode, args.mode)
@@ -189,26 +143,24 @@ def cmd_rigid(args) -> int:
         raise ValidationError(str(exc)) from None
     payload = {
         "type": args.type,
-        "m" if args.type == "I2" else "n": size,
+        t.size_flag: size,
         "param": param.to_json(),
         "mode": mode,
-        "rigid": [_label_json(args.type, lab) for lab in labels],
+        "rigid": [t.label_json(lab) for lab in labels],
     }
-    text = "\n".join(_label_str(args.type, lab) for lab in labels) or "(none)"
+    text = "\n".join(t.label_text(lab) for lab in labels) or "(none)"
     _emit(args, payload, text)
     return 0
 
 
 def cmd_leaves(args) -> int:
+    t = coxeter.lookup(args.type)
     param = _build_param(args)
     size = _size(args)
+    if t.leaves is None:
+        raise ValidationError(f"no leaf poset is computed for type {args.type}")
     try:
-        if args.type == "B":
-            lp = leaves_B(size, param.c1, param.kappa)
-        elif args.type == "D":
-            lp = leaves_D(size, param.kappa)
-        else:
-            raise ValidationError("leaves are computed for types B and D")
+        lp = t.leaves(size, param)
     except ValueError as exc:
         raise ValidationError(str(exc)) from None
     payload = lp.to_json()
@@ -265,7 +217,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="subcommand", required=True)
 
     def common(p, need_method=False):
-        p.add_argument("--type", required=True, choices=["A", "B", "D", "I2"])
+        p.add_argument("--type", required=True, choices=list(coxeter.TYPES))
         p.add_argument("--n", type=int)
         p.add_argument("--m", type=int, help="dihedral order parameter (I2 only)")
         p.add_argument("--c", help="type A weight, rational p/q")
@@ -280,7 +232,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("families", help="family partition of Irr W")
     common(p, need_method=True)
     p.add_argument("--generic", action="store_true",
-                   help="treat the parameter as generic: all families singletons")
+                   help="the families at the type's generic point, reported for this parameter")
     p.set_defaults(func=cmd_families)
 
     p = sub.add_parser("cuspidal", help="cuspidal families only")
@@ -307,10 +259,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run the theorem-verification suites")
     p.add_argument("--suite", default="all",
                    help='"all" or comma-separated suite numbers, e.g. "1,7"')
-    p.add_argument("--max-n", type=int, default=None,
-                   help="accepted for compatibility; suites use their stated grids")
-    p.add_argument("--jobs", type=int, default=None,
-                   help=f"parallel suite workers (default: ${JOBS_ENV_VAR} or 1)")
+    p.add_argument("--jobs", type=int, default=1, help="parallel suite workers")
     p.set_defaults(func=cmd_verify)
     return ap
 

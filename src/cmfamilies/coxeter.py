@@ -1,0 +1,197 @@
+"""The per-type table: one entry for each of the types A, B, D and I2(m).
+
+Everything that differs between the types is read from here: the parameter
+names, the size flag, the irreducible labels and their codecs, the CM and
+Lusztig groupings, the cuspidal anchor, the rigid closed form, the
+rigidity-equation oracle and the leaf poset.  The functions in `families`,
+`cuspidal` and `cli` that read an entry are the same for every type.
+
+The table and the layers import each other as module objects, and an entry
+looks each layer function up in its module when it is called.  So nothing is
+resolved at import time, and a function rebound in its module (as the
+benchmark's tracer does) is the one that runs.
+"""
+from __future__ import annotations
+
+from dataclasses import dataclass
+from fractions import Fraction
+from math import isqrt
+from typing import Callable
+
+from . import cuspidal, exact, families, partitions, reps
+
+
+@dataclass(frozen=True)
+class CoxeterType:
+    params: tuple[str, ...]  # parameter names, in CherednikParameter.values order
+    size_flag: str  # "n", or "m" for I2(m)
+    min_size: int
+    parameter: Callable  # (values, size) -> CherednikParameter
+    generic: Callable  # size -> parameter values whose families are the generic ones
+    labels: Callable  # size -> the labels of Irr W
+    label_text: Callable
+    label_json: Callable
+    # below, param is nonzero; the callers handle param = 0 for every type
+    cm_groups: Callable  # (size, param, labels) -> families by the CM path
+    lusztig_groups: Callable  # (size, param, labels) -> families by the Lusztig path
+    anchor: Callable  # (size, param) -> (label, leaf label) in the cuspidal family, or None
+    rigid: Callable  # (size, param, anchor) -> rigid labels, closed form
+    oracle: Callable | None = None  # (label, size, param) -> the rigidity sums vanish
+    oracle_max: int = 0  # largest size the oracle is run at
+    leaves: Callable | None = None  # (size, param) -> LeafPoset
+
+
+def lookup(type_tag: str) -> CoxeterType:
+    try:
+        return TYPES[type_tag]
+    except KeyError:
+        raise ValueError(f"unknown type {type_tag!r}") from None
+
+
+def _singletons(size, param, labels) -> list:
+    return [[lab] for lab in labels]
+
+
+def _anchor_alone(size, param, anchor) -> list:
+    return [anchor[0]] if anchor else []
+
+
+# ---------------------------------------------------------------------------
+# Type B: charged residues, symbol contents, the box (k^(k+m)) with n = k(k+m)
+# ---------------------------------------------------------------------------
+
+def _b_cm_groups(n, param, labels) -> list:
+    charge = (Fraction(0), param.c1, -param.kappa)
+    return families._group_by(labels, lambda bp: exact.charged_residue(bp, charge).key())
+
+
+def _b_anchor(n, param):
+    """The box (k^(k+|m|)) in the component picked by the sign of m = c1/kappa,
+    when m is an integer and n = k(k+|m|)."""
+    m = param.b_integral_m()
+    if m is None:
+        return None
+    for k in range(1, n + 1):
+        if k * (k + abs(m)) == n:
+            box = (k,) * (k + abs(m))
+            return ((box, ()) if m >= 0 else ((), box)), f"B{n}"
+    return None
+
+
+def _b_rigid(n, param, anchor) -> list:
+    """The anchor and its sign twist (lam, mu) -> (mu', lam')."""
+    if anchor is None:
+        return []
+    lam, mu = anchor[0]
+    return [anchor[0], (partitions.conjugate(mu), partitions.conjugate(lam))]
+
+
+# ---------------------------------------------------------------------------
+# Type D: residue sums with split labels apart, Clifford descent from B
+# ---------------------------------------------------------------------------
+
+def _d_cm_groups(n, param, labels) -> list:
+    splits = [[lab] for lab in labels if lab[2] is not None]
+    rest = [lab for lab in labels if lab[2] is None]
+    key = lambda lab: (exact.residue(lab[0]) + exact.residue(lab[1])).key()  # noqa: E731
+    return splits + families._group_by(rest, key)
+
+
+def _d_lusztig_groups(n, param, labels) -> tuple:
+    b_param = exact.CherednikParameter.type_B(0, param.kappa)
+    return families.clifford_descent(families.lusztig_families("B", n, b_param)).families
+
+
+def _d_anchor(n, param):
+    k = isqrt(n)
+    return (partitions.d_label((k,) * k, ()), f"D{n}") if k * k == n else None
+
+
+# ---------------------------------------------------------------------------
+# Type I2(m): Euler pairing, regime table, phi_1 anchors the cuspidal family
+# ---------------------------------------------------------------------------
+
+def _i2_rigid(m, param, anchor) -> list:
+    """1, eps and phi_1 only where a + b = 0; eps1, eps2 and, for even m,
+    phi_{(m-2)/2} only where a = b; every other phi_i always."""
+    a, b = param.a, param.b
+
+    def rigid(lab) -> bool:
+        if lab in ("1", "eps", "phi_1"):
+            return a + b == 0
+        if lab in ("eps1", "eps2") or (m % 2 == 0 and lab == f"phi_{(m - 2) // 2}"):
+            return a == b
+        return True
+
+    return [lab for lab in reps.i2_labels(m) if rigid(lab)]
+
+
+TYPES: dict[str, CoxeterType] = {
+    "A": CoxeterType(
+        params=("c",),
+        size_flag="n",
+        min_size=1,
+        parameter=lambda values, n: exact.CherednikParameter.type_A(*values),
+        generic=lambda n: (1,),
+        labels=lambda n: partitions.partitions(n),
+        label_text=partitions.format_partition,
+        label_json=list,
+        cm_groups=_singletons,
+        lusztig_groups=_singletons,
+        # S_1 is the trivial group: its one family is cuspidal, its one label rigid
+        anchor=lambda n, param: ((1,), None) if n == 1 else None,
+        rigid=_anchor_alone,
+        oracle=lambda lam, n, param: cuspidal._a_label_rigid(lam, n, param.c),
+        oracle_max=6,
+    ),
+    "B": CoxeterType(
+        params=("c1", "kappa"),
+        size_flag="n",
+        min_size=1,
+        parameter=lambda values, n: exact.CherednikParameter.type_B(*values),
+        generic=lambda n: (Fraction(1, 2), 1),
+        labels=lambda n: partitions.bipartitions(n),
+        label_text=partitions.format_bipartition,
+        label_json=lambda bp: [list(bp[0]), list(bp[1])],
+        cm_groups=_b_cm_groups,
+        lusztig_groups=lambda n, param, labels: families._lusztig_b_groups(n, param),
+        anchor=_b_anchor,
+        rigid=_b_rigid,
+        oracle=lambda bp, n, param: cuspidal._b_label_rigid(bp, n, param.c1, param.kappa),
+        oracle_max=5,
+        leaves=lambda n, param: cuspidal.leaves_B(n, param.c1, param.kappa),
+    ),
+    "D": CoxeterType(
+        params=("kappa",),
+        size_flag="n",
+        min_size=2,
+        parameter=lambda values, n: exact.CherednikParameter.type_D(*values),
+        generic=lambda n: (1,),
+        labels=lambda n: partitions.d_labels(n),
+        label_text=partitions.format_d_label,
+        label_json=lambda lab: [list(lab[0]), list(lab[1]), lab[2]],
+        cm_groups=_d_cm_groups,
+        lusztig_groups=_d_lusztig_groups,
+        anchor=_d_anchor,
+        rigid=_anchor_alone,
+        leaves=lambda n, param: cuspidal.leaves_D(n, param.kappa),
+    ),
+    "I2": CoxeterType(
+        params=("a", "b"),
+        size_flag="m",
+        min_size=5,
+        parameter=lambda values, m: exact.CherednikParameter.type_I2(*values, m=m),
+        generic=lambda m: (1, 2 - m % 2),  # odd m forces a = b
+        labels=lambda m: reps.i2_labels(m),
+        label_text=str,
+        label_json=str,
+        cm_groups=lambda m, param, labels: families._group_by(
+            labels, lambda lab: families._euler_key(lab, m, param)
+        ),
+        lusztig_groups=lambda m, param, labels: families._lusztig_i2_groups(m, param),
+        anchor=lambda m, param: ("phi_1", None),
+        rigid=_i2_rigid,
+        oracle=lambda lab, m, param: cuspidal._i2_label_rigid(lab, m, param.a, param.b),
+        oracle_max=16,
+    ),
+}

@@ -2,26 +2,22 @@
 classifier with its brute-force rigidity-equation oracle."""
 from __future__ import annotations
 
+import json
+import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import cache
 
+from . import coxeter
 from . import families as fam
 from .exact import CherednikParameter, Cyclotomic
 from .families import Family, FamilyPartition, cm_families, lusztig_families
-from .partitions import (
-    Bipartition,
-    Partition,
-    bipartitions,
-    d_label,
-    partitions,
-    refinement_le,
-)
+from .partitions import Bipartition, Partition, partitions, refinement_le
 from .reps import (
     build_B_rep,
     build_dihedral_rep,
     bn_neg_transposition_matrix,
     bn_transposition_matrix,
-    i2_labels,
     i2_reflection_matrix,
     mat_add,
     mat_is_zero,
@@ -119,9 +115,6 @@ def parabolic_order_refined(poset: LeafPoset) -> bool:
     """True iff the closure order refines the parabolic-label containment order
     (deeper leaf has the larger parabolic)."""
 
-    import json
-    import math
-
     def order_of(label: str):
         kind, body = label[0], label[1:]
         if kind == "B":
@@ -157,14 +150,6 @@ def _mark_cuspidal(fp: FamilyPartition, members_of_cuspidal, leaf_label: str | N
     return replace(fp, families=tuple(out))
 
 
-def _b_cuspidal_k(n: int, m: int) -> int | None:
-    """The unique k >= 1 with n = k(k+m), if any."""
-    for k in range(1, n + 1):
-        if k * (k + m) == n:
-            return k
-    return None
-
-
 def cuspidal_families(type_tag: str, size: int, param: CherednikParameter,
                       method: str = "CM") -> list[Family]:
     """The cuspidal families of the given partition method, with leaf labels."""
@@ -184,45 +169,13 @@ def annotated_families(type_tag: str, size: int, param: CherednikParameter,
 
     if param.is_zero():
         # the unique family is cuspidal in both senses
-        return replace(fp, families=(replace(fp.families[0], cuspidal=True),))
-
-    if type_tag == "A":
-        if size == 1:
-            # trivial group: zero-dimensional space, its one family is cuspidal
-            return replace(fp, families=(replace(fp.families[0], cuspidal=True),))
-        return fp  # singletons, never cuspidal
-
-    if type_tag == "B":
-        c1, kappa = param.c1, param.kappa
-        if kappa == 0:
-            return fp  # degenerate: no cuspidal families
-        m = param.b_integral_m()
-        if m is None or abs(m) > size - 1:
-            return fp  # smooth: singletons, never cuspidal
-        k = _b_cuspidal_k(size, abs(m))
-        if k is None:
-            return fp
-        anchor: Bipartition = ((k,) * (k + abs(m)), ())
-        if m < 0:
-            anchor = fam.swap_bipartition(anchor)
-        target = fp.family_of(anchor)
-        return _mark_cuspidal(fp, target.members, f"B{k * (k + abs(m))}")
-
-    if type_tag == "D":
-        if param.kappa == 0:
-            return fp
-        k = next((k for k in range(1, size + 1) if k * k == size), None)
-        if k is None:
-            return fp
-        anchor = d_label((k,) * k, ())
-        target = fp.family_of(anchor)
-        return _mark_cuspidal(fp, target.members, f"D{k * k}")
-
-    if type_tag == "I2":
-        target = fp.family_of("phi_1")
-        return _mark_cuspidal(fp, target.members, None)
-
-    raise ValueError(f"unknown type {type_tag!r}")
+        anchor = (fp.families[0].members[0], None)
+    else:
+        anchor = coxeter.lookup(type_tag).anchor(size, param)
+    if anchor is None:
+        return fp
+    label, leaf_label = anchor
+    return _mark_cuspidal(fp, fp.family_of(label).members, leaf_label)
 
 
 # ---------------------------------------------------------------------------
@@ -242,82 +195,21 @@ def _rigid_closed_form(type_tag: str, size: int, param: CherednikParameter) -> l
     labels = fam.irr_labels(type_tag, size)
     if param.is_zero():
         return sorted(labels)
-
-    if type_tag == "A":
-        # S_1 is the trivial group: no reflections, so rigidity is vacuous
-        return sorted(labels) if size == 1 else []
-
-    if type_tag == "B":
-        c1, kappa = param.c1, param.kappa
-        if kappa == 0:
-            return []
-        m = param.b_integral_m()
-        if m is None or abs(m) > size - 1:
-            return []
-        k = _b_cuspidal_k(size, abs(m))
-        if k is None:
-            return []
-        pair = [((k,) * (k + abs(m)), ()), ((), (k + abs(m),) * k)]
-        if m < 0:
-            pair = [fam.swap_bipartition(bp) for bp in pair]
-        return sorted(pair)
-
-    if type_tag == "D":
-        if param.kappa == 0:
-            return sorted(labels)
-        k = next((k for k in range(1, size + 1) if k * k == size), None)
-        if k is None:
-            return []
-        return [d_label((k,) * k, ())]
-
-    if type_tag == "I2":
-        m = size
-        a, b = param.a, param.b
-        out = []
-        for lab in i2_labels(m):
-            if lab in ("1", "eps"):
-                if a + b == 0:
-                    out.append(lab)
-            elif lab in ("eps1", "eps2"):
-                if a == b:
-                    out.append(lab)
-            else:
-                i = int(lab.split("_")[1])
-                if i == 1:
-                    if a + b == 0:
-                        out.append(lab)
-                elif m % 2 == 0 and i == (m - 2) // 2:
-                    if a == b:
-                        out.append(lab)
-                else:
-                    out.append(lab)
-        return sorted(out)
-
-    raise ValueError(f"unknown type {type_tag!r}")
+    entry = coxeter.lookup(type_tag)
+    return sorted(entry.rigid(size, param, entry.anchor(size, param)))
 
 
 # -- the brute-force rigidity-equation oracle -------------------------------
 
 def _rigid_oracle(type_tag: str, size: int, param: CherednikParameter) -> list:
-    if type_tag == "A":
-        if size > 6:
-            raise ValueError("oracle mode for type A is bounded by n <= 6")
-        return sorted(lam for lam in partitions(size) if _a_label_rigid(lam, size, param.c))
-    if type_tag == "B":
-        if size > 5:
-            raise ValueError("oracle mode for type B is bounded by n <= 5")
-        return sorted(
-            bp for bp in bipartitions(size) if _b_label_rigid(bp, size, param.c1, param.kappa)
+    entry = coxeter.lookup(type_tag)
+    if entry.oracle is None:
+        raise ValueError(f"oracle mode has no rigidity sums for type {type_tag!r}; use closed_form")
+    if size > entry.oracle_max:
+        raise ValueError(
+            f"oracle mode for type {type_tag} is bounded by {entry.size_flag} <= {entry.oracle_max}"
         )
-    if type_tag == "I2":
-        if size > 16:
-            raise ValueError("oracle mode for I2 is bounded by m <= 16")
-        return sorted(
-            lab for lab in i2_labels(size) if _i2_label_rigid(lab, size, param.a, param.b)
-        )
-    raise ValueError(
-        f"oracle mode supports types A, B and I2; type {type_tag!r} uses closed_form"
-    )
+    return sorted(lab for lab in entry.labels(size) if entry.oracle(lab, size, param))
 
 
 def _a_label_rigid(lam: Partition, n: int, c: Fraction) -> bool:
@@ -348,6 +240,7 @@ def _a_label_rigid(lam: Partition, n: int, c: Fraction) -> bool:
     return True
 
 
+@cache
 def _b_reflection_data(bp: Bipartition):
     """Precompute per-representation matrices entering the rigidity sums.
 
@@ -389,7 +282,7 @@ def _b_label_rigid(bp: Bipartition, n: int, c1: Fraction, kappa: Fraction) -> bo
     if n == 1:
         # only eps_1: condition 2*c1*pi(eps_1) = 0
         return c1 == 0
-    E, A, D = _cached_b_reflection_data(bp)
+    E, A, D = _b_reflection_data(bp)
     for k in E:
         total = mat_add(mat_scale(2 * c1, E[k]), mat_scale(kappa, A[k]))
         if not mat_is_zero(total):
@@ -399,15 +292,6 @@ def _b_label_rigid(bp: Bipartition, n: int, c1: Fraction, kappa: Fraction) -> bo
             if not mat_is_zero(dmat):
                 return False
     return True
-
-
-_B_DATA_CACHE: dict = {}
-
-
-def _cached_b_reflection_data(bp: Bipartition):
-    if bp not in _B_DATA_CACHE:
-        _B_DATA_CACHE[bp] = _b_reflection_data(bp)
-    return _B_DATA_CACHE[bp]
 
 
 def _i2_label_rigid(label: str, m: int, a: Fraction, b: Fraction) -> bool:

@@ -7,6 +7,7 @@ from fractions import Fraction
 from functools import cache
 from typing import Iterable
 
+from . import coxeter
 from .partitions import Bipartition, Partition, contents
 
 
@@ -62,13 +63,6 @@ class GroupRingElement:
         for e, c in sorted(self.terms.items()):
             bits.append(f"{c}*x^({e})")
         return " + ".join(bits)
-
-    def to_json(self) -> dict:
-        return {str(e): c for e, c in sorted(self.terms.items())}
-
-    @classmethod
-    def from_json(cls, data: dict) -> "GroupRingElement":
-        return cls(((Fraction(e), int(c)) for e, c in data.items()))
 
 
 def residue(lam: Partition) -> GroupRingElement:
@@ -248,19 +242,16 @@ def parse_rational(text) -> Fraction:
 
 @dataclass(frozen=True)
 class CherednikParameter:
-    """Exact rational parameter, shaped per reflection-group type."""
+    """Exact rational parameter, one value per name in the type's table entry."""
 
-    type_tag: str  # "A" | "B" | "D" | "I2"
+    type_tag: str  # a key of coxeter.TYPES
     values: tuple[Fraction, ...]
 
-    _SHAPES = {"A": 1, "B": 2, "D": 1, "I2": 2}
-
     def __post_init__(self):
-        if self.type_tag not in self._SHAPES:
-            raise ValueError(f"unknown type {self.type_tag!r}")
+        names = coxeter.lookup(self.type_tag).params
         vals = tuple(Fraction(v) for v in self.values)
-        if len(vals) != self._SHAPES[self.type_tag]:
-            raise ValueError(f"type {self.type_tag} needs {self._SHAPES[self.type_tag]} value(s)")
+        if len(vals) != len(names):
+            raise ValueError(f"type {self.type_tag} needs {len(names)} value(s)")
         object.__setattr__(self, "values", vals)
 
     # constructors -----------------------------------------------------------
@@ -284,32 +275,18 @@ class CherednikParameter:
         return cls("I2", (a, b))
 
     # accessors --------------------------------------------------------------
-    @property
-    def c(self) -> Fraction:
-        assert self.type_tag == "A"
-        return self.values[0]
+    def _value(self, name: str) -> Fraction:
+        """The value of the parameter called name; AttributeError if the type has none."""
+        names = coxeter.lookup(self.type_tag).params
+        if name not in names:
+            raise AttributeError(f"type {self.type_tag} has no parameter {name!r}")
+        return self.values[names.index(name)]
 
-    @property
-    def c1(self) -> Fraction:
-        assert self.type_tag == "B"
-        return self.values[0]
-
-    @property
-    def kappa(self) -> Fraction:
-        if self.type_tag == "B":
-            return self.values[1]
-        assert self.type_tag == "D"
-        return self.values[0]
-
-    @property
-    def a(self) -> Fraction:
-        assert self.type_tag == "I2"
-        return self.values[0]
-
-    @property
-    def b(self) -> Fraction:
-        assert self.type_tag == "I2"
-        return self.values[1]
+    c = property(lambda self: self._value("c"))
+    c1 = property(lambda self: self._value("c1"))
+    kappa = property(lambda self: self._value("kappa"))
+    a = property(lambda self: self._value("a"))
+    b = property(lambda self: self._value("b"))
 
     def is_zero(self) -> bool:
         return all(v == 0 for v in self.values)
@@ -317,22 +294,17 @@ class CherednikParameter:
     # type-B classification --------------------------------------------------
     def b_integral_m(self) -> int | None:
         """For type B with kappa != 0: c1/kappa if it is an integer, else None."""
-        assert self.type_tag == "B"
-        if self.kappa == 0:
+        c1, kappa = self.c1, self.kappa
+        if kappa == 0:
             return None
-        q = self.c1 / self.kappa
+        q = c1 / kappa
         return int(q) if q.denominator == 1 else None
 
     def b_is_singular(self, n: int) -> bool:
         """Type B: parameter lies on the singular locus for B_n."""
-        assert self.type_tag == "B"
-        if self.is_zero():
-            return True
-        if self.kappa == 0:
-            return True
-        q = self.b_integral_m()
-        return q is not None and abs(q) <= n - 1
+        m = self.b_integral_m()
+        return self.kappa == 0 or (m is not None and abs(m) <= n - 1)
 
     def to_json(self) -> dict:
-        names = {"A": ["c"], "B": ["c1", "kappa"], "D": ["kappa"], "I2": ["a", "b"]}
-        return {k: str(v) for k, v in zip(names[self.type_tag], self.values)}
+        names = coxeter.lookup(self.type_tag).params
+        return {k: str(v) for k, v in zip(names, self.values)}

@@ -5,25 +5,25 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
+from . import coxeter
 from . import symbols as sym
-from .exact import CherednikParameter, charged_residue, residue
+from .exact import CherednikParameter
 from .partitions import (
     Bipartition,
     DLabel,
     Partition,
     bipartitions,
     d_label,
-    d_labels,
+    lr_coefficient,
     partitions,
 )
-from .reps import i2_labels, i2_two_dim_range
+from .reps import i2_induced_from_reflection, i2_two_dim_range
 
 
 @dataclass(frozen=True)
 class Family:
     members: tuple
     is_singleton: bool
-    k_invariant: int | None = None
     leaf_label: str | None = None
     cuspidal: bool = False
 
@@ -52,9 +52,6 @@ class FamilyPartition:
     def as_sets(self) -> frozenset[frozenset]:
         return frozenset(frozenset(f.members) for f in self.families)
 
-    def all_labels(self) -> tuple:
-        return tuple(sorted(x for f in self.families for x in f.members))
-
 
 def _canonical(families: list, **meta) -> FamilyPartition:
     fams = sorted((Family.of(f) if not isinstance(f, Family) else f for f in families),
@@ -70,15 +67,20 @@ def _group_by(labels, keyfunc) -> list[tuple]:
 
 
 def irr_labels(type_tag: str, size: int) -> tuple:
-    if type_tag == "A":
-        return partitions(size)
-    if type_tag == "B":
-        return bipartitions(size)
-    if type_tag == "D":
-        return d_labels(size)
-    if type_tag == "I2":
-        return i2_labels(size)
-    raise ValueError(f"unknown type {type_tag!r}")
+    return coxeter.lookup(type_tag).labels(size)
+
+
+def _drive(path: str, type_tag: str, size: int, param: CherednikParameter) -> FamilyPartition:
+    """The partition by one path: one family at param = 0, else the entry's groups."""
+    if param.type_tag != type_tag:
+        raise ValueError("parameter shape does not match the requested type")
+    labels = irr_labels(type_tag, size)
+    meta = dict(type_tag=type_tag, size=size, param=param, method=path)
+    if param.is_zero():
+        return _canonical([labels], **meta)
+    entry = coxeter.lookup(type_tag)
+    groups = entry.cm_groups if path == "CM" else entry.lusztig_groups
+    return _canonical(groups(size, param, labels), **meta)
 
 
 # ---------------------------------------------------------------------------
@@ -86,34 +88,7 @@ def irr_labels(type_tag: str, size: int) -> tuple:
 # ---------------------------------------------------------------------------
 
 def cm_families(type_tag: str, size: int, param: CherednikParameter) -> FamilyPartition:
-    if param.type_tag != type_tag:
-        raise ValueError("parameter shape does not match the requested type")
-    meta = dict(type_tag=type_tag, size=size, param=param, method="CM")
-    labels = irr_labels(type_tag, size)
-    if param.is_zero():
-        return _canonical([labels], **meta)
-
-    if type_tag == "A":
-        return _canonical([[lam] for lam in labels], **meta)
-
-    if type_tag == "B":
-        charge = (Fraction(0), param.c1, -param.kappa)
-        return _canonical(
-            _group_by(labels, lambda bp: charged_residue(bp, charge).key()), **meta
-        )
-
-    if type_tag == "D":
-        if param.kappa == 0:
-            return _canonical([labels], **meta)
-        splits = [[lab] for lab in labels if lab[2] is not None]
-        rest = [lab for lab in labels if lab[2] is None]
-        grouped = _group_by(rest, lambda lab: (residue(lab[0]) + residue(lab[1])).key())
-        return _canonical(splits + grouped, **meta)
-
-    if type_tag == "I2":
-        return _canonical(_group_by(labels, lambda lab: _euler_key(lab, size, param)), **meta)
-
-    raise ValueError(f"unknown type {type_tag!r}")
+    return _drive("CM", type_tag, size, param)
 
 
 def _euler_key(label: str, m: int, param: CherednikParameter) -> Fraction:
@@ -135,34 +110,12 @@ def _euler_key(label: str, m: int, param: CherednikParameter) -> Fraction:
 # ---------------------------------------------------------------------------
 
 def lusztig_families(type_tag: str, size: int, param: CherednikParameter) -> FamilyPartition:
-    if param.type_tag != type_tag:
-        raise ValueError("parameter shape does not match the requested type")
     if any(v < 0 for v in param.values):
         raise ValueError(
             "Lusztig families are defined for nonnegative parameters; "
             "twist by a linear character (tau) to reduce to this case"
         )
-    meta = dict(type_tag=type_tag, size=size, param=param, method="Lusztig")
-    labels = irr_labels(type_tag, size)
-    if param.is_zero():
-        return _canonical([labels], **meta)
-
-    if type_tag == "A":
-        return _canonical([[lam] for lam in labels], **meta)
-
-    if type_tag == "B":
-        return _canonical(_lusztig_b_groups(size, param), **meta)
-
-    if type_tag == "D":
-        b_param = CherednikParameter.type_B(0, param.kappa)
-        b_part = lusztig_families("B", size, b_param)
-        descended = clifford_descent(b_part)
-        return replace(descended, method="Lusztig")
-
-    if type_tag == "I2":
-        return _canonical(_lusztig_i2_groups(size, param), **meta)
-
-    raise ValueError(f"unknown type {type_tag!r}")
+    return _drive("Lusztig", type_tag, size, param)
 
 
 def _lusztig_b_groups(n: int, param: CherednikParameter) -> list[list[Bipartition]]:
@@ -267,8 +220,6 @@ def degenerate_j_induction(mu: Bipartition, nu: Partition, c1) -> Bipartition:
     mu is a bipartition of i with mu[0] empty, nu a partition of n - i; the
     result must be (nu, mu[1]) with coefficient one.
     """
-    from .partitions import lr_coefficient
-
     c1 = Fraction(c1)
     if c1 <= 0:
         raise ValueError("need c1 > 0")
@@ -333,8 +284,6 @@ def dihedral_a_function(m: int, a, b) -> dict[str, Fraction]:
 def dihedral_j_induction(m: int, a, b, parabolic: int, chi: str) -> dict[str, int]:
     """j-induction from P_1 = <s> or P_2 = <t>: the explicit induction
     decomposition filtered by equality of a-values."""
-    from .reps import i2_induced_from_reflection
-
     a, b = Fraction(a), Fraction(b)
     ind = i2_induced_from_reflection(m, parabolic, chi)
     a_w = dihedral_a_function(m, a, b)

@@ -117,18 +117,6 @@ def table3_a_function(m: int, a, b) -> dict[str, Fraction]:
     return out
 
 
-def table3_parabolic(m: int, a, b) -> dict[tuple[int, str], Fraction]:
-    """a-function on the two rank-one parabolics."""
-    a, b = Fraction(a), Fraction(b)
-    vals = load_fixture("dihedral_table3")["parabolic"]
-    return {
-        (1, "1"): _eval_expr(vals["1"], m, a, b),
-        (1, "psi"): _eval_expr(vals["psi1"], m, a, b),
-        (2, "1"): _eval_expr(vals["1"], m, a, b),
-        (2, "psi"): _eval_expr(vals["psi2"], m, a, b),
-    }
-
-
 def table4_j_induction(m: int, a, b) -> dict[tuple[int, str], set[str]]:
     """Expected j-induction constituents for even m, keyed by (parabolic, chi)."""
     a, b = Fraction(a), Fraction(b)

@@ -253,37 +253,8 @@ def d_labels(n: int) -> tuple[DLabel, ...]:
 
 
 # ---------------------------------------------------------------------------
-# Serialization helpers
+# Text forms
 # ---------------------------------------------------------------------------
-
-def partition_to_json(lam: Partition) -> list[int]:
-    return list(lam)
-
-
-def partition_from_json(data) -> Partition:
-    return check_partition(tuple(data))
-
-
-def bipartition_to_json(bp: Bipartition) -> list[list[int]]:
-    return [list(bp[0]), list(bp[1])]
-
-
-def bipartition_from_json(data) -> Bipartition:
-    if len(data) != 2:
-        raise ValueError(f"not a bipartition: {data!r}")
-    return (check_partition(tuple(data[0])), check_partition(tuple(data[1])))
-
-
-def d_label_to_json(lab: DLabel) -> dict:
-    first, second, split = lab
-    return {"pair": [list(first), list(second)], "split": split}
-
-
-def d_label_from_json(data) -> DLabel:
-    first = check_partition(tuple(data["pair"][0]))
-    second = check_partition(tuple(data["pair"][1]))
-    return d_label(first, second, data.get("split"))
-
 
 def format_partition(lam: Partition) -> str:
     return "[" + ",".join(str(p) for p in lam) + "]"

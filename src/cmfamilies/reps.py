@@ -707,27 +707,6 @@ def build_symmetric_rep(lam: Partition) -> MatrixRep:
     return MatrixRep(group_tag=f"S{n}", label=lam, generators=generators, dim=hook_dimension(lam))
 
 
-def induced_character(sub: tuple, chi: tuple, n_or_m: int) -> dict:
-    """Frobenius induction for the supported parabolic descriptors.
-
-    sub: ("young", j) in S_n; ("sj_bnj", j) or ("br_bnr", r) in B_n;
-    ("P1",) or ("P2",) in I2(m).  chi is the subgroup irreducible label.
-    """
-    kind = sub[0]
-    if kind == "young":
-        nu1, nu2 = chi
-        return induced_from_young(nu1, nu2, n_or_m)
-    if kind == "sj_bnj":
-        nu, bp = chi
-        return induced_from_sj_bnj(nu, bp, n_or_m)
-    if kind == "br_bnr":
-        bp0, bp1 = chi
-        return induced_from_br_bnr(bp0, bp1, n_or_m)
-    if kind in ("P1", "P2"):
-        return i2_induced_from_reflection(n_or_m, 1 if kind == "P1" else 2, chi)
-    raise ValueError(f"unsupported subgroup descriptor {sub!r}")
-
-
 def branching_reducibility_check(type_tag: str, n: int, descriptor) -> bool:
     """True iff every irreducible of the given parabolic induces reducibly.
 

@@ -2,12 +2,12 @@
 CLI `verify` subcommand and the test suite."""
 from __future__ import annotations
 
-import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
+from . import coxeter
 from . import fixtures as fx
 from .cuspidal import (
     cuspidal_families,
@@ -42,8 +42,6 @@ from .reps import (
     sn_character,
     zee,
 )
-
-JOBS_ENV_VAR = "CMFAMILIES_JOBS"
 
 
 @dataclass(frozen=True)
@@ -236,14 +234,11 @@ def suite_6_leaves(max_n: int = 8) -> SuiteResult:
     for lp in posets:
         check(lp.is_antisymmetric() and parabolic_order_refined(lp), "poset sanity")
     # cuspidal leaf exists iff the cuspidal family does (nonzero parameters)
-    grid = [
-        (t, s, p) for (t, s, p) in _full_grid(max_n) if t in ("B", "D") and not p.is_zero()
-    ]
-    for type_tag, size, param in grid:
-        if type_tag == "B":
-            lp = leaves_B(size, param.c1, param.kappa)
-        else:
-            lp = leaves_D(size, param.kappa)
+    for type_tag, size, param in _full_grid(max_n):
+        leaves = coxeter.lookup(type_tag).leaves
+        if leaves is None or param.is_zero():
+            continue
+        lp = leaves(size, param)
         has_zero = bool(lp.zero_dimensional())
         has_cusp = bool(cuspidal_families(type_tag, size, param, "CM"))
         check(has_zero == has_cusp, f"leaf iff family: {type_tag} {size} {param.to_json()}")
@@ -453,14 +448,12 @@ def _run_one(key: str) -> SuiteResult:
     return SUITES[key]()
 
 
-def run_suites(keys=None, jobs: int | None = None) -> list[SuiteResult]:
+def run_suites(keys=None, jobs: int = 1) -> list[SuiteResult]:
     keys = list(SUITES) if keys in (None, "all") else list(keys)
     for k in keys:
         if k not in SUITES:
             raise KeyError(f"unknown suite {k!r}")
-    if jobs is None:
-        jobs = int(os.environ.get(JOBS_ENV_VAR, "1"))
     if jobs > 1 and len(keys) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=min(jobs, len(keys))) as pool:
             return list(pool.map(_run_one, keys))
     return [SUITES[k]() for k in keys]

@@ -1,5 +1,6 @@
 import json
 
+import pytest
 
 from cmfamilies.cli import main
 
@@ -127,3 +128,37 @@ def test_verify_single_suite(capsys):
 def test_verify_unknown_suite(capsys):
     code, _, err = run(capsys, "verify", "--suite", "nope")
     assert code == 2
+
+
+GENERIC_CASES = [
+    # (type and size, a parameter, the type's generic point, cuspidal family sizes there)
+    (["--type", "A", "--n", "1"], ["--c", "1/3"], ["--c", "1"], [1]),
+    (["--type", "A", "--n", "3"], ["--c", "1/3"], ["--c", "1"], []),
+    (["--type", "B", "--n", "4"], ["--c1", "1/7", "--kappa", "3/5"], ["--c1", "1/2", "--kappa", "1"], []),
+    (["--type", "D", "--n", "4"], ["--kappa", "5"], ["--kappa", "1"], [3]),
+    (["--type", "I2", "--m", "8"], ["--a", "3", "--b", "3"], ["--a", "1", "--b", "2"], [3]),
+    (["--type", "I2", "--m", "7"], ["--a", "2", "--b", "2"], ["--a", "1", "--b", "1"], [3]),
+]
+
+
+@pytest.mark.parametrize("size,param,point,cuspidal", GENERIC_CASES, ids=lambda v: " ".join(map(str, v)))
+def test_families_generic_is_the_generic_point(capsys, size, param, point, cuspidal):
+    code, out, _ = run(capsys, "families", *size, *param, "--generic", "--method", "both")
+    assert code == 0
+    generic = json.loads(out)
+    code, out, _ = run(capsys, "families", *size, *point, "--method", "both")
+    assert code == 0
+    computed = json.loads(out)
+    user_param = dict(zip((f[2:] for f in param[::2]), param[1::2]))
+    for part in computed["partitions"]:
+        part["param"] = user_param
+    assert generic == computed
+    for part in generic["partitions"]:
+        assert sorted(len(f["members"]) for f in part["families"] if f["cuspidal"]) == cuspidal
+
+
+def test_verify_jobs_same_lines(capsys):
+    code1, out1, _ = run(capsys, "verify", "--suite", "5,9", "--jobs", "1")
+    code2, out2, _ = run(capsys, "verify", "--suite", "5,9", "--jobs", "2")
+    assert code1 == code2 == 0
+    assert out1 == out2 and len(out1.splitlines()) == 2

@@ -1,0 +1,70 @@
+"""Golden CLI outputs: exit code and sha256 of stdout for a fixed query set.
+
+The hashes pin the output of every subcommand, for every type, in both
+formats, and each exit-2 path (which prints nothing on stdout).  A change to
+the package that alters any of these answers fails here; an intended change
+updates the hash together with a test of the new behaviour.
+"""
+import hashlib
+
+import pytest
+
+from cmfamilies.cli import main
+
+EMPTY = hashlib.sha256(b"").hexdigest()
+
+GOLDEN = [
+    ("families --type A --n 4 --c 1", 0, "131a8a6531e3493bc93afee89f21509daafc9a108059517fb468abd985fb164f"),
+    ("families --type A --n 1 --c 1 --format text", 0, "9c1079036f3c82a6f0e0623f33283a458262b972aed461f0a00586fd3444852a"),
+    ("families --type A --n 3 --c 0 --method both", 0, "78112a87109304c50e72ce907e3d21a1ac721bdf1892d19013d43b6ab38d5994"),
+    ("families --type A --n 4 --c 2 --generic --method both", 0, "926e54fa57dc15ec48b3fbfc5eb9cb035f286c667433eaa3a43260f1e03d4602"),
+    ("families --type B --n 4 --c1 1 --kappa 1 --method both", 0, "c51aaa05c52d77c01580e4e6cdb25d0af818099defd133c139c229294e8011c7"),
+    ("families --type B --n 3 --c1=-1 --kappa 1 --format text", 0, "520e7fb13c5ed2c0fbb3ce313d46f91545cf25c820c7209257449944ae913993"),
+    ("families --type B --n 3 --c1 1 --kappa 0 --method both", 0, "9f6acce98f297cfb128bd4f7d42d5be587475c433f6fe4faf615c47f8d573884"),
+    ("families --type B --n 4 --c1 1/2 --kappa 1 --method Lusztig --format text", 0, "657cad4c0733939d806fe69dd7f6f745634077051b7b106acd59875ba4524c4f"),
+    ("families --type B --n 4 --c1 1/7 --kappa 3/5 --generic --method both --format text", 0, "09830b432ab34710cfa3e541c6c1ddb9496353061d7839b3f0f94f330a4a8463"),
+    ("families --type D --n 4 --kappa 1 --method both", 0, "b43313e7fa6c485682b7f797e7864145be719d17b3a3a864ac7aa84de0842936"),
+    ("families --type I2 --m 7 --a 1 --b 1 --method both", 0, "6c45ca6db3a8a4b466a295012a1eb42f182a96d9a3d7965c5d56ac84cb2fab29"),
+    ("families --type I2 --m 8 --a 1 --b 2 --method both --format text", 0, "ce9f30fafffa4bec068f345cc8166590b063dbba8b4c9df23872520b7dad8fa3"),
+    ("families --type I2 --m 8 --a 0 --b 1 --method Lusztig", 0, "72b1a33c1d7246186dd3f08dbac25c3d2db76c628c6642d892f6a4ab034c187f"),
+    ("families --type I2 --m 6 --a=-1 --b 1 --format text", 0, "8f5979ff9ba74da8d6cf96ac1066a3c2993b295c00a3f3c8547424ef49e81a22"),
+    ("cuspidal --type B --n 6 --c1 1 --kappa 1 --format text", 0, "1d41cca4803b94e741ed889e3b740a3e8b17820a8bd5079122d5622e3f8742a7"),
+    ("cuspidal --type D --n 9 --kappa 2 --method both", 0, "6d3cc4c0149f05433ca230093ed1bc117f04d9b53bbc8ab7874ce2c268cd577d"),
+    ("cuspidal --type I2 --m 10 --a 2 --b 1 --method both --format text", 0, "c9f1461aea24ece2775c43aa30c6dbe80bdf021b9e08812491e6518abb67f521"),
+    ("rigid --type A --n 1 --c 1", 0, "b47f33b612f7b7c3cdce47222fbb05db22c14195b2e3b060c0263d88021b887d"),
+    ("rigid --type A --n 3 --c 1 --mode oracle --format text", 0, "5dfecbf35de344dc6dc4b8a79c4e5327122b2737250403b04abf2060fbc3927f"),
+    ("rigid --type A --n 2 --c 0", 0, "354db61c473fe1b4911269808ab7c6d5cfdf33cad075f73f43ffb9699c4d3226"),
+    ("rigid --type B --n 3 --c1=-1 --kappa 1 --format text", 0, "5dfecbf35de344dc6dc4b8a79c4e5327122b2737250403b04abf2060fbc3927f"),
+    ("rigid --type B --n 2 --c1 1 --kappa 1 --mode oracle", 0, "96aa44d5cce3744690bd357226fce28d41b26790d8701f4cb7ab391ccdccadce"),
+    ("rigid --type D --n 4 --kappa 1", 0, "2f908f88b139cbe24cd41dd46b76e9143d0cc42daaaed0a8ed0d9cb8cb33b69f"),
+    ("rigid --type D --n 3 --kappa 0 --format text", 0, "b34ebf446608e2a7f34a40dd6d4fde04cf04b165c1c753798251ee7e4b7c39a2"),
+    ("rigid --type I2 --m 7 --a 1 --b 1 --mode oracle", 0, "ced629d722a676ff23d8065f7d42b6a54d40de83a50c1b3e51889dd3d24c3df5"),
+    ("rigid --type I2 --m 8 --a=-1 --b 1 --format text", 0, "1b822558c0a47a1bcc943c4a1c514891fb9f37b2e0a47f1afddcf8473bec210f"),
+    ("rigid --type I2 --m 6 --a 1 --b 1 --mode equation_oracle", 0, "2da8fcd2bc9a7c3dfc657d7689347168e0d8e4a44f6d7021a314027038100fab"),
+    ("leaves --type B --n 6 --c1 1 --kappa 1 --format text", 0, "9d433ff6e71ae7093bd1f59688072a2f6b9ef0653b8e7d3debedea57da1ffe8c"),
+    ("leaves --type B --n 4 --c1 1 --kappa 0", 0, "2ebdf3f2248db319326f94bc2ca694618ad436ba145e248f7bd91cb3df1dd285"),
+    ("leaves --type D --n 4 --kappa 1", 0, "b1a9c1bb737570e094e0f2590363eea6872ffaaddcb90751b0ea19c38fa8a63c"),
+    ("symbols --type B --c1 1 --kappa 1 --bp [2,1|1] --enn 3", 0, "a84da6cf9ed69da10a0cd0f1969ac492b3890ed7548c921e6efe6d8a9fb4a365"),
+    ("symbols --type B --c1 1 --kappa 1 --bp [2,1|1] --enn 3 --bar 5 --format text", 0, "106f263e43741dbd0b29d9f80e2c46cb0af3a54d588e747df707fb6ed1a2a6a0"),
+    ("symbols --type B --c1 1 --kappa 1 --bp [2,1|1] --enn 3 --bar 1", 2, EMPTY),
+    ("verify --suite 5", 0, "b7947464da2dc4fa7fca484937a4eaff69d988c200aaf08e90c600fc23351941"),
+    ("families --type B --n 3 --c1 1", 2, EMPTY),
+    ("families --type I2 --a 1 --b 1", 2, EMPTY),
+    ("families --type D --n 1 --kappa 1", 2, EMPTY),
+    ("families --type I2 --m 7 --a 1 --b 2", 2, EMPTY),
+    ("families --type B --n 3 --c1=-1 --kappa 1 --method Lusztig", 2, EMPTY),
+    ("cuspidal --type B --n 3 --c1 1 --kappa 1/0", 2, EMPTY),
+    ("rigid --type D --n 4 --kappa 1 --mode oracle", 2, EMPTY),
+    ("rigid --type B --n 6 --c1 1 --kappa 1 --mode oracle", 2, EMPTY),
+    ("leaves --type A --n 3 --c 1", 2, EMPTY),
+    ("leaves --type D --n 4 --kappa 0", 2, EMPTY),
+    ("symbols --type D --kappa 1 --bp [1|1]", 2, EMPTY),
+    ("symbols --type B --c1 1 --kappa 1 --bp 2,1", 2, EMPTY),
+    ("verify --suite nope", 2, EMPTY),
+]
+
+
+@pytest.mark.parametrize("query,code,digest", GOLDEN, ids=[q for q, _, _ in GOLDEN])
+def test_cli_golden(capsys, query, code, digest):
+    assert main(query.split()) == code
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest

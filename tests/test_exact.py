@@ -1,9 +1,14 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cmfamilies
 from cmfamilies.exact import (
     CherednikParameter,
     Cyclotomic,
@@ -96,3 +101,30 @@ def test_parameter_shapes():
         CherednikParameter("A", (1, 2))
     assert CherednikParameter.type_A(0).is_zero()
     assert CherednikParameter.type_B(1, 0).to_json() == {"c1": "1", "kappa": "0"}
+
+
+WRONG_TYPE_ACCESS = """
+from cmfamilies.exact import CherednikParameter as P
+cases = [
+    lambda: P.type_D(3).c1,
+    lambda: P.type_I2(1, 2).kappa,
+    lambda: P.type_A(1).a,
+    lambda: P.type_B(1, 1).c,
+    lambda: P.type_D(0).b_integral_m(),
+    lambda: P.type_I2(1, 1).b_is_singular(3),
+]
+for case in cases:
+    try:
+        print("returned", case())
+    except AttributeError:
+        print("AttributeError")
+"""
+
+
+def test_wrong_type_accessors_raise_under_optimize():
+    # python -O strips assert statements; the accessors must not rely on them
+    src = str(Path(cmfamilies.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    proc = subprocess.run([sys.executable, "-O", "-c", WRONG_TYPE_ACCESS], env=env,
+                          capture_output=True, text=True, timeout=60, check=True)
+    assert proc.stdout.split("\n")[:-1] == ["AttributeError"] * 6
