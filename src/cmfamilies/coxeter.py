@@ -3,8 +3,10 @@
 Everything that differs between the types is read from here: the parameter
 names, the size flag, the irreducible labels and their codecs, the CM and
 Lusztig groupings, the cuspidal anchor, the rigid closed form, the
-rigidity-equation oracle and the leaf poset.  The functions in `families`,
-`cuspidal` and `cli` that read an entry are the same for every type.
+reflections with their roots and coroots, and the leaf poset.  The functions
+in `families`, `cuspidal` and `cli` that read an entry are the same for every
+type; in particular the rigidity-equation oracle in `cuspidal` is one
+equation, summed over the entry's reflections.
 
 The table and the layers import each other as module objects, and an entry
 looks each layer function up in its module when it is called.  So nothing is
@@ -15,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from math import isqrt
 from typing import Callable
 
@@ -36,8 +39,10 @@ class CoxeterType:
     lusztig_groups: Callable  # (size, param, labels) -> families by the Lusztig path
     anchor: Callable  # (size, param) -> (label, leaf label) in the cuspidal family, or None
     rigid: Callable  # (size, param, anchor) -> rigid labels, closed form
-    oracle: Callable | None = None  # (label, size, param) -> the rigidity sums vanish
-    oracle_max: int = 0  # largest size the oracle is run at
+    # (label, size) -> (class parameter name, coroot, root, matrix) per reflection
+    # of W; coroot and root are coordinate tuples in dual bases of h and h*
+    reflections: Callable | None = None
+    oracle_max: int = 0  # largest size the rigidity-equation oracle is run at
     leaves: Callable | None = None  # (size, param) -> LeafPoset
 
 
@@ -48,12 +53,38 @@ def lookup(type_tag: str) -> CoxeterType:
         raise ValueError(f"unknown type {type_tag!r}") from None
 
 
+def checked(type_tag: str, size: int, param) -> CoxeterType:
+    """The entry of type_tag; ValueError unless param is a parameter of that
+    type at this size (odd m forces a = b in I2(m))."""
+    entry = lookup(type_tag)
+    if param.type_tag != type_tag:
+        raise ValueError("parameter shape does not match the requested type")
+    entry.parameter(param.values, size)
+    return entry
+
+
 def _singletons(size, param, labels) -> list:
     return [[lab] for lab in labels]
 
 
 def _anchor_alone(size, param, anchor) -> list:
     return [anchor[0]] if anchor else []
+
+
+def _vector(n: int, entries: dict) -> tuple:
+    """The coordinates of sum_i entries[i] e_i (1-based i) in Q^n."""
+    return tuple(Fraction(entries.get(i, 0)) for i in range(1, n + 1))
+
+
+# ---------------------------------------------------------------------------
+# Type A: singletons; the transpositions on Young's seminormal form
+# ---------------------------------------------------------------------------
+
+def _a_reflections(lam, n):
+    """The transpositions s_ij, with root and coroot e_i - e_j."""
+    for i, j in combinations(range(1, n + 1), 2):
+        root = _vector(n, {i: 1, j: -1})
+        yield "c", root, root, reps.sn_transposition_matrix(lam, i, j)
 
 
 # ---------------------------------------------------------------------------
@@ -84,6 +115,19 @@ def _b_rigid(n, param, anchor) -> list:
         return []
     lam, mu = anchor[0]
     return [anchor[0], (partitions.conjugate(mu), partitions.conjugate(lam))]
+
+
+def _b_reflections(bp, n):
+    """eps_j(-1) with root e_j and coroot 2e_j (class c1); s_ij and
+    s_ij,-1 = eps_i(-1) s_ij eps_i(-1), with root = coroot = e_i - e_j and
+    e_i + e_j (class kappa); all on the induced module of bp."""
+    rep = reps.build_B_rep(bp)
+    for j in range(1, n + 1):
+        yield "c1", _vector(n, {j: 2}), _vector(n, {j: 1}), rep.generators[f"eps{j}"]
+    for i, j in combinations(range(1, n + 1), 2):
+        minus, plus = _vector(n, {i: 1, j: -1}), _vector(n, {i: 1, j: 1})
+        yield "kappa", minus, minus, reps.bn_transposition_matrix(rep, i, j)
+        yield "kappa", plus, plus, reps.bn_neg_transposition_matrix(rep, i, j)
 
 
 # ---------------------------------------------------------------------------
@@ -126,6 +170,18 @@ def _i2_rigid(m, param, anchor) -> list:
     return [lab for lab in reps.i2_labels(m) if rigid(lab)]
 
 
+def _i2_reflections(label, m):
+    """s_l = r^l s for l < m, in the class of s (weight b) for even l and of t
+    (weight a) for odd l.  In the basis where s swaps the two coordinates,
+    s_l has root (1, -zeta^l) and coroot (1, -zeta^-l)."""
+    rep = reps.build_dihedral_rep(label, m)
+    one = exact.Cyclotomic.from_rational(m, 1)
+    for l in range(m):
+        root = (one, -exact.Cyclotomic.zeta(m, l))
+        coroot = (one, -exact.Cyclotomic.zeta(m, -l))
+        yield "b" if l % 2 == 0 else "a", coroot, root, reps.i2_reflection_matrix(rep, l, m)
+
+
 TYPES: dict[str, CoxeterType] = {
     "A": CoxeterType(
         params=("c",),
@@ -141,7 +197,7 @@ TYPES: dict[str, CoxeterType] = {
         # S_1 is the trivial group: its one family is cuspidal, its one label rigid
         anchor=lambda n, param: ((1,), None) if n == 1 else None,
         rigid=_anchor_alone,
-        oracle=lambda lam, n, param: cuspidal._a_label_rigid(lam, n, param.c),
+        reflections=_a_reflections,
         oracle_max=6,
     ),
     "B": CoxeterType(
@@ -157,7 +213,7 @@ TYPES: dict[str, CoxeterType] = {
         lusztig_groups=lambda n, param, labels: families._lusztig_b_groups(n, param),
         anchor=_b_anchor,
         rigid=_b_rigid,
-        oracle=lambda bp, n, param: cuspidal._b_label_rigid(bp, n, param.c1, param.kappa),
+        reflections=_b_reflections,
         oracle_max=5,
         leaves=lambda n, param: cuspidal.leaves_B(n, param.c1, param.kappa),
     ),
@@ -191,7 +247,7 @@ TYPES: dict[str, CoxeterType] = {
         lusztig_groups=lambda m, param, labels: families._lusztig_i2_groups(m, param),
         anchor=lambda m, param: ("phi_1", None),
         rigid=_i2_rigid,
-        oracle=lambda lab, m, param: cuspidal._i2_label_rigid(lab, m, param.a, param.b),
+        reflections=_i2_reflections,
         oracle_max=16,
     ),
 }

@@ -1,29 +1,23 @@
 """Symplectic-leaf posets, cuspidal-family detection, and the rigid-module
-classifier with its brute-force rigidity-equation oracle."""
+classifier with its brute-force rigidity-equation oracle.
+
+The oracle evaluates one equation for every type: pi is rigid when
+sum_s c(s)(y, alpha_s)(alpha_s^v, x) pi(s) = 0 for all y in h and x in h*,
+the sum running over the reflections that the type's table entry lists."""
 from __future__ import annotations
 
 import json
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import cache
+from functools import cache, reduce
 
 from . import coxeter
 from . import families as fam
-from .exact import CherednikParameter, Cyclotomic
+from .exact import CherednikParameter
 from .families import Family, FamilyPartition, cm_families, lusztig_families
-from .partitions import Bipartition, Partition, partitions, refinement_le
-from .reps import (
-    build_B_rep,
-    build_dihedral_rep,
-    bn_neg_transposition_matrix,
-    bn_transposition_matrix,
-    i2_reflection_matrix,
-    mat_add,
-    mat_is_zero,
-    mat_scale,
-    sn_transposition_matrix,
-)
+from .partitions import partitions, refinement_le
+from .reps import mat_add, mat_is_zero, mat_scale
 
 
 # ---------------------------------------------------------------------------
@@ -184,6 +178,7 @@ def annotated_families(type_tag: str, size: int, param: CherednikParameter,
 
 def rigid_modules(type_tag: str, size: int, param: CherednikParameter,
                   mode: str = "closed_form") -> list:
+    coxeter.checked(type_tag, size, param)
     if mode == "closed_form":
         return _rigid_closed_form(type_tag, size, param)
     if mode == "equation_oracle":
@@ -199,126 +194,48 @@ def _rigid_closed_form(type_tag: str, size: int, param: CherednikParameter) -> l
     return sorted(entry.rigid(size, param, entry.anchor(size, param)))
 
 
-# -- the brute-force rigidity-equation oracle -------------------------------
+# -- the rigidity-equation oracle --------------------------------------------
 
 def _rigid_oracle(type_tag: str, size: int, param: CherednikParameter) -> list:
     entry = coxeter.lookup(type_tag)
-    if entry.oracle is None:
+    if entry.reflections is None:
         raise ValueError(f"oracle mode has no rigidity sums for type {type_tag!r}; use closed_form")
     if size > entry.oracle_max:
         raise ValueError(
             f"oracle mode for type {type_tag} is bounded by {entry.size_flag} <= {entry.oracle_max}"
         )
-    return sorted(lab for lab in entry.labels(size) if entry.oracle(lab, size, param))
-
-
-def _a_label_rigid(lam: Partition, n: int, c: Fraction) -> bool:
-    """Vanishing of sum_s c (y_k, alpha_s)(alpha_s^v, x_l) pi(s) over the
-    transpositions of S_n, for all basis pairs (k, l)."""
-    if c == 0:
-        return True
-    if n == 1:
-        return True
-    mats = {}
-    for i in range(1, n):
-        for j in range(i + 1, n + 1):
-            mats[(i, j)] = sn_transposition_matrix(lam, i, j)
-    d = len(next(iter(mats.values())))
-    zero = tuple(tuple(Fraction(0) for _ in range(d)) for _ in range(d))
-    for k in range(1, n + 1):
-        # diagonal condition: sum over transpositions through k
-        acc = zero
-        for i in range(1, n + 1):
-            if i != k:
-                acc = mat_add(acc, mats[(min(i, k), max(i, k))])
-        if not mat_is_zero(mat_scale(c, acc)):
-            return False
-    for k in range(1, n):
-        for l in range(k + 1, n + 1):
-            if not mat_is_zero(mat_scale(-c, mats[(k, l)])):
-                return False
-    return True
+    return sorted(lab for lab in entry.labels(size) if _label_rigid(type_tag, lab, size, param))
 
 
 @cache
-def _b_reflection_data(bp: Bipartition):
-    """Precompute per-representation matrices entering the rigidity sums.
+def _rigidity_sums(type_tag: str, label, size: int) -> tuple:
+    """The rigidity sums of pi_label, one condition per basis pair (y_k, x_l).
 
-    Returns (E, A, D) where E[k] is eps_k(-1), A[k] = sum_{j != k}
-    (s_{kj} + s_{kj,-1}), and D[(k,l)] = s_{kl} - s_{kl,-1}."""
-    rep = build_B_rep(bp)
-    n = sum(bp[0]) + sum(bp[1])
-    E = {k: rep.generators[f"eps{k}"] for k in range(1, n + 1)}
-    P = {}
-    N = {}
-    for i in range(1, n):
-        for j in range(i + 1, n + 1):
-            P[(i, j)] = bn_transposition_matrix(rep, i, j)
-            N[(i, j)] = bn_neg_transposition_matrix(rep, i, j)
-    d = rep.dim
-    zero = tuple(tuple(Fraction(0) for _ in range(d)) for _ in range(d))
-    A = {}
-    for k in range(1, n + 1):
-        acc = zero
-        for i in range(1, n + 1):
-            if i != k:
-                key = (min(i, k), max(i, k))
-                acc = mat_add(acc, mat_add(P[key], N[key]))
-        A[k] = acc
-    D = {}
-    for key, p in P.items():
-        D[key] = mat_add(p, mat_scale(Fraction(-1), N[key]))
-    return E, A, D
-
-
-def _b_label_rigid(bp: Bipartition, n: int, c1: Fraction, kappa: Fraction) -> bool:
-    """Exact evaluation of the rigidity sums for every basis pair (y_k, x_l).
-
-    The pairing table gives, for the class of eps_j(-1) (weight c1), the value
-    2 at k = j = l, and for s_{ij,u} (weight kappa) the value 1 at k = l in
-    {i,j} and -u at k != l in {i,j}."""
-    if c1 == 0 and kappa == 0:
-        return True
-    if n == 1:
-        # only eps_1: condition 2*c1*pi(eps_1) = 0
-        return c1 == 0
-    E, A, D = _b_reflection_data(bp)
-    for k in E:
-        total = mat_add(mat_scale(2 * c1, E[k]), mat_scale(kappa, A[k]))
-        if not mat_is_zero(total):
-            return False
-    if kappa != 0:
-        for key, dmat in D.items():
-            if not mat_is_zero(dmat):
-                return False
-    return True
-
-
-def _i2_label_rigid(label: str, m: int, a: Fraction, b: Fraction) -> bool:
-    """Vanishing of sum_l c(s_l) (y_i, x_j)_{s_l} rho(s_l) over Q(zeta_m).
-
-    c(s_l) is b for even l (class of s) and a for odd l (class of t); the
-    pairing values are -1, zeta^{-l}, zeta^{l}, -1 for (i,j) = (1,1), (1,2),
-    (2,1), (2,2)."""
-    if a == 0 and b == 0:
-        return True
-    rep = build_dihedral_rep(label, m)
-    refl = [i2_reflection_matrix(rep, l, m) for l in range(m)]
-    zero = Cyclotomic.zero(m)
-    coefs = {
-        (1, 1): lambda l: Cyclotomic.from_rational(m, -1),
-        (1, 2): lambda l: Cyclotomic.zeta(m, -l),
-        (2, 1): lambda l: Cyclotomic.zeta(m, l),
-        (2, 2): lambda l: Cyclotomic.from_rational(m, -1),
-    }
-    for coef in coefs.values():
-        acc = tuple(tuple(zero for _ in range(rep.dim)) for _ in range(rep.dim))
-        for l in range(m):
-            weight = b if l % 2 == 0 else a
-            if weight == 0:
+    A condition is a tuple of (class name, sum over the reflections s of the
+    class of (y_k, alpha_s)(alpha_s^v, x_l) pi(s)); equal conditions are kept
+    once.  The parameter enters only in _label_rigid, so these are built once
+    per label."""
+    sums: dict = {}  # (k, l) -> {class name: matrix}
+    for name, coroot, root, mat in coxeter.lookup(type_tag).reflections(label, size):
+        for k, y in enumerate(root):
+            if y == 0:
                 continue
-            acc = mat_add(acc, mat_scale(coef(l) * weight, refl[l]))
-        if not mat_is_zero(acc):
+            for l, x in enumerate(coroot):
+                if x == 0:
+                    continue
+                by_class = sums.setdefault((k, l), {})
+                term = mat_scale(y * x, mat)
+                by_class[name] = mat_add(by_class[name], term) if name in by_class else term
+    return tuple(dict.fromkeys(tuple(by_class.items()) for by_class in sums.values()))
+
+
+def _label_rigid(type_tag: str, label, size: int, param: CherednikParameter) -> bool:
+    """The rigidity equation sum_s c(s)(y, alpha_s)(alpha_s^v, x) pi(s) = 0, for
+    every basis pair (y, x), with c(s) the parameter value named by s's class."""
+    for condition in _rigidity_sums(type_tag, label, size):
+        terms = [mat_scale(getattr(param, name), mat) for name, mat in condition
+                 if getattr(param, name) != 0]
+        if terms and not mat_is_zero(reduce(mat_add, terms)):
             return False
     return True
 

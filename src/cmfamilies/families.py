@@ -7,7 +7,7 @@ from fractions import Fraction
 
 from . import coxeter
 from . import symbols as sym
-from .exact import CherednikParameter
+from .exact import CherednikParameter, Cyclotomic
 from .partitions import (
     Bipartition,
     DLabel,
@@ -17,7 +17,7 @@ from .partitions import (
     lr_coefficient,
     partitions,
 )
-from .reps import i2_induced_from_reflection, i2_two_dim_range
+from .reps import i2_character, i2_classes, i2_induced_from_reflection, i2_two_dim_range
 
 
 @dataclass(frozen=True)
@@ -72,13 +72,11 @@ def irr_labels(type_tag: str, size: int) -> tuple:
 
 def _drive(path: str, type_tag: str, size: int, param: CherednikParameter) -> FamilyPartition:
     """The partition by one path: one family at param = 0, else the entry's groups."""
-    if param.type_tag != type_tag:
-        raise ValueError("parameter shape does not match the requested type")
+    entry = coxeter.checked(type_tag, size, param)
     labels = irr_labels(type_tag, size)
     meta = dict(type_tag=type_tag, size=size, param=param, method=path)
     if param.is_zero():
         return _canonical([labels], **meta)
-    entry = coxeter.lookup(type_tag)
     groups = entry.cm_groups if path == "CM" else entry.lusztig_groups
     return _canonical(groups(size, param, labels), **meta)
 
@@ -91,18 +89,15 @@ def cm_families(type_tag: str, size: int, param: CherednikParameter) -> FamilyPa
     return _drive("CM", type_tag, size, param)
 
 
-def _euler_key(label: str, m: int, param: CherednikParameter) -> Fraction:
-    """Euler pairing b*chi(s)/chi(1) + a*chi(t)/chi(1) with b = c(s), a = c(t)."""
-    a, b = param.a, param.b
-    if label.startswith("phi"):
-        return Fraction(0)
-    s_val, t_val = {
-        "1": (1, 1),
-        "eps": (-1, -1),
-        "eps1": (1, -1),
-        "eps2": (-1, 1),
-    }[label]
-    return b * s_val + a * t_val
+def _euler_key(label: str, m: int, param: CherednikParameter) -> Cyclotomic:
+    """Euler pairing sum_C c(C)|C|chi(C) over the reflection classes C of
+    I2(m), in Q(zeta_m), with c(s) = b and c(t) = a."""
+    weight = {"s": param.b, "t": param.a}
+    return sum(
+        (i2_character(label, cls, m) * (weight[cls] * size)
+         for cls, size in i2_classes(m) if cls in weight),
+        Cyclotomic.zero(m),
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import cmfamilies
 from cmfamilies.cli import main
 
 
@@ -162,3 +167,20 @@ def test_verify_jobs_same_lines(capsys):
     code2, out2, _ = run(capsys, "verify", "--suite", "5,9", "--jobs", "2")
     assert code1 == code2 == 0
     assert out1 == out2 and len(out1.splitlines()) == 2
+
+
+def test_closed_stdout_ends_without_traceback():
+    src = str(Path(cmfamilies.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    argv = ["families", "--type", "B", "--n", "12", "--c1", "1/2", "--kappa", "1", "--format", "text"]
+    proc = subprocess.Popen([sys.executable, "-m", "cmfamilies", *argv], env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    try:
+        assert proc.stdout.readline().startswith("B size=12")
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) in (0, 1)
+    finally:
+        proc.kill()
+        proc.stderr.close()
+    assert "Traceback" not in err and "Exception ignored" not in err

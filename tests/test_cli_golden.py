@@ -61,6 +61,7 @@ GOLDEN = [
     ("symbols --type D --kappa 1 --bp [1|1]", 2, EMPTY),
     ("symbols --type B --c1 1 --kappa 1 --bp 2,1", 2, EMPTY),
     ("verify --suite nope", 2, EMPTY),
+    ("verify --suite 5 --jobs 0", 2, EMPTY),
 ]
 
 

@@ -151,6 +151,12 @@ def test_rigid_oracle_rejects_out_of_scale():
         rigid_modules("D", 4, CherednikParameter.type_D(1), "equation_oracle")
     with pytest.raises(ValueError):
         rigid_modules("I2", 18, CherednikParameter.type_I2(1, 1), "equation_oracle")
+    # odd m forces a = b, and the parameter must be of the requested type
+    for mode in ("closed_form", "equation_oracle"):
+        with pytest.raises(ValueError):
+            rigid_modules("I2", 7, CherednikParameter.type_I2(1, 2), mode)
+        with pytest.raises(ValueError):
+            rigid_modules("B", 3, CherednikParameter.type_A(1), mode)
 
 
 def test_rigid_labels_lie_in_cuspidal_family():
