@@ -2,19 +2,22 @@
 """Compare the closed-form rigid classification against the brute-force
 rigidity-equation oracle over the desk-scale grid, with timings.
 
-Usage: python scripts/rigid_scan.py [--max-n 5] [--max-m 16]
+Usage: python scripts/rigid_scan.py [--max-n N] [--max-m M]
+
+The bounds default to the oracle bounds in the type table (`coxeter.TYPES`).
 """
 import argparse
 import time
 
+from cmfamilies import coxeter
 from cmfamilies.cuspidal import rigid_modules
 from cmfamilies.exact import CherednikParameter
 
 
 def main():
     ap = argparse.ArgumentParser()
-    ap.add_argument("--max-n", type=int, default=5)
-    ap.add_argument("--max-m", type=int, default=16)
+    ap.add_argument("--max-n", type=int, default=coxeter.lookup("B").oracle_max)
+    ap.add_argument("--max-m", type=int, default=coxeter.lookup("I2").oracle_max)
     args = ap.parse_args()
 
     t0 = time.time()

@@ -126,8 +126,9 @@ def _b_reflections(bp, n):
         yield "c1", _vector(n, {j: 2}), _vector(n, {j: 1}), rep.generators[f"eps{j}"]
     for i, j in combinations(range(1, n + 1), 2):
         minus, plus = _vector(n, {i: 1, j: -1}), _vector(n, {i: 1, j: 1})
-        yield "kappa", minus, minus, reps.bn_transposition_matrix(rep, i, j)
-        yield "kappa", plus, plus, reps.bn_neg_transposition_matrix(rep, i, j)
+        s_ij = reps.bn_transposition_matrix(rep, i, j)
+        yield "kappa", minus, minus, s_ij
+        yield "kappa", plus, plus, reps.bn_neg_transposition_matrix(rep, i, s_ij)
 
 
 # ---------------------------------------------------------------------------
@@ -214,7 +215,7 @@ TYPES: dict[str, CoxeterType] = {
         anchor=_b_anchor,
         rigid=_b_rigid,
         reflections=_b_reflections,
-        oracle_max=5,
+        oracle_max=6,
         leaves=lambda n, param: cuspidal.leaves_B(n, param.c1, param.kappa),
     ),
     "D": CoxeterType(

@@ -194,8 +194,9 @@ class Cyclotomic:
                 out = out + Cyclotomic.zeta(self.m, -i) * a
         return out
 
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+    def __bool__(self) -> bool:
+        """False exactly for zero, as for Fraction."""
+        return any(self.coeffs)
 
     def is_rational(self) -> bool:
         return all(c == 0 for c in self.coeffs[1:])
@@ -228,7 +229,7 @@ def cyclotomic_sum_check(i: int, m: int) -> bool:
     total = Cyclotomic.zero(m)
     for l in range(m):
         total = total + Cyclotomic.zeta(m, i * l)
-    return total.is_zero()
+    return not total
 
 
 # ---------------------------------------------------------------------------

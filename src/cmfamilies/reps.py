@@ -35,18 +35,34 @@ def mat_identity(d: int, one=Fraction(1), zero=Fraction(0)) -> Matrix:
     return tuple(tuple(one if i == j else zero for j in range(d)) for i in range(d))
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    n, k, m = len(a), len(b), len(b[0])
-    bt = list(zip(*b))
-    return tuple(
-        tuple(sum((a[i][t] * bt[j][t] for t in range(1, k)), a[i][0] * bt[j][0]) for j in range(m))
-        for i in range(n)
-    )
+    """a b, multiplying each nonzero entry of a only with the nonzero entries
+    of the matching row of b.  A zero entry of the product is the zero of the
+    entries' ring (Fraction(0) or Cyclotomic.zero(m)), never the int 0."""
+    zero = a[0][0] * b[0][0] * 0
+    width = len(b[0])
+    b_rows = [[(j, y) for j, y in enumerate(row) if y] for row in b]
+    out = []
+    for row in a:
+        acc: dict = {}
+        for t, x in enumerate(row):
+            if x:
+                for j, y in b_rows[t]:
+                    acc[j] = acc[j] + x * y if j in acc else x * y
+        out.append(tuple(acc.get(j, zero) for j in range(width)))
+    return tuple(out)
 
 def mat_add(a: Matrix, b: Matrix) -> Matrix:
-    return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
+    return tuple(
+        tuple((x + y if y else x) if x else y for x, y in zip(ra, rb)) for ra, rb in zip(a, b)
+    )
 
 def mat_scale(c, a: Matrix) -> Matrix:
-    return tuple(tuple(c * x for x in row) for row in a)
+    if c == 1:  # a Matrix is immutable, so a itself is 1 * a
+        return a
+    if not c:
+        zero = c * a[0][0]
+        return tuple((zero,) * len(row) for row in a)
+    return tuple(tuple(c * x if x else x for x in row) for row in a)
 
 def mat_trace(a: Matrix):
     t = a[0][0]
@@ -491,10 +507,17 @@ def bn_transposition_matrix(rep: MatrixRep, j: int, k: int) -> Matrix:
     return mat
 
 
-def bn_neg_transposition_matrix(rep: MatrixRep, j: int, k: int) -> Matrix:
-    """Matrix of s_{jk,-1} = eps_j(-1) s_{jk} eps_j(-1)."""
+def bn_neg_transposition_matrix(rep: MatrixRep, j: int, s_jk: Matrix) -> Matrix:
+    """Matrix of s_{jk,-1} = eps_j(-1) s_{jk} eps_j(-1), from the matrix of s_{jk}.
+
+    eps_j(-1) is diagonal with entries +-1, so the conjugation negates entry
+    (r, c) exactly where those two diagonal entries differ."""
     e = rep.generators[f"eps{j}"]
-    return mat_mul(mat_mul(e, bn_transposition_matrix(rep, j, k)), e)
+    signs = [e[r][r] > 0 for r in range(len(e))]
+    return tuple(
+        tuple(-x if x and sr != sc else x for x, sc in zip(row, signs))
+        for row, sr in zip(s_jk, signs)
+    )
 
 
 def bn_element_matrix(rep: MatrixRep, sigma: tuple[int, ...], signs: tuple[int, ...]) -> Matrix:

@@ -6,6 +6,7 @@ the package that alters any of these answers fails here; an intended change
 updates the hash together with a test of the new behaviour.
 """
 import hashlib
+import json
 
 import pytest
 
@@ -55,7 +56,8 @@ GOLDEN = [
     ("families --type B --n 3 --c1=-1 --kappa 1 --method Lusztig", 2, EMPTY),
     ("cuspidal --type B --n 3 --c1 1 --kappa 1/0", 2, EMPTY),
     ("rigid --type D --n 4 --kappa 1 --mode oracle", 2, EMPTY),
-    ("rigid --type B --n 6 --c1 1 --kappa 1 --mode oracle", 2, EMPTY),
+    ("rigid --type B --n 6 --c1 1 --kappa 1 --mode oracle", 0, "a81374474d37dea2c734ace152f701e1272ba136c5ca3c346a4e8a844b72527a"),
+    ("rigid --type B --n 7 --c1 1 --kappa 1 --mode oracle", 2, EMPTY),
     ("leaves --type A --n 3 --c 1", 2, EMPTY),
     ("leaves --type D --n 4 --kappa 0", 2, EMPTY),
     ("symbols --type D --kappa 1 --bp [1|1]", 2, EMPTY),
@@ -69,3 +71,12 @@ GOLDEN = [
 def test_cli_golden(capsys, query, code, digest):
     assert main(query.split()) == code
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
+def test_b6_oracle_row_matches_closed_form(capsys):
+    """The B6 oracle row answers with the closed form's labels."""
+    rigid = {}
+    for mode in ("oracle", "closed"):
+        assert main(f"rigid --type B --n 6 --c1 1 --kappa 1 --mode {mode}".split()) == 0
+        rigid[mode] = json.loads(capsys.readouterr().out)["rigid"]
+    assert rigid["oracle"] == rigid["closed"] != []

@@ -144,9 +144,18 @@ def test_rigid_oracle_matches_small():
         )
 
 
+def test_b6_oracle_matches_closed_form():
+    points = [(m, 1) for m in range(-5, 6)] + [(Fraction(1, 2), 1)]
+    for c1, kappa in points:
+        p = CherednikParameter.type_B(c1, kappa)
+        assert rigid_modules("B", 6, p, "closed_form") == rigid_modules(
+            "B", 6, p, "equation_oracle"
+        )
+
+
 def test_rigid_oracle_rejects_out_of_scale():
     with pytest.raises(ValueError):
-        rigid_modules("B", 6, CherednikParameter.type_B(1, 1), "equation_oracle")
+        rigid_modules("B", 7, CherednikParameter.type_B(1, 1), "equation_oracle")
     with pytest.raises(ValueError):
         rigid_modules("D", 4, CherednikParameter.type_D(1), "equation_oracle")
     with pytest.raises(ValueError):

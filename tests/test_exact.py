@@ -74,6 +74,14 @@ def test_cyclotomic_field_ops():
         assert (z + z.conjugate()).conjugate() == z + z.conjugate()
 
 
+def test_cyclotomic_truth_value_is_nonzero():
+    for m in (5, 8, 12):
+        z = Cyclotomic.zeta(m)
+        assert z and Cyclotomic.from_rational(m, -1)
+        assert not Cyclotomic.zero(m)
+        assert not sum((Cyclotomic.zeta(m, l) for l in range(m)), Cyclotomic.zero(m))
+
+
 @settings(max_examples=100)
 @given(st.integers(1, 16).flatmap(lambda m: st.tuples(st.just(m), st.integers(0, 3 * m))))
 def test_cyclotomic_sums(args):

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 from hypothesis import strategies as st
 
+from cmfamilies.exact import Cyclotomic
 from cmfamilies.partitions import bipartitions, hook_dimension, partitions
 from cmfamilies.reps import (
     bn_character,
@@ -11,7 +12,9 @@ from cmfamilies.reps import (
     bn_dim,
     bn_element_matrix,
     bn_inner_product,
+    bn_neg_transposition_matrix,
     bn_order,
+    bn_transposition_matrix,
     branching_reducibility_check,
     build_B_rep,
     build_dihedral_rep,
@@ -26,10 +29,15 @@ from cmfamilies.reps import (
     induced_from_sj_bnj,
     induced_from_young,
     jucys_murphy_eigenvalue,
+    mat_add,
+    mat_eq,
+    mat_mul,
+    mat_scale,
     mat_trace,
     sn_character,
     sn_norm,
     standard_tableaux,
+    symmetric_generator_matrices,
     zee,
 )
 from cmfamilies.verify import _bn_relations_ok, _i2_relations_ok, _sn_relations_ok
@@ -182,3 +190,88 @@ def test_d_restriction_norms():
                     tot += bn_character(bp, cls) ** 2 * bn_class_size(n, cls)
             norm = Fraction(tot, bn_order(n) // 2)
             assert norm == (2 if bp[0] == bp[1] else 1)
+
+
+# -- the zero-skipping matrix kernel against dense references ---------------
+
+def _dense_mul(a, b):
+    out = []
+    for i in range(len(a)):
+        row = []
+        for j in range(len(b[0])):
+            total = a[i][0] * b[0][j]
+            for t in range(1, len(b)):
+                total = total + a[i][t] * b[t][j]
+            row.append(total)
+        out.append(tuple(row))
+    return tuple(out)
+
+
+def _kernel_cases():
+    """Lists of same-shape matrices; every ordered pair of a list is a case."""
+    for n in range(1, 4):
+        for bp in bipartitions(n):
+            yield list(build_B_rep(bp).generators.values())
+    for n in range(2, 6):
+        for lam in partitions(n):
+            yield list(symmetric_generator_matrices(lam))
+    for m in range(5, 9):
+        for lab in i2_labels(m):
+            yield list(build_dihedral_rep(lab, m).generators.values())
+    q = Fraction
+    yield [((q(0), q(0)), (q(0), q(0))), ((q(1), q(-2)), (q(0), q(3, 4)))]
+    yield [((q(-5, 3),),), ((q(0),),)]
+
+
+def _assert_entries(got, want, entry_type):
+    assert len(got) == len(want)
+    for row, ref in zip(got, want):
+        assert len(row) == len(ref)
+        for x, y in zip(row, ref):
+            assert type(x) is entry_type
+            assert x == y
+
+
+def _scalars(entry):
+    rationals = (Fraction(0), Fraction(1), Fraction(-1), Fraction(-3, 2))
+    if isinstance(entry, Cyclotomic):
+        return rationals + (Cyclotomic.zero(entry.m), Cyclotomic.zeta(entry.m))
+    return rationals
+
+
+def test_matrix_kernel_matches_dense_reference():
+    for mats in _kernel_cases():
+        entry_type = type(mats[0][0][0])
+        for a in mats:
+            for b in mats:
+                _assert_entries(mat_mul(a, b), _dense_mul(a, b), entry_type)
+                _assert_entries(
+                    mat_add(a, b),
+                    tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b)),
+                    entry_type,
+                )
+            for c in _scalars(a[0][0]):
+                want = tuple(tuple(c * x for x in row) for row in a)
+                _assert_entries(mat_scale(c, a), want, entry_type)
+
+
+def test_matrix_kernel_non_square_product():
+    q = Fraction
+    a = ((q(1), q(0), q(2)), (q(0), q(0), q(0)))
+    b = ((q(0),), (q(5),), (q(-1, 2),))
+    got = mat_mul(a, b)
+    _assert_entries(got, _dense_mul(a, b), Fraction)
+    assert got == ((q(-1),), (q(0),))
+
+
+def test_neg_transposition_is_eps_conjugate():
+    for n in range(2, 5):
+        for bp in bipartitions(n):
+            rep = build_B_rep(bp)
+            for j in range(1, n):
+                for k in range(j + 1, n + 1):
+                    s_jk = bn_transposition_matrix(rep, j, k)
+                    eps = rep.generators[f"eps{j}"]
+                    assert mat_eq(
+                        bn_neg_transposition_matrix(rep, j, s_jk), mat_mul(mat_mul(eps, s_jk), eps)
+                    )
