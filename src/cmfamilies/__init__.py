@@ -13,7 +13,7 @@ from .cuspidal import (
     rigid_implies_cuspidal_check,
     rigid_modules,
 )
-from .exact import CherednikParameter, Cyclotomic, GroupRingElement, charged_residue, residue
+from .exact import CherednikParameter, Cyclotomic, charged_residue, residue
 from .families import (
     Family,
     FamilyPartition,
@@ -30,7 +30,6 @@ __all__ = [
     "Cyclotomic",
     "Family",
     "FamilyPartition",
-    "GroupRingElement",
     "annotated_families",
     "bar",
     "charged_residue",

@@ -203,7 +203,7 @@ def cmd_verify(args) -> int:
     try:
         results = run_suites(keys, jobs=args.jobs)
     except KeyError as exc:
-        raise ValidationError(str(exc)) from None
+        raise ValidationError(exc.args[0]) from None
     ok = True
     for r in results:
         print(f"[{'PASS' if r.passed else 'FAIL'}] {r.name}: {r.detail}")

@@ -92,8 +92,8 @@ def _a_reflections(lam, n):
 # ---------------------------------------------------------------------------
 
 def _b_cm_groups(n, param, labels) -> list:
-    charge = (Fraction(0), param.c1, -param.kappa)
-    return families._group_by(labels, lambda bp: exact.charged_residue(bp, charge).key())
+    charge = (0, param.c1, -param.kappa)
+    return families._group_by(labels, lambda bp: exact.charged_residue(bp, charge))
 
 
 def _b_anchor(n, param):
@@ -132,14 +132,14 @@ def _b_reflections(bp, n):
 
 
 # ---------------------------------------------------------------------------
-# Type D: residue sums with split labels apart, Clifford descent from B
+# Type D: charged residues at c1 = 0 with split labels apart, Clifford descent from B
 # ---------------------------------------------------------------------------
 
 def _d_cm_groups(n, param, labels) -> list:
     splits = [[lab] for lab in labels if lab[2] is not None]
     rest = [lab for lab in labels if lab[2] is None]
-    key = lambda lab: (exact.residue(lab[0]) + exact.residue(lab[1])).key()  # noqa: E731
-    return splits + families._group_by(rest, key)
+    charge = (0, 0, -param.kappa)  # the type-B key at c1 = 0
+    return splits + families._group_by(rest, lambda lab: exact.charged_residue(lab[:2], charge))
 
 
 def _d_lusztig_groups(n, param, labels) -> tuple:

@@ -6,7 +6,6 @@ sum_s c(s)(y, alpha_s)(alpha_s^v, x) pi(s) = 0 for all y in h and x in h*,
 the sum running over the reflections that the type's table entry lists."""
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -29,6 +28,7 @@ class Leaf:
     index: object  # k for B/D; a partition for degenerate B
     dimension: int
     parabolic_label: str
+    parabolic_order: int  # the order of the parabolic subgroup named by the label
 
 
 @dataclass(frozen=True)
@@ -69,7 +69,8 @@ def leaves_B(n: int, c1, kappa) -> LeafPoset:
         # degenerate: leaves L_lam of dimension 2*len(lam), labels S_lam,
         # ordered by Young-subgroup containment (refinement)
         leaves = tuple(
-            Leaf(index=lam, dimension=2 * len(lam), parabolic_label=f"S_{list(lam)}")
+            Leaf(index=lam, dimension=2 * len(lam), parabolic_label=f"S_{list(lam)}",
+                 parabolic_order=math.prod(math.factorial(p) for p in lam))
             for lam in partitions(n)
         )
         order = frozenset(
@@ -80,12 +81,15 @@ def leaves_B(n: int, c1, kappa) -> LeafPoset:
         )
         return LeafPoset(leaves=leaves, order=order)
     if not param.b_is_singular(n):
-        return LeafPoset(leaves=(Leaf(index=0, dimension=2 * n, parabolic_label="B0"),), order=frozenset())
+        leaf = Leaf(index=0, dimension=2 * n, parabolic_label="B0", parabolic_order=1)
+        return LeafPoset(leaves=(leaf,), order=frozenset())
     m = abs(param.b_integral_m())
     ks = [k for k in range(n + 1) if k * (k + m) <= n]
     leaves = tuple(
-        Leaf(index=k, dimension=2 * (n - k * (k + m)), parabolic_label=f"B{k * (k + m)}")
+        Leaf(index=k, dimension=2 * (n - j), parabolic_label=f"B{j}",
+             parabolic_order=2**j * math.factorial(j))
         for k in ks
+        for j in [k * (k + m)]
     )
     order = frozenset((a, b) for a in ks for b in ks if a > b)
     return LeafPoset(leaves=leaves, order=order)
@@ -99,7 +103,10 @@ def leaves_D(n: int, kappa) -> LeafPoset:
         raise ValueError("need n >= 2")
     ks = [k for k in range(1, n + 1) if k * k <= n]
     leaves = tuple(
-        Leaf(index=k, dimension=2 * (n - k * k), parabolic_label=f"D{k * k}") for k in ks
+        Leaf(index=k, dimension=2 * (n - j), parabolic_label=f"D{j}",
+             parabolic_order=2 ** (j - 1) * math.factorial(j))
+        for k in ks
+        for j in [k * k]
     )
     order = frozenset((a, b) for a in ks for b in ks if a > b)
     return LeafPoset(leaves=leaves, order=order)
@@ -108,26 +115,8 @@ def leaves_D(n: int, kappa) -> LeafPoset:
 def parabolic_order_refined(poset: LeafPoset) -> bool:
     """True iff the closure order refines the parabolic-label containment order
     (deeper leaf has the larger parabolic)."""
-
-    def order_of(label: str):
-        kind, body = label[0], label[1:]
-        if kind == "B":
-            k = int(body)
-            return 2**k * math.factorial(k)
-        if kind == "D":
-            k = int(body)
-            return max(2 ** (k - 1) * math.factorial(k), 1)
-        # S_lam, rendered as "S_[...]" from a list of ints
-        out = 1
-        for p in json.loads(body.removeprefix("_")):
-            out *= math.factorial(p)
-        return out
-
     by_index = {l.index: l for l in poset.leaves}
-    for a, b in poset.order:
-        if order_of(by_index[a].parabolic_label) < order_of(by_index[b].parabolic_label):
-            return False
-    return True
+    return all(by_index[a].parabolic_order >= by_index[b].parabolic_order for a, b in poset.order)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,5 @@
-"""Exact arithmetic: the group ring Z[Q], cyclotomic fields Q(zeta_m), and
-Cherednik parameters as exact rationals."""
+"""Exact arithmetic: residue multisets (the family keys of types B and D),
+cyclotomic fields Q(zeta_m), and Cherednik parameters as exact rationals."""
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -12,70 +12,20 @@ from .partitions import Bipartition, Partition, contents
 
 
 # ---------------------------------------------------------------------------
-# Group ring Z[Q]
+# Residues: the family keys of types B and D, as sorted multisets
 # ---------------------------------------------------------------------------
 
-class GroupRingElement:
-    """Element of Z[Q]: finitely supported map exponent -> nonzero integer."""
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms: Iterable[tuple[Fraction, int]] = ()):
-        acc: dict[Fraction, int] = {}
-        for exp, coeff in terms:
-            exp = Fraction(exp)
-            acc[exp] = acc.get(exp, 0) + coeff
-        self.terms: dict[Fraction, int] = {e: c for e, c in acc.items() if c != 0}
-
-    def __add__(self, other: "GroupRingElement") -> "GroupRingElement":
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            out[e] = out.get(e, 0) + c
-        return GroupRingElement(out.items())
-
-    def shift(self, e) -> "GroupRingElement":
-        """Multiply by x^e."""
-        e = Fraction(e)
-        return GroupRingElement(((exp + e, c) for exp, c in self.terms.items()))
-
-    def substitute(self, alpha) -> "GroupRingElement":
-        """x -> x^alpha on every term."""
-        alpha = Fraction(alpha)
-        return GroupRingElement(((exp * alpha, c) for exp, c in self.terms.items()))
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def key(self) -> tuple:
-        """Canonical hashable form, usable for grouping into families."""
-        return tuple(sorted(self.terms.items()))
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, GroupRingElement) and self.terms == other.terms
-
-    def __hash__(self) -> int:
-        return hash(self.key())
-
-    def __repr__(self) -> str:
-        if not self.terms:
-            return "0"
-        bits = []
-        for e, c in sorted(self.terms.items()):
-            bits.append(f"{c}*x^({e})")
-        return " + ".join(bits)
+def residue(lam: Partition) -> tuple[int, ...]:
+    """The contents of the boxes of lam, as a sorted tuple."""
+    return contents(lam)
 
 
-def residue(lam: Partition) -> GroupRingElement:
-    """Res_lam(x) = sum over boxes of x^{ct(box)}."""
-    return GroupRingElement(((Fraction(c), 1) for c in contents(lam)))
-
-
-def charged_residue(bp: Bipartition, charge) -> GroupRingElement:
-    """x^{m0} Res_{lam0}(x^{mp}) + x^{m1} Res_{lam1}(x^{mp})."""
-    m0, m1, mp = (Fraction(v) for v in charge)
-    a = residue(bp[0]).substitute(mp).shift(m0)
-    b = residue(bp[1]).substitute(mp).shift(m1)
-    return a + b
+def charged_residue(bp: Bipartition, charge) -> tuple:
+    """The exponents of x^{m0} Res_{lam0}(x^{mp}) + x^{m1} Res_{lam1}(x^{mp}),
+    with multiplicity, as a sorted tuple."""
+    m0, m1, mp = charge
+    exponents = [m0 + mp * c for c in residue(bp[0])] + [m1 + mp * c for c in residue(bp[1])]
+    return tuple(sorted(exponents))
 
 
 # ---------------------------------------------------------------------------

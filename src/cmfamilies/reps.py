@@ -73,8 +73,6 @@ def mat_trace(a: Matrix):
 def mat_is_zero(a: Matrix) -> bool:
     return all(x == 0 for row in a for x in row)
 
-def mat_eq(a: Matrix, b: Matrix) -> bool:
-    return all(x == y for ra, rb in zip(a, b) for x, y in zip(ra, rb))
 
 
 # ---------------------------------------------------------------------------
@@ -168,7 +166,7 @@ def jucys_murphy_eigenvalue(lam: Partition):
         m = sn_transposition_matrix(lam, j, n)
         total = m if total is None else mat_add(total, m)
     diag = total[0][0]
-    if mat_eq(total, mat_scale(diag, mat_identity(d))):
+    if total == mat_scale(diag, mat_identity(d)):
         assert diag.denominator == 1
         return int(diag)
     return "non-scalar"

@@ -145,8 +145,8 @@ def content(s: BSymbol) -> Counter:
 
 
 def content_key(s: BSymbol) -> tuple:
-    """Canonical hashable form of the content multiset."""
-    return tuple(sorted(content(s).items()))
+    """The content multiset as a sorted tuple."""
+    return tuple(sorted(s.beta + s.gamma))
 
 
 def normalize(s: BSymbol) -> BSymbol:

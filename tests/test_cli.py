@@ -8,6 +8,7 @@ import pytest
 
 import cmfamilies
 from cmfamilies.cli import main
+from cmfamilies.verify import _result
 
 
 def run(capsys, *argv):
@@ -133,6 +134,26 @@ def test_verify_single_suite(capsys):
 def test_verify_unknown_suite(capsys):
     code, _, err = run(capsys, "verify", "--suite", "nope")
     assert code == 2
+
+
+def test_verify_empty_suite_name_quoted_once(capsys):
+    code, out, err = run(capsys, "verify", "--suite", "1,,5")
+    assert code == 2 and out == ""
+    assert err == "error: unknown suite ''\n"
+
+
+def test_verify_repeated_suite_runs_once(capsys):
+    code, out, _ = run(capsys, "verify", "--suite", "5,5")
+    assert code == 0
+    assert out.splitlines() == ["[PASS] 5 dihedral j-induction: 120 checks"]
+
+
+def test_verify_result_lists_every_failure():
+    failures = [f"point {i}" for i in range(7)]
+    result = _result("x", failures, 7)
+    assert not result.passed
+    assert result.detail.startswith("7 failure(s): ")
+    assert all(f in result.detail for f in failures)
 
 
 GENERIC_CASES = [

@@ -1,3 +1,5 @@
+import json
+import math
 from fractions import Fraction
 
 import pytest
@@ -14,6 +16,7 @@ from cmfamilies.cuspidal import (
 )
 from cmfamilies.exact import CherednikParameter
 from cmfamilies.partitions import dagger, subpartitions_of_box
+from cmfamilies.reps import bn_order
 
 
 def test_leaves_b61():
@@ -52,6 +55,20 @@ def test_leaves_d4():
     assert sorted(l.dimension for l in lp.leaves) == [0, 6]
     with pytest.raises(ValueError):
         leaves_D(4, 0)
+
+
+def test_leaf_parabolic_order_is_the_group_order():
+    """Each leaf carries the order of the parabolic its label names: B_j, D_j or S_lam."""
+    posets = [leaves_B(n, c1, kappa) for n in range(1, 10) for c1, kappa in ((0, 1), (2, 1), (1, 0))]
+    posets += [leaves_D(n, 1) for n in range(2, 10)]
+    for lp in posets:
+        for leaf in lp.leaves:
+            kind, rest = leaf.parabolic_label[0], leaf.parabolic_label[1:]
+            if kind == "S":
+                expected = math.prod(math.factorial(p) for p in json.loads(rest[1:]))
+            else:
+                expected = bn_order(int(rest)) // (2 if kind == "D" else 1)
+            assert leaf.parabolic_order == expected, leaf
 
 
 def test_leaves_json_shape():

@@ -12,7 +12,6 @@ import cmfamilies
 from cmfamilies.exact import (
     CherednikParameter,
     Cyclotomic,
-    GroupRingElement,
     charged_residue,
     cyclotomic_poly,
     cyclotomic_sum_check,
@@ -20,40 +19,14 @@ from cmfamilies.exact import (
     residue,
 )
 
-rationals = st.builds(
-    Fraction, st.integers(-50, 50), st.integers(1, 8)
-)
-elements = st.lists(st.tuples(rationals, st.integers(-5, 5)), max_size=6).map(
-    GroupRingElement
-)
-
-
-@settings(max_examples=80)
-@given(elements, elements, elements)
-def test_group_ring_laws(x, y, z):
-    assert (x + y) + z == x + (y + z)
-    assert x + y == y + x
-    assert x + GroupRingElement() == x
-
-
-@settings(max_examples=60)
-@given(elements, rationals, rationals)
-def test_group_ring_shift_substitute(x, e, a):
-    assert x.shift(e).shift(-e) == x
-    if a != 0:
-        assert x.substitute(a).substitute(Fraction(1, 1) / a) == x
-    assert x.substitute(a).shift(e) == x.shift(e / a).substitute(a) if a != 0 else True
-
-
 def test_residue():
-    assert residue((2, 1)).terms == {Fraction(-1): 1, Fraction(0): 1, Fraction(1): 1}
-    assert residue(()).is_zero()
+    assert residue((2, 1)) == (-1, 0, 1)
+    assert residue(()) == ()
 
 
 def test_charged_residue_example():
     # at charge (0, c1, -kappa) both parts contribute on shifted lattices
-    el = charged_residue(((1,), (1,)), (0, 1, -1))
-    assert el.terms == {Fraction(0): 1, Fraction(1): 1}
+    assert charged_residue(((1,), (1,)), (0, 1, -1)) == (0, 1)
 
 
 def test_cyclotomic_polys():

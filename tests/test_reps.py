@@ -30,7 +30,6 @@ from cmfamilies.reps import (
     induced_from_young,
     jucys_murphy_eigenvalue,
     mat_add,
-    mat_eq,
     mat_mul,
     mat_scale,
     mat_trace,
@@ -272,6 +271,4 @@ def test_neg_transposition_is_eps_conjugate():
                 for k in range(j + 1, n + 1):
                     s_jk = bn_transposition_matrix(rep, j, k)
                     eps = rep.generators[f"eps{j}"]
-                    assert mat_eq(
-                        bn_neg_transposition_matrix(rep, j, s_jk), mat_mul(mat_mul(eps, s_jk), eps)
-                    )
+                    assert bn_neg_transposition_matrix(rep, j, s_jk) == mat_mul(mat_mul(eps, s_jk), eps)
