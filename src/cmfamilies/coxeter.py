@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import isqrt
+from math import isqrt, lcm
 from typing import Callable
 
 from . import cuspidal, exact, families, partitions, reps
@@ -91,8 +91,16 @@ def _a_reflections(lam, n):
 # Type B: charged residues, symbol contents, the box (k^(k+m)) with n = k(k+m)
 # ---------------------------------------------------------------------------
 
+def _int_charge(c1, kappa) -> tuple[int, int, int]:
+    """The charge (0, c1, -kappa) times the lcm of the denominators, as ints.
+    A positive scale keeps equal sorted keys equal and unequal ones unequal,
+    so the families do not change."""
+    scale = lcm(c1.denominator, kappa.denominator)
+    return 0, int(c1 * scale), int(-kappa * scale)
+
+
 def _b_cm_groups(n, param, labels) -> list:
-    charge = (0, param.c1, -param.kappa)
+    charge = _int_charge(param.c1, param.kappa)
     return families._group_by(labels, lambda bp: exact.charged_residue(bp, charge))
 
 
@@ -138,7 +146,7 @@ def _b_reflections(bp, n):
 def _d_cm_groups(n, param, labels) -> list:
     splits = [[lab] for lab in labels if lab[2] is not None]
     rest = [lab for lab in labels if lab[2] is None]
-    charge = (0, 0, -param.kappa)  # the type-B key at c1 = 0
+    charge = _int_charge(0, param.kappa)  # the type-B key at c1 = 0
     return splits + families._group_by(rest, lambda lab: exact.charged_residue(lab[:2], charge))
 
 

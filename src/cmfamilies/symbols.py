@@ -9,27 +9,44 @@ from math import comb
 
 from .partitions import Bipartition
 
+Rational = int | Fraction
+
+
+def _exact(x) -> Rational:
+    """An int as it is; anything else as a Fraction."""
+    return x if type(x) is int else Fraction(x)
+
+
+def _point(c1, kappa) -> tuple[Rational, Rational]:
+    """(c1, kappa) as ints when both are integers, else as Fractions."""
+    c1, kappa = _exact(c1), _exact(kappa)
+    if c1.denominator == kappa.denominator == 1:
+        return int(c1), int(kappa)
+    return Fraction(c1), Fraction(kappa)
+
 
 @dataclass(frozen=True)
 class BSymbol:
     """Two-row symbol: beta has length N+m, gamma length N.
 
     Entries are exact rationals; beta_i = r (mod kappa), gamma_j = 0 (mod kappa).
+    An int stays an int and anything else becomes a Fraction, so a symbol
+    built at an integral point is int throughout.
     """
 
-    beta: tuple[Fraction, ...]
-    gamma: tuple[Fraction, ...]
+    beta: tuple[Rational, ...]
+    gamma: tuple[Rational, ...]
     m: int
-    kappa: Fraction
-    r: Fraction
+    kappa: Rational
+    r: Rational
 
     def __post_init__(self):
-        beta = tuple(Fraction(b) for b in self.beta)
-        gamma = tuple(Fraction(g) for g in self.gamma)
+        beta = tuple(map(_exact, self.beta))
+        gamma = tuple(map(_exact, self.gamma))
         object.__setattr__(self, "beta", beta)
         object.__setattr__(self, "gamma", gamma)
-        object.__setattr__(self, "kappa", Fraction(self.kappa))
-        object.__setattr__(self, "r", Fraction(self.r))
+        object.__setattr__(self, "kappa", _exact(self.kappa))
+        object.__setattr__(self, "r", _exact(self.r))
         if self.kappa <= 0:
             raise ValueError("kappa must be positive")
         if not (0 <= self.r < self.kappa):
@@ -55,7 +72,7 @@ class BSymbol:
         return len(self.gamma)
 
     @property
-    def c1(self) -> Fraction:
+    def c1(self) -> Rational:
         return self.m * self.kappa + self.r
 
     def to_json(self) -> dict:
@@ -79,8 +96,9 @@ class BSymbol:
 
 
 def symbol_of(bp: Bipartition, N: int, c1, kappa) -> BSymbol:
-    """The symbol Sy^N_{(c1,kappa);n}(bp)."""
-    c1, kappa = Fraction(c1), Fraction(kappa)
+    """The symbol Sy^N_{(c1,kappa);n}(bp); its entries are ints when c1 and
+    kappa are integers."""
+    c1, kappa = _point(c1, kappa)
     if kappa <= 0:
         raise ValueError("kappa must be positive")
     if c1 < 0:
@@ -103,12 +121,12 @@ def symbol_of(bp: Bipartition, N: int, c1, kappa) -> BSymbol:
     return s
 
 
-def weight(s: BSymbol) -> Fraction:
-    return sum(s.beta, Fraction(0)) + sum(s.gamma, Fraction(0))
+def weight(s: BSymbol) -> Rational:
+    return sum(s.beta) + sum(s.gamma)
 
 
-def expected_weight(n: int, N: int, c1, kappa) -> Fraction:
-    c1, kappa = Fraction(c1), Fraction(kappa)
+def expected_weight(n: int, N: int, c1, kappa) -> Rational:
+    c1, kappa = _point(c1, kappa)
     m = int(c1 // kappa)
     r = c1 - m * kappa
     return n * kappa + kappa * N * N + N * (c1 - kappa) + kappa * comb(m, 2) + r * m
@@ -117,8 +135,8 @@ def expected_weight(n: int, N: int, c1, kappa) -> Fraction:
 def symbol_bipartition(s: BSymbol) -> Bipartition:
     """Recover the labeled bipartition."""
     Nm, N = len(s.beta), s.N
-    lam0 = [int((s.beta[i - 1] - s.r) / s.kappa) - (i - 1) for i in range(1, Nm + 1)]
-    lam1 = [int(s.gamma[j - 1] / s.kappa) - (j - 1) for j in range(1, N + 1)]
+    lam0 = [(s.beta[i - 1] - s.r) // s.kappa - (i - 1) for i in range(1, Nm + 1)]
+    lam1 = [s.gamma[j - 1] // s.kappa - (j - 1) for j in range(1, N + 1)]
     lam0 = tuple(p for p in reversed(lam0) if p > 0)
     lam1 = tuple(p for p in reversed(lam1) if p > 0)
     return (lam0, lam1)
@@ -131,7 +149,7 @@ def shift(s: BSymbol, i: int = 1) -> BSymbol:
     for _ in range(i):
         s = BSymbol(
             beta=(s.r,) + tuple(b + s.kappa for b in s.beta),
-            gamma=(Fraction(0),) + tuple(g + s.kappa for g in s.gamma),
+            gamma=(0,) + tuple(g + s.kappa for g in s.gamma),
             m=s.m,
             kappa=s.kappa,
             r=s.r,
@@ -150,13 +168,16 @@ def content_key(s: BSymbol) -> tuple:
 
 
 def normalize(s: BSymbol) -> BSymbol:
-    """Integral form: entries (beta - r)/kappa and gamma/kappa, at kappa=1, r=0."""
+    """Integral form: entries (beta - r)/kappa and gamma/kappa, at kappa=1, r=0.
+
+    The congruences that BSymbol checks make every quotient an integer, so
+    floor division computes it exactly, as an int."""
     return BSymbol(
-        beta=tuple((b - s.r) / s.kappa for b in s.beta),
-        gamma=tuple(g / s.kappa for g in s.gamma),
+        beta=tuple((b - s.r) // s.kappa for b in s.beta),
+        gamma=tuple(g // s.kappa for g in s.gamma),
         m=s.m,
-        kappa=Fraction(1),
-        r=Fraction(0),
+        kappa=1,
+        r=0,
     )
 
 
@@ -183,7 +204,7 @@ def is_cuspidal_symbol(s: BSymbol) -> bool:
     top = max(cnt)
     prev = None
     for i in range(int(top) + 1):
-        ni = cnt.get(Fraction(i), 0)
+        ni = cnt.get(i, 0)
         if prev is not None and ni > prev:
             return False
         prev = ni
@@ -197,14 +218,14 @@ def bar(s: BSymbol, t: int | None = None) -> BSymbol:
     """
     if s.kappa != 1 or s.r != 0:
         raise ValueError("bar is defined in the integral case kappa=1, r=0")
-    top = max((*s.beta, *s.gamma), default=Fraction(0))
+    top = max((*s.beta, *s.gamma), default=0)
     if t is None:
         t = int(top)
     if t < top:
         raise ValueError(f"t={t} below the largest entry {top}")
     full = set(range(t + 1))
-    new_beta = tuple(sorted(Fraction(x) for x in full - {t - int(g) for g in s.gamma}))
-    new_gamma = tuple(sorted(Fraction(x) for x in full - {t - int(b) for b in s.beta}))
+    new_beta = tuple(sorted(full - {t - int(g) for g in s.gamma}))
+    new_gamma = tuple(sorted(full - {t - int(b) for b in s.beta}))
     return BSymbol(beta=new_beta, gamma=new_gamma, m=s.m, kappa=s.kappa, r=s.r)
 
 

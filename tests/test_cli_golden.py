@@ -48,6 +48,10 @@ GOLDEN = [
     ("symbols --type B --c1 1 --kappa 1 --bp [2,1|1] --enn 3", 0, "a84da6cf9ed69da10a0cd0f1969ac492b3890ed7548c921e6efe6d8a9fb4a365"),
     ("symbols --type B --c1 1 --kappa 1 --bp [2,1|1] --enn 3 --bar 5 --format text", 0, "106f263e43741dbd0b29d9f80e2c46cb0af3a54d588e747df707fb6ed1a2a6a0"),
     ("symbols --type B --c1 1 --kappa 1 --bp [2,1|1] --enn 3 --bar 1", 2, EMPTY),
+    ("symbols --type B --c1 3/2 --kappa 1/2 --bp [2,1|1] --enn 3", 0, "5e41579953348167448447cd46901a5f435daae1bf9b5e644578b19cc991042f"),
+    ("symbols --type B --c1 5/2 --kappa 1 --bp [2,1|1]", 0, "48b6438a1e2329825698ec7be348c8678367d6e1d430921593ab68cfb4931a60"),
+    ("families --type B --n 5 --c1 9/2 --kappa 3/2 --method both", 0, "fa4cf539efc7c39b6d750feccacdcec737fd0cd73ec9219051c23dd53880a020"),
+    ("families --type D --n 6 --kappa 2/3 --method both", 0, "6beab17dca5f7dbbde6cffd78f11cb726d40203151b1a3f25255fd4ea1b66b3d"),
     ("verify --suite 5", 0, "b7947464da2dc4fa7fca484937a4eaff69d988c200aaf08e90c600fc23351941"),
     ("families --type B --n 3 --c1 1", 2, EMPTY),
     ("families --type I2 --a 1 --b 1", 2, EMPTY),

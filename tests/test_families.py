@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cmfamilies import exact
 from cmfamilies import fixtures as fx
 from cmfamilies.exact import CherednikParameter
 from cmfamilies.families import (
@@ -138,3 +139,29 @@ def test_dihedral_j_induction_matches_reference():
             want = fx.table4_j_induction(m, a, b)
             for (p, chi), labels in want.items():
                 assert set(dihedral_j_induction(m, a, b, p, chi)) == labels
+
+
+CM_POINTS = [(1, 1), (Fraction(1, 2), 1), (Fraction(7, 3), Fraction(1, 3)), (Fraction(3, 2), Fraction(1, 2)),
+             (-2, 1), (Fraction(2, 5), Fraction(-3, 7)), (1, 0), (0, Fraction(5, 4))]
+
+
+def test_cm_keys_are_int_and_scale_invariant(monkeypatch):
+    # the CM path rescales the charge to ints; a positive scale leaves the groups alone
+    keys = []
+    residue = exact.charged_residue
+
+    def recording(bp, charge):
+        keys.append(residue(bp, charge))
+        return keys[-1]
+
+    monkeypatch.setattr(exact, "charged_residue", recording)
+    cases = [("B", n, CherednikParameter.type_B, point) for n in range(1, 7) for point in CM_POINTS]
+    cases += [("D", n, CherednikParameter.type_D, (kappa,))
+              for n in range(2, 7) for kappa in (1, 3, Fraction(2, 3), Fraction(-1, 2))]
+    for type_tag, n, make, point in cases:
+        keys.clear()
+        groups = cm_families(type_tag, n, make(*point)).as_sets()
+        assert keys and all(type(x) is int for key in keys for x in key)
+        for alpha in (Fraction(1, 3), Fraction(5, 2), 7):
+            scaled = make(*(alpha * v for v in point))
+            assert cm_families(type_tag, n, scaled).as_sets() == groups

@@ -153,3 +153,40 @@ def test_d_cuspidal_symbol_fixture():
 def test_symbol_json_roundtrip():
     s = symbol_of(((2, 1), (1,)), 3, Fraction(3, 2), Fraction(1, 2))
     assert BSymbol.from_json(s.to_json()) == s
+
+
+def _fields(s):
+    return (*s.beta, *s.gamma, s.m, s.kappa, s.r)
+
+
+@pytest.mark.parametrize(
+    "c1, kappa",
+    [(1, 1), (3, 2), (Fraction(6), Fraction(2)), (Fraction(1, 2), 1),
+     (Fraction(3, 2), Fraction(1, 2)), (Fraction(5, 2), 1), (Fraction(7, 3), Fraction(1, 3))],
+)
+def test_symbols_never_hold_floats(c1, kappa):
+    # int at an integral point, Fraction elsewhere; never a float
+    integral = Fraction(c1).denominator == Fraction(kappa).denominator == 1
+    for n in range(0, 5):
+        for bp in bipartitions(n):
+            s = symbol_of(bp, max(n, 1), c1, kappa)
+            made = [s, normalize(s), shift(s, 2), BSymbol.from_json(s.to_json())]
+            if s.kappa == 1 and s.r == 0:
+                made.append(bar(s))
+            for t in made:
+                assert not any(isinstance(x, float) for x in _fields(t))
+                assert all(type(x) in (int, Fraction) for x in _fields(t))
+            assert all(type(x) is int for x in _fields(normalize(s)))
+            if integral:
+                assert all(type(x) is int for x in _fields(s))
+                assert all(type(x) is int for x in _fields(shift(s, 2)))
+            assert symbol_bipartition(s) == bp
+            assert normalize(s) == symbol_of(bp, max(n, 1), s.m, 1)
+
+
+def test_content_key_is_int_at_integral_points():
+    for c1, kappa in [(0, 1), (1, 1), (3, 1), (Fraction(6), Fraction(2)), (0, 5)]:
+        for n in range(0, 7):
+            for bp in bipartitions(n):
+                key = content_key(symbol_of(bp, max(n, 1), c1, kappa))
+                assert all(type(x) is int for x in key)
