@@ -5,6 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
+from math import gcd, lcm
 from typing import Iterable
 
 from . import coxeter
@@ -59,127 +60,131 @@ def cyclotomic_poly(m: int) -> tuple[int, ...]:
     return tuple(num)
 
 
+@cache
+def _phi_tail(m: int) -> tuple[int, tuple[tuple[int, int], ...]]:
+    """deg Phi_m and the nonzero coefficients (j, phi_j) of Phi_m below x^deg."""
+    phi = cyclotomic_poly(m)
+    return len(phi) - 1, tuple((j, c) for j, c in enumerate(phi[:-1]) if c)
+
+
 class Cyclotomic:
-    """Residue class in Q[x]/Phi_m(x); x is a primitive m-th root of unity."""
+    """Q(zeta_m) = Q[x]/Phi_m(x), x a primitive m-th root of unity: phi(m) int numerators
+    coeffs over one int den > 0, in lowest terms (zero is 0s over 1), so == and hash
+    compare tuples.  Coefficients and scalars are ints or Fractions, never floats."""
 
-    __slots__ = ("m", "coeffs")
+    __slots__ = ("m", "coeffs", "den")
 
-    def __init__(self, m: int, coeffs: Iterable = ()):
-        self.m = m
-        phi = cyclotomic_poly(m)
-        deg = len(phi) - 1
-        cs = [Fraction(c) for c in coeffs]
-        if len(cs) > deg:
-            cs = self._reduce(cs, phi)
-        cs += [Fraction(0)] * (deg - len(cs))
-        self.coeffs = tuple(cs)
+    def __new__(cls, m: int, coeffs: Iterable = ()):
+        cs = list(coeffs)
+        if not all(isinstance(c, (int, Fraction)) for c in cs):
+            raise TypeError("Cyclotomic coefficients are ints or Fractions")
+        den = lcm(*(c.denominator for c in cs))
+        return cls._new(m, [c.numerator * (den // c.denominator) for c in cs], den)
 
-    @staticmethod
-    def _reduce(cs: list[Fraction], phi: tuple[int, ...]) -> list[Fraction]:
-        deg = len(phi) - 1
-        cs = list(cs)
-        for i in range(len(cs) - 1, deg - 1, -1):
-            c = cs[i]
+    @classmethod
+    def _new(cls, m: int, nums: list[int], den: int) -> "Cyclotomic":
+        """sum_i nums[i] x^i / den, reduced mod Phi_m (monic, so in ints) and to lowest terms."""
+        deg, tail = _phi_tail(m)
+        for i in range(len(nums) - 1, deg - 1, -1):
+            c = nums[i]
             if c:
-                for j in range(len(phi)):
-                    cs[i - deg + j] -= c * phi[j]
-        return cs[:deg]
+                for j, p in tail:
+                    nums[i - deg + j] -= c * p
+        nums = nums[:deg] + [0] * (deg - len(nums))
+        if den != 1 and (g := gcd(den, *nums)) != 1:
+            nums = [c // g for c in nums]
+            den //= g
+        self = object.__new__(cls)
+        self.m, self.coeffs, self.den = m, tuple(nums), den
+        return self
 
     @classmethod
     def zero(cls, m: int) -> "Cyclotomic":
-        return cls(m)
+        return cls._new(m, [], 1)
 
     @classmethod
     def from_rational(cls, m: int, q) -> "Cyclotomic":
-        return cls(m, [Fraction(q)])
+        return cls(m, [q])
 
     @classmethod
     def zeta(cls, m: int, k: int = 1) -> "Cyclotomic":
-        k %= m
-        return cls(m, [0] * k + [1])
-
-    def _check(self, other: "Cyclotomic"):
-        if self.m != other.m:
-            raise ValueError("mixed conductors")
+        return cls._new(m, [0] * (k % m) + [1], 1)
 
     def __add__(self, other):
-        if not isinstance(other, Cyclotomic):
-            other = Cyclotomic.from_rational(self.m, other)
-        self._check(other)
-        return Cyclotomic(self.m, [a + b for a, b in zip(self.coeffs, other.coeffs)])
+        a, da = self.coeffs, self.den
+        if isinstance(other, Cyclotomic):
+            if self.m != other.m:
+                raise ValueError("mixed conductors")
+            b, db = other.coeffs, other.den
+            return Cyclotomic._new(self.m, [x * db + y * da for x, y in zip(a, b)], da * db)
+        if not isinstance(other, (int, Fraction)):
+            return NotImplemented
+        nums = [x * other.denominator for x in a]
+        nums[0] += other.numerator * da
+        return Cyclotomic._new(self.m, nums, da * other.denominator)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Cyclotomic(self.m, [-a for a in self.coeffs])
+        return Cyclotomic._new(self.m, [-x for x in self.coeffs], self.den)
 
     def __sub__(self, other):
-        if not isinstance(other, Cyclotomic):
-            other = Cyclotomic.from_rational(self.m, other)
-        return self + (-other)
+        return self + -other
 
     def __rsub__(self, other):
-        return Cyclotomic.from_rational(self.m, other) - self
+        return -self + other
 
     def __mul__(self, other):
-        if not isinstance(other, Cyclotomic):
-            q = Fraction(other)
-            return Cyclotomic(self.m, [a * q for a in self.coeffs])
-        self._check(other)
-        out = [Fraction(0)] * (2 * len(self.coeffs))
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    if b:
-                        out[i + j] += a * b
-        return Cyclotomic(self.m, out)
+        a = self.coeffs
+        if isinstance(other, Cyclotomic):
+            if self.m != other.m:
+                raise ValueError("mixed conductors")
+            out = [0] * (2 * len(a) - 1)
+            for i, x in enumerate(a):
+                if x:
+                    for j, y in enumerate(other.coeffs, i):
+                        out[j] += x * y
+            return Cyclotomic._new(self.m, out, self.den * other.den)
+        if not isinstance(other, (int, Fraction)):
+            return NotImplemented
+        p, q = other.numerator, other.denominator
+        return Cyclotomic._new(self.m, [x * p for x in a], self.den * q)
 
     __rmul__ = __mul__
 
     def conjugate(self) -> "Cyclotomic":
-        """Complex conjugation: zeta -> zeta^{-1}."""
-        out = Cyclotomic.zero(self.m)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                out = out + Cyclotomic.zeta(self.m, -i) * a
-        return out
+        """Complex conjugation zeta -> zeta^{-1}: x^i -> x^{-i mod m}, then one reduction."""
+        m = self.m
+        out = [0] * m
+        for i, x in enumerate(self.coeffs):
+            out[-i % m] = x
+        return Cyclotomic._new(m, out, self.den)
 
     def __bool__(self) -> bool:
         """False exactly for zero, as for Fraction."""
         return any(self.coeffs)
 
-    def is_rational(self) -> bool:
-        return all(c == 0 for c in self.coeffs[1:])
-
     def rational_value(self) -> Fraction:
-        if not self.is_rational():
+        if any(self.coeffs[1:]):
             raise ValueError("not rational")
-        return self.coeffs[0]
+        return Fraction(self.coeffs[0], self.den)
 
     def __eq__(self, other) -> bool:
+        a = self.coeffs
+        if isinstance(other, Cyclotomic):
+            return self.m == other.m and self.den == other.den and a == other.coeffs
         if isinstance(other, (int, Fraction)):
-            other = Cyclotomic.from_rational(self.m, other)
-        return isinstance(other, Cyclotomic) and self.m == other.m and self.coeffs == other.coeffs
+            return a[0] == other.numerator and self.den == other.denominator and not any(a[1:])
+        return NotImplemented
 
     def __hash__(self) -> int:
-        return hash((self.m, self.coeffs))
+        """A rational element hashes as its Fraction value, which it equals."""
+        a = self.coeffs
+        return hash((self.m, self.den, a) if any(a[1:]) else Fraction(a[0], self.den))
 
     def __repr__(self) -> str:
-        bits = [f"{c}*z^{i}" for i, c in enumerate(self.coeffs) if c]
+        bits = [f"{Fraction(c, self.den)}*z^{i}" for i, c in enumerate(self.coeffs) if c]
         return " + ".join(bits) if bits else "0"
-
-    def to_json(self) -> list[str]:
-        return [str(c) for c in self.coeffs]
-
-
-def cyclotomic_sum_check(i: int, m: int) -> bool:
-    """True iff sum_{l<m} zeta^{il} = 0; must equal (i mod m != 0)."""
-    if m < 1:
-        raise ValueError("m >= 1 required")
-    total = Cyclotomic.zero(m)
-    for l in range(m):
-        total = total + Cyclotomic.zeta(m, i * l)
-    return not total
 
 
 # ---------------------------------------------------------------------------

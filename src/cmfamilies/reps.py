@@ -71,7 +71,13 @@ def mat_trace(a: Matrix):
     return t
 
 def mat_is_zero(a: Matrix) -> bool:
-    return all(x == 0 for row in a for x in row)
+    return not any(map(any, a))
+
+def _as_int(q: Fraction) -> int:
+    """q as an int; ArithmeticError if it is not one (an assert would vanish under -O)."""
+    if q.denominator != 1:
+        raise ArithmeticError(f"expected an integer, got {q}")
+    return int(q)
 
 
 
@@ -167,8 +173,7 @@ def jucys_murphy_eigenvalue(lam: Partition):
         total = m if total is None else mat_add(total, m)
     diag = total[0][0]
     if total == mat_scale(diag, mat_identity(d)):
-        assert diag.denominator == 1
-        return int(diag)
+        return _as_int(diag)
     return "non-scalar"
 
 
@@ -291,9 +296,7 @@ def bn_character(bp: Bipartition, cls: BnClass) -> int:
             z1 = bn_centralizer_order((a1, b1))
             z2 = bn_centralizer_order((a2, b2))
             total += Fraction(v1 * v2, z1 * z2)
-    val = bn_centralizer_order(cls) * total
-    assert val.denominator == 1
-    return int(val)
+    return _as_int(bn_centralizer_order(cls) * total)
 
 
 def bn_dim(bp: Bipartition) -> int:
@@ -338,9 +341,7 @@ def induced_from_sj_bnj(nu: Partition, bp: Bipartition, n: int) -> dict:
                 sn_character(nu, mu) * bn_character(bp, sub_cls),
                 zee(mu) * bn_centralizer_order(sub_cls),
             )
-        val = bn_centralizer_order(cls) * total
-        assert val.denominator == 1
-        out[cls] = int(val)
+        out[cls] = _as_int(bn_centralizer_order(cls) * total)
     return out
 
 
@@ -363,9 +364,7 @@ def induced_from_br_bnr(bp0: Bipartition, bp1: Bipartition, n: int) -> dict:
                     bn_character(bp0, c1) * bn_character(bp1, c2),
                     bn_centralizer_order(c1) * bn_centralizer_order(c2),
                 )
-        val = bn_centralizer_order(cls) * total
-        assert val.denominator == 1
-        out[cls] = int(val)
+        out[cls] = _as_int(bn_centralizer_order(cls) * total)
     return out
 
 
@@ -380,9 +379,7 @@ def induced_from_young(nu1: Partition, nu2: Partition, n: int) -> dict:
             if sum(m1) != sum(nu1):
                 continue
             total += Fraction(sn_character(nu1, m1) * sn_character(nu2, m2), zee(m1) * zee(m2))
-        val = zee(mu) * total
-        assert val.denominator == 1
-        out[mu] = int(val)
+        out[mu] = _as_int(zee(mu) * total)
     return out
 
 
@@ -395,9 +392,8 @@ def decompose_bn(n: int, phi: dict) -> dict[Bipartition, int]:
     out = {}
     for bp in bipartitions(n):
         m = bn_inner_product(n, phi, bn_character_dict(bp))
-        assert m.denominator == 1
         if m:
-            out[bp] = int(m)
+            out[bp] = _as_int(m)
     return out
 
 
@@ -406,9 +402,8 @@ def decompose_sn(n: int, phi: dict) -> dict[Partition, int]:
     for lam in partitions(n):
         chi = {mu: sn_character(lam, mu) for mu in partitions(n)}
         m = sum((Fraction(phi[mu] * chi[mu], zee(mu)) for mu in partitions(n)), Fraction(0))
-        assert m.denominator == 1
         if m:
-            out[lam] = int(m)
+            out[lam] = _as_int(m)
     return out
 
 
@@ -674,7 +669,7 @@ def i2_class_rep_matrix(rep: MatrixRep, cls: str, m: int) -> Matrix:
     return s if cls == "s" else t
 
 
-def i2_induced_from_reflection(m: int, parabolic: int, chi: str) -> dict[str, Fraction]:
+def i2_induced_from_reflection(m: int, parabolic: int, chi: str) -> dict[str, int]:
     """Decomposition of Ind_{P}^{W} chi for P = <s> (parabolic=1) or <t> (2).
 
     chi is "1" or "psi" (the nontrivial character of the order-2 subgroup).
@@ -705,11 +700,9 @@ def i2_induced_from_reflection(m: int, parabolic: int, chi: str) -> dict[str, Fr
     table = i2_character_table(m)
     out = {}
     for lab in i2_labels(m):
-        total = Cyclotomic.zero(m)
-        for cls, size in classes:
-            total = total + table[lab][cls].conjugate() * (ind[cls] * size)
-        mult = total.rational_value() / order
-        assert mult.denominator == 1
+        total = sum((table[lab][cls].conjugate() * (ind[cls] * size) for cls, size in classes),
+                    Cyclotomic.zero(m))
+        mult = _as_int(total.rational_value() / order)
         if mult:
             out[lab] = mult
     return out

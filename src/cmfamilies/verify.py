@@ -358,9 +358,8 @@ def suite_8_structural(max_sn: int = 5, max_bn: int = 4, max_i2: int = 16) -> Su
         labs = i2_labels(m)
         for i, l1 in enumerate(labs):
             for l2 in labs[i:]:
-                total = Cyclotomic.zero(m)
-                for cls, size in i2_classes(m):
-                    total = total + table[l1][cls] * table[l2][cls].conjugate() * size
+                total = sum((table[l1][cls] * table[l2][cls].conjugate() * size
+                             for cls, size in i2_classes(m)), Cyclotomic.zero(m))
                 check(total == (2 * m if l1 == l2 else 0), f"I2({m}) orth {l1} {l2}")
 
     # branching: induction from every proper maximal parabolic is reducible

@@ -2,6 +2,7 @@ import os
 import subprocess
 import sys
 from fractions import Fraction
+from math import gcd
 from pathlib import Path
 
 import pytest
@@ -14,7 +15,6 @@ from cmfamilies.exact import (
     Cyclotomic,
     charged_residue,
     cyclotomic_poly,
-    cyclotomic_sum_check,
     parse_rational,
     residue,
 )
@@ -58,8 +58,137 @@ def test_cyclotomic_truth_value_is_nonzero():
 @settings(max_examples=100)
 @given(st.integers(1, 16).flatmap(lambda m: st.tuples(st.just(m), st.integers(0, 3 * m))))
 def test_cyclotomic_sums(args):
+    # sum_{l<m} zeta^{il} is nonzero exactly when m divides i
     m, i = args
-    assert cyclotomic_sum_check(i, m) == (i % m != 0)
+    total = Cyclotomic.zero(m)
+    for l in range(m):
+        total = total + Cyclotomic.zeta(m, i * l)
+    assert bool(total) == (i % m == 0)
+
+
+# A reference for Cyclotomic: Fraction coefficient lists in Q[x]/(x^m - 1), where
+# a product is a cyclic convolution and conjugation an index permutation; only
+# the comparison reduces mod Phi_m (which divides x^m - 1), by long division.
+
+REF_VALUES = [Fraction(1), Fraction(-1, 2), Fraction(0), Fraction(3), Fraction(2, 3),
+              Fraction(-5, 4), Fraction(0), Fraction(7, 6)]
+
+
+def _ref_samples(m):
+    """Fixed length-m coefficient lists: 0, 1, zeta and five dense patterns."""
+    unit = lambda k: [Fraction(int(i == k)) for i in range(m)]
+    dense = [[REF_VALUES[(i * (k + 1) + k) % len(REF_VALUES)] for i in range(m)]
+             for k in range(5)]
+    return [[Fraction(0)] * m, unit(0), unit(1 % m)] + dense
+
+
+def _ref_mul(a, b):
+    m = len(a)
+    out = [Fraction(0)] * m
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[(i + j) % m] += x * y
+    return out
+
+
+def _ref_reduce(cs):
+    m = len(cs)
+    phi = cyclotomic_poly(m)
+    deg = len(phi) - 1
+    cs = list(cs)
+    for i in range(m - 1, deg - 1, -1):
+        c = cs[i]
+        for j, p in enumerate(phi):
+            cs[i - deg + j] -= c * p
+    return cs[:deg]
+
+
+def _assert_canonical(x, m):
+    assert x.m == m and len(x.coeffs) == len(cyclotomic_poly(m)) - 1
+    assert all(type(c) is int for c in x.coeffs) and type(x.den) is int
+    assert x.den > 0 and gcd(x.den, *x.coeffs) == 1
+
+
+def _agrees(x, ref):
+    """x is canonical and equals the reference list ref (length m)."""
+    _assert_canonical(x, len(ref))
+    return [Fraction(c, x.den) for c in x.coeffs] == _ref_reduce(ref)
+
+
+def test_cyclotomic_matches_fraction_reference():
+    for m in range(1, 17):
+        refs = _ref_samples(m)
+        xs = [Cyclotomic(m, r) for r in refs]
+        for x, a in zip(xs, refs):
+            assert _agrees(x, a)
+            assert _agrees(-x, [-c for c in a])
+            assert _agrees(x.conjugate(), [a[-i % m] for i in range(m)])
+            for q in (0, 3, -2, Fraction(-3, 4), Fraction(5, 2)):
+                scaled = [c * q for c in a]
+                assert _agrees(x * q, scaled) and _agrees(q * x, scaled)
+                shifted = [a[0] + q] + a[1:]
+                assert _agrees(x + q, shifted) and _agrees(q + x, shifted)
+                assert _agrees(x - q, [a[0] - q] + a[1:])
+                assert _agrees(q - x, [q - a[0]] + [-c for c in a[1:]])
+                assert (x == q) == (_ref_reduce(a) == _ref_reduce([q] + [0] * (m - 1)))
+            reduced = _ref_reduce(a)
+            assert bool(x) == any(reduced)
+            if any(reduced[1:]):
+                with pytest.raises(ValueError):
+                    x.rational_value()
+            else:
+                value = x.rational_value()
+                assert type(value) is Fraction and value == reduced[0]
+            for y, b in zip(xs, refs):
+                assert _agrees(x + y, [s + t for s, t in zip(a, b)])
+                assert _agrees(x - y, [s - t for s, t in zip(a, b)])
+                assert _agrees(x * y, _ref_mul(a, b))
+                assert (x == y) == (_ref_reduce(a) == _ref_reduce(b))
+
+
+def test_cyclotomic_equal_values_have_equal_form():
+    def same(x, y):
+        return x == y and (x.coeffs, x.den, hash(x)) == (y.coeffs, y.den, hash(y))
+
+    for m in range(1, 17):
+        z = Cyclotomic.zeta(m)
+        power = Cyclotomic.from_rational(m, 1)
+        for _ in range(m):
+            power = power * z
+        assert same(power, Cyclotomic.from_rational(m, 1))
+        assert same(Cyclotomic.zeta(m, m + 1), z)
+        assert same(z + -z, Cyclotomic.zero(m)) and same(z * 0, Cyclotomic.zero(m))
+        assert same(Cyclotomic(m, [Fraction(2, 4)]), Cyclotomic.from_rational(m, Fraction(1, 2)))
+        for r in _ref_samples(m):
+            x = Cyclotomic(m, r)
+            assert same((x * Fraction(1, 2)) * 2, x)
+            assert same(x + z - z, x)
+            assert same(x.conjugate().conjugate(), x)
+    with pytest.raises(ValueError):
+        Cyclotomic.zeta(5) + Cyclotomic.zeta(8)
+    with pytest.raises(ValueError):
+        Cyclotomic.zeta(5) * Cyclotomic.zeta(10)
+
+
+def test_rational_cyclotomic_hashes_as_its_fraction():
+    # equal objects must hash equal, or set and dict lookups miss them
+    for m in (1, 5, 8, 12):
+        for q in (0, 1, -3, Fraction(1, 2), Fraction(-7, 3)):
+            x = Cyclotomic.from_rational(m, q)
+            assert x == q and hash(x) == hash(q)
+            assert q in {x} and x in {q}
+            assert {q: "v"}[x] == "v"
+    assert 1 in {Cyclotomic.from_rational(8, 1)}
+
+
+def test_cyclotomic_rejects_floats():
+    z = Cyclotomic.zeta(8)
+    ops = [lambda: z * 0.1, lambda: 0.1 * z, lambda: z + 0.5, lambda: 0.5 + z,
+           lambda: z - 0.5, lambda: 0.5 - z, lambda: Cyclotomic(8, [0.5]),
+           lambda: Cyclotomic(8, [1, 2.0]), lambda: Cyclotomic.from_rational(8, 0.25)]
+    for op in ops:
+        with pytest.raises(TypeError):
+            op()
 
 
 def test_parse_rational():

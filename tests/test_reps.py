@@ -1,7 +1,12 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 from hypothesis import strategies as st
 
+import cmfamilies
 from cmfamilies.exact import Cyclotomic
 from cmfamilies.partitions import bipartitions, hook_dimension, partitions
 from cmfamilies.reps import (
@@ -30,6 +35,7 @@ from cmfamilies.reps import (
     induced_from_young,
     jucys_murphy_eigenvalue,
     mat_add,
+    mat_is_zero,
     mat_mul,
     mat_scale,
     mat_trace,
@@ -272,3 +278,31 @@ def test_neg_transposition_is_eps_conjugate():
                     s_jk = bn_transposition_matrix(rep, j, k)
                     eps = rep.generators[f"eps{j}"]
                     assert bn_neg_transposition_matrix(rep, j, s_jk) == mat_mul(mat_mul(eps, s_jk), eps)
+
+
+def test_mat_is_zero_on_both_entry_rings():
+    q, c = Fraction, Cyclotomic
+    assert mat_is_zero(((q(0), q(0)), (q(0), q(0))))
+    assert not mat_is_zero(((q(0), q(0)), (q(0), q(-1, 3))))
+    assert mat_is_zero(((c.zero(8), c.zero(8)),))
+    assert not mat_is_zero(((c.zero(8), c.zeta(8) - c.zeta(8, 9) + c.from_rational(8, 1)),))
+
+
+INTEGRALITY_CHECK = """
+from fractions import Fraction
+from cmfamilies.reps import _as_int
+print(type(_as_int(Fraction(6, 3))).__name__, _as_int(Fraction(6, 3)))
+try:
+    print("returned", _as_int(Fraction(1, 2)))
+except ArithmeticError:
+    print("ArithmeticError")
+"""
+
+
+def test_integrality_check_raises_under_optimize():
+    # python -O strips assert statements; the integrality check must not rely on them
+    src = str(Path(cmfamilies.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    proc = subprocess.run([sys.executable, "-O", "-c", INTEGRALITY_CHECK], env=env,
+                          capture_output=True, text=True, timeout=60, check=True)
+    assert proc.stdout.split("\n")[:-1] == ["int 2", "ArithmeticError"]
