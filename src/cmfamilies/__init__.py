@@ -22,7 +22,7 @@ from .families import (
     lusztig_families,
     tau_twist,
 )
-from .symbols import BSymbol, bar, is_cuspidal_symbol, same_lusztig_family, symbol_of
+from .symbols import BSymbol, bar, symbol_of
 
 __all__ = [
     "BSymbol",
@@ -36,14 +36,12 @@ __all__ = [
     "clifford_descent",
     "cm_families",
     "cuspidal_families",
-    "is_cuspidal_symbol",
     "leaves_B",
     "leaves_D",
     "lusztig_families",
     "residue",
     "rigid_implies_cuspidal_check",
     "rigid_modules",
-    "same_lusztig_family",
     "symbol_of",
     "tau_twist",
 ]

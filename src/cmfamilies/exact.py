@@ -70,7 +70,8 @@ def _phi_tail(m: int) -> tuple[int, tuple[tuple[int, int], ...]]:
 class Cyclotomic:
     """Q(zeta_m) = Q[x]/Phi_m(x), x a primitive m-th root of unity: phi(m) int numerators
     coeffs over one int den > 0, in lowest terms (zero is 0s over 1), so == and hash
-    compare tuples.  Coefficients and scalars are ints or Fractions, never floats."""
+    compare tuples.  Elements of two conductors are equal only when both are the same
+    rational.  Coefficients and scalars are ints or Fractions, never floats."""
 
     __slots__ = ("m", "coeffs", "den")
 
@@ -172,7 +173,10 @@ class Cyclotomic:
     def __eq__(self, other) -> bool:
         a = self.coeffs
         if isinstance(other, Cyclotomic):
-            return self.m == other.m and self.den == other.den and a == other.coeffs
+            b = other.coeffs
+            if self.m != other.m:  # equal only as the same rational, as the hash has it
+                return a[0] == b[0] and self.den == other.den and not any(a[1:]) and not any(b[1:])
+            return self.den == other.den and a == b
         if isinstance(other, (int, Fraction)):
             return a[0] == other.numerator and self.den == other.denominator and not any(a[1:])
         return NotImplemented

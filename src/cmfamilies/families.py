@@ -8,15 +8,7 @@ from fractions import Fraction
 from . import coxeter
 from . import symbols as sym
 from .exact import CherednikParameter, Cyclotomic
-from .partitions import (
-    Bipartition,
-    DLabel,
-    Partition,
-    bipartitions,
-    d_label,
-    lr_coefficient,
-    partitions,
-)
+from .partitions import Bipartition, DLabel, bipartitions, d_label
 from .reps import i2_character, i2_classes, i2_induced_from_reflection, i2_two_dim_range
 
 
@@ -206,45 +198,8 @@ def clifford_descent(fp: FamilyPartition) -> FamilyPartition:
 
 
 # ---------------------------------------------------------------------------
-# j-induction
+# Dihedral a-function and j-induction
 # ---------------------------------------------------------------------------
-
-def degenerate_j_induction(mu: Bipartition, nu: Partition, c1) -> Bipartition:
-    """j-induction from B_i x S_{n-i} at kappa = 0, c1 > 0.
-
-    mu is a bipartition of i with mu[0] empty, nu a partition of n - i; the
-    result must be (nu, mu[1]) with coefficient one.
-    """
-    c1 = Fraction(c1)
-    if c1 <= 0:
-        raise ValueError("need c1 > 0")
-    if mu[0] != ():
-        raise ValueError("the first component of mu must be empty")
-    i = sum(mu[1])
-    n = i + sum(nu)
-    # full induction via Littlewood-Richardson expansion, filtered by the
-    # a-invariant a_lam = c1 * |lam^(1)|
-    result: dict[Bipartition, int] = {}
-    for lam in bipartitions(n):
-        if sum(lam[1]) != i:  # a-invariant filter
-            continue
-        total = 0
-        for r0 in range(sum(lam[0]) + 1):
-            for a0 in partitions(r0):
-                c_a0 = lr_coefficient(mu[0], a0, lam[0])
-                if not c_a0:
-                    continue
-                for a1 in partitions(sum(nu) - r0):
-                    c_a1 = lr_coefficient(mu[1], a1, lam[1])
-                    if not c_a1:
-                        continue
-                    total += c_a0 * c_a1 * lr_coefficient(a0, a1, nu)
-        if total:
-            result[lam] = total
-    if result != {(nu, mu[1]): 1}:
-        raise AssertionError(f"degenerate j-induction is not a standard basis vector: {result}")
-    return (nu, mu[1])
-
 
 def dihedral_a_function(m: int, a, b) -> dict[str, Fraction]:
     """Lusztig a-values of Irr I2(m) at b = c(s), a = c(t) >= 0."""

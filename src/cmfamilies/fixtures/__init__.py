@@ -1,4 +1,7 @@
-"""Loader for the bundled reference tables (JSON files in fixtures/)."""
+"""The dihedral reference tables (JSON files in fixtures/) that verify suites
+4 and 5 compare the first-principles I2(m) results against: rigid modules
+(table 1), families (table 2) and j-induction (table 4), one row per
+parameter regime, with tokens for the label sets that depend on m."""
 from __future__ import annotations
 
 import json
@@ -6,13 +9,11 @@ from fractions import Fraction
 from functools import cache
 from importlib import resources
 
-from ..partitions import Bipartition
 from ..reps import i2_labels, i2_two_dim_range
 
 
 @cache
 def load_fixture(name: str) -> dict:
-    name = name.replace("-", "_")
     path = resources.files("cmfamilies") / "fixtures" / f"{name}.json"
     try:
         return json.loads(path.read_text())
@@ -89,34 +90,6 @@ def table2_families(m: int, a, b) -> frozenset[frozenset[str]]:
     return frozenset(frozenset(_expand_tokens(f, m)) for f in row["families"])
 
 
-def _eval_expr(expr: str, m: int, a: Fraction, b: Fraction) -> Fraction:
-    return Fraction(eval(expr, {"__builtins__": {}},
-                         {"m": Fraction(m), "a": a, "b": b}))
-
-
-def table3_a_function(m: int, a, b) -> dict[str, Fraction]:
-    """Expected a-function values per label for even m."""
-    a, b = Fraction(a), Fraction(b)
-    if m % 2:
-        raise ValueError("table covers even m")
-    data = load_fixture("dihedral_table3")
-    if a == b > 0:
-        regime = "b=a>0"
-    elif b > a >= 0:
-        regime = "b>a>=0"
-    elif a > b >= 0:
-        regime = "a>b>=0"
-    else:
-        raise ValueError("table covers nonnegative parameters with max > 0")
-    row = next(r for r in data["rows"] if r["regime"] == regime)
-    out = {}
-    for i in i2_two_dim_range(m):
-        out[f"phi_{i}"] = _eval_expr(row["values"]["phi"], m, a, b)
-    for lab in ("1", "eps", "eps1", "eps2"):
-        out[lab] = _eval_expr(row["values"][lab], m, a, b)
-    return out
-
-
 def table4_j_induction(m: int, a, b) -> dict[tuple[int, str], set[str]]:
     """Expected j-induction constituents for even m, keyed by (parabolic, chi)."""
     a, b = Fraction(a), Fraction(b)
@@ -131,10 +104,3 @@ def table4_j_induction(m: int, a, b) -> dict[tuple[int, str], set[str]]:
         (2, "1"): set(_expand_tokens(row["P2_1"], m)),
         (2, "psi"): set(_expand_tokens(row["P2_psi"], m)),
     }
-
-
-def fcusp_members(k: int, m: int) -> list[Bipartition]:
-    data = load_fixture(f"fcusp_{k}_{m}")
-    return [
-        (tuple(p0), tuple(p1)) for p0, p1 in data["members"]
-    ]

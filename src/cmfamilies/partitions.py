@@ -123,64 +123,6 @@ def subpartitions_of_box(k: int, m: int) -> tuple[Partition, ...]:
     return tuple(out)
 
 
-def _contains(outer: Partition, inner: Partition) -> bool:
-    if len(inner) > len(outer):
-        return False
-    return all(outer[i] >= inner[i] for i in range(len(inner)))
-
-
-@cache
-def lr_coefficient(lam: Partition, mu: Partition, nu: Partition) -> int:
-    """Littlewood-Richardson coefficient c^nu_{lam, mu}.
-
-    Counts semistandard fillings of the skew shape nu/lam with content mu whose
-    reverse reading word (rows top to bottom, each row right to left) is a
-    lattice word.
-    """
-    if sum(lam) + sum(mu) != sum(nu):
-        return 0
-    if not _contains(nu, lam):
-        return 0
-    if not mu:
-        return 1 if nu == lam else 0
-    inner = lam + (0,) * (len(nu) - len(lam))
-    # cells in reverse reading order
-    cells = []
-    for i, row in enumerate(nu):
-        for j in range(row - 1, inner[i] - 1, -1):
-            cells.append((i, j))
-    fill: dict[tuple[int, int], int] = {}
-    counts = [0] * (len(mu) + 1)  # counts[v] = occurrences of value v so far
-
-    def backtrack(idx: int) -> int:
-        if idx == len(cells):
-            return 1
-        i, j = cells[idx]
-        total = 0
-        for v in range(1, len(mu) + 1):
-            if counts[v] >= mu[v - 1]:
-                continue
-            # lattice condition on the reverse reading word
-            if v > 1 and counts[v] >= counts[v - 1]:
-                continue
-            # weakly increasing along rows: cell to the right already placed
-            right = fill.get((i, j + 1))
-            if right is not None and v > right:
-                continue
-            # strictly increasing down columns: cell above already placed
-            above = fill.get((i - 1, j))
-            if above is not None and v <= above:
-                continue
-            fill[(i, j)] = v
-            counts[v] += 1
-            total += backtrack(idx + 1)
-            counts[v] -= 1
-            del fill[(i, j)]
-        return total
-
-    return backtrack(0)
-
-
 @cache
 def refinement_le(lam: Partition, mu: Partition) -> bool:
     """True iff the parts of lam can be grouped into sums giving the parts of mu.

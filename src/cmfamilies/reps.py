@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
 from itertools import combinations
-from math import comb, factorial
+from math import factorial
 
 from .exact import Cyclotomic
 from .partitions import (
@@ -63,12 +63,6 @@ def mat_scale(c, a: Matrix) -> Matrix:
         zero = c * a[0][0]
         return tuple((zero,) * len(row) for row in a)
     return tuple(tuple(c * x if x else x for x in row) for row in a)
-
-def mat_trace(a: Matrix):
-    t = a[0][0]
-    for i in range(1, len(a)):
-        t = t + a[i][i]
-    return t
 
 def mat_is_zero(a: Matrix) -> bool:
     return not any(map(any, a))
@@ -248,14 +242,6 @@ def bn_centralizer_order(cls: BnClass) -> int:
     return (2 ** len(a)) * zee(a) * (2 ** len(b)) * zee(b)
 
 
-def bn_class_size(n: int, cls: BnClass) -> int:
-    return bn_order(n) // bn_centralizer_order(cls)
-
-
-def bn_order(n: int) -> int:
-    return 2**n * factorial(n)
-
-
 def _submultisets(mu: Partition):
     """Distinct sub-multisets of a partition, as (sub, complement) pairs."""
     parts = sorted(set(mu))
@@ -299,12 +285,6 @@ def bn_character(bp: Bipartition, cls: BnClass) -> int:
     return _as_int(bn_centralizer_order(cls) * total)
 
 
-def bn_dim(bp: Bipartition) -> int:
-    r = sum(bp[0])
-    n = r + sum(bp[1])
-    return comb(n, r) * hook_dimension(bp[0]) * hook_dimension(bp[1])
-
-
 def bn_inner_product(n: int, phi: dict, psi: dict) -> Fraction:
     """<phi, psi> over B_n for real-valued class functions (dicts class->value)."""
     return sum(
@@ -345,29 +325,6 @@ def induced_from_sj_bnj(nu: Partition, bp: Bipartition, n: int) -> dict:
     return out
 
 
-def induced_from_br_bnr(bp0: Bipartition, bp1: Bipartition, n: int) -> dict:
-    """Character of Ind from B_r x B_{n-r} of chi_bp0 x chi_bp1."""
-    r = sum(bp0[0]) + sum(bp0[1])
-    s = sum(bp1[0]) + sum(bp1[1])
-    if r + s != n:
-        raise ValueError("sizes must add to n")
-    out = {}
-    for cls in bn_classes(n):
-        alpha, beta = cls
-        total = Fraction(0)
-        for a1, a2 in _submultisets(alpha):
-            for b1, b2 in _submultisets(beta):
-                if sum(a1) + sum(b1) != r:
-                    continue
-                c1, c2 = (a1, b1), (a2, b2)
-                total += Fraction(
-                    bn_character(bp0, c1) * bn_character(bp1, c2),
-                    bn_centralizer_order(c1) * bn_centralizer_order(c2),
-                )
-        out[cls] = _as_int(bn_centralizer_order(cls) * total)
-    return out
-
-
 def induced_from_young(nu1: Partition, nu2: Partition, n: int) -> dict:
     """Character of Ind from S_j x S_{n-j} of chi_nu1 x chi_nu2 (inside S_n)."""
     if sum(nu1) + sum(nu2) != n:
@@ -387,26 +344,6 @@ def sn_norm(n: int, phi: dict) -> Fraction:
     return sum((Fraction(phi[mu] ** 2, zee(mu)) for mu in partitions(n)), Fraction(0))
 
 
-def decompose_bn(n: int, phi: dict) -> dict[Bipartition, int]:
-    """Decompose a B_n class function into irreducible multiplicities."""
-    out = {}
-    for bp in bipartitions(n):
-        m = bn_inner_product(n, phi, bn_character_dict(bp))
-        if m:
-            out[bp] = _as_int(m)
-    return out
-
-
-def decompose_sn(n: int, phi: dict) -> dict[Partition, int]:
-    out = {}
-    for lam in partitions(n):
-        chi = {mu: sn_character(lam, mu) for mu in partitions(n)}
-        m = sum((Fraction(phi[mu] * chi[mu], zee(mu)) for mu in partitions(n)), Fraction(0))
-        if m:
-            out[lam] = _as_int(m)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # B_n matrix representations by coset induction
 # ---------------------------------------------------------------------------
@@ -415,8 +352,6 @@ def decompose_sn(n: int, phi: dict) -> dict[Partition, int]:
 class MatrixRep:
     """Exact matrix model: generator name -> matrix."""
 
-    group_tag: str
-    label: object
     generators: dict = field(hash=False)
     dim: int
 
@@ -486,7 +421,7 @@ def build_B_rep(bp: Bipartition) -> MatrixRep:
                 cols[col][index[(newA, i, j)]] += Fraction(1)
         generators[f"s{a}"] = tuple(tuple(cols[j2][i2] for j2 in range(d)) for i2 in range(d))
 
-    return MatrixRep(group_tag=f"B{n}", label=bp, generators=generators, dim=d)
+    return MatrixRep(generators=generators, dim=d)
 
 
 def bn_transposition_matrix(rep: MatrixRep, j: int, k: int) -> Matrix:
@@ -511,51 +446,6 @@ def bn_neg_transposition_matrix(rep: MatrixRep, j: int, s_jk: Matrix) -> Matrix:
         tuple(-x if x and sr != sc else x for x, sc in zip(row, signs))
         for row, sr in zip(s_jk, signs)
     )
-
-
-def bn_element_matrix(rep: MatrixRep, sigma: tuple[int, ...], signs: tuple[int, ...]) -> Matrix:
-    """Matrix of the signed permutation (permutation matrix of sigma times the
-    diagonal sign matrix), with sigma given in one-line notation (1-based)."""
-    n = len(sigma)
-    word = []
-    s = list(sigma)
-    # bubble sort s into the identity; the recorded swaps, applied in reverse,
-    # build the permutation matrix
-    changed = True
-    while changed:
-        changed = False
-        for i in range(n - 1):
-            if s[i] > s[i + 1]:
-                s[i], s[i + 1] = s[i + 1], s[i]
-                word.append(i + 1)
-                changed = True
-    mat = mat_identity(rep.dim)
-    for a in reversed(word):
-        mat = mat_mul(rep.generators[f"s{a}"], mat)
-    for k in range(1, n + 1):
-        if signs[k - 1] == -1:
-            mat = mat_mul(mat, rep.generators[f"eps{k}"])
-    return mat
-
-
-def bn_class_representative(n: int, cls: BnClass) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """A signed permutation in the class (alpha, beta)."""
-    alpha, beta = cls
-    sigma = list(range(1, n + 1))
-    signs = [1] * n
-    pos = 0
-    for part in alpha:
-        block = list(range(pos + 1, pos + part + 1))
-        for idx, v in enumerate(block):
-            sigma[v - 1] = block[(idx + 1) % part]
-        pos += part
-    for part in beta:
-        block = list(range(pos + 1, pos + part + 1))
-        for idx, v in enumerate(block):
-            sigma[v - 1] = block[(idx + 1) % part]
-        signs[block[0] - 1] = -1
-        pos += part
-    return tuple(sigma), tuple(signs)
 
 
 # ---------------------------------------------------------------------------
@@ -619,7 +509,10 @@ def i2_character(label: str, cls: str, m: int) -> Cyclotomic:
     return rat(0)
 
 
+@cache
 def i2_character_table(m: int) -> dict[str, dict[str, Cyclotomic]]:
+    """label -> class -> character value; built once per m and shared, so
+    callers only read it."""
     return {
         lab: {cls: i2_character(lab, cls, m) for cls, _ in i2_classes(m)}
         for lab in i2_labels(m)
@@ -638,11 +531,11 @@ def build_dihedral_rep(label: str, m: int) -> MatrixRep:
         z = Cyclotomic.zeta
         s = ((rat(0), rat(1)), (rat(1), rat(0)))
         t = ((rat(0), z(m, -i)), (z(m, i), rat(0)))
-        return MatrixRep(group_tag=f"I2_{m}", label=label, generators={"s": s, "t": t}, dim=2)
+        return MatrixRep(generators={"s": s, "t": t}, dim=2)
     vals = {"1": (1, 1), "eps": (-1, -1), "eps1": (1, -1), "eps2": (-1, 1)}[label]
     s = ((rat(vals[0]),),)
     t = ((rat(vals[1]),),)
-    return MatrixRep(group_tag=f"I2_{m}", label=label, generators={"s": s, "t": t}, dim=1)
+    return MatrixRep(generators={"s": s, "t": t}, dim=1)
 
 
 def i2_reflection_matrix(rep: MatrixRep, l: int, m: int) -> Matrix:
@@ -653,20 +546,6 @@ def i2_reflection_matrix(rep: MatrixRep, l: int, m: int) -> Matrix:
     for _ in range(l % m):
         out = mat_mul(r, out)
     return out
-
-
-def i2_class_rep_matrix(rep: MatrixRep, cls: str, m: int) -> Matrix:
-    s, t = rep.generators["s"], rep.generators["t"]
-    if cls == "e":
-        return mat_identity(rep.dim, Cyclotomic.from_rational(m, 1), Cyclotomic.zero(m))
-    if cls.startswith("r"):
-        l = int(cls[1:])
-        r = mat_mul(s, t)
-        out = mat_identity(rep.dim, Cyclotomic.from_rational(m, 1), Cyclotomic.zero(m))
-        for _ in range(l):
-            out = mat_mul(r, out)
-        return out
-    return s if cls == "s" else t
 
 
 def i2_induced_from_reflection(m: int, parabolic: int, chi: str) -> dict[str, int]:
@@ -718,7 +597,7 @@ def build_symmetric_rep(lam: Partition) -> MatrixRep:
         raise ValueError("need n >= 1")
     gens = symmetric_generator_matrices(lam)
     generators = {f"s{a}": gens[a - 1] for a in range(1, n)}
-    return MatrixRep(group_tag=f"S{n}", label=lam, generators=generators, dim=hook_dimension(lam))
+    return MatrixRep(generators=generators, dim=hook_dimension(lam))
 
 
 def branching_reducibility_check(type_tag: str, n: int, descriptor) -> bool:

@@ -1,8 +1,7 @@
-"""Type-B symbol calculus: construction, shift, content, cuspidal predicate,
-bar operation, and the family-size invariant."""
+"""Type-B two-row symbols: construction with its weight check, the content
+key that groups the Lusztig families, and the bar operation."""
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
@@ -71,10 +70,6 @@ class BSymbol:
     def N(self) -> int:
         return len(self.gamma)
 
-    @property
-    def c1(self) -> Rational:
-        return self.m * self.kappa + self.r
-
     def to_json(self) -> dict:
         return {
             "beta": [str(b) for b in self.beta],
@@ -83,16 +78,6 @@ class BSymbol:
             "kappa": str(self.kappa),
             "r": str(self.r),
         }
-
-    @classmethod
-    def from_json(cls, data: dict) -> "BSymbol":
-        return cls(
-            beta=tuple(Fraction(b) for b in data["beta"]),
-            gamma=tuple(Fraction(g) for g in data["gamma"]),
-            m=int(data["m"]),
-            kappa=Fraction(data["kappa"]),
-            r=Fraction(data["r"]),
-        )
 
 
 def symbol_of(bp: Bipartition, N: int, c1, kappa) -> BSymbol:
@@ -132,83 +117,9 @@ def expected_weight(n: int, N: int, c1, kappa) -> Rational:
     return n * kappa + kappa * N * N + N * (c1 - kappa) + kappa * comb(m, 2) + r * m
 
 
-def symbol_bipartition(s: BSymbol) -> Bipartition:
-    """Recover the labeled bipartition."""
-    Nm, N = len(s.beta), s.N
-    lam0 = [(s.beta[i - 1] - s.r) // s.kappa - (i - 1) for i in range(1, Nm + 1)]
-    lam1 = [s.gamma[j - 1] // s.kappa - (j - 1) for j in range(1, N + 1)]
-    lam0 = tuple(p for p in reversed(lam0) if p > 0)
-    lam1 = tuple(p for p in reversed(lam1) if p > 0)
-    return (lam0, lam1)
-
-
-def shift(s: BSymbol, i: int = 1) -> BSymbol:
-    """i-fold shift: prepend r to beta and 0 to gamma, add kappa to older entries."""
-    if i < 0:
-        raise ValueError("shift count must be nonnegative")
-    for _ in range(i):
-        s = BSymbol(
-            beta=(s.r,) + tuple(b + s.kappa for b in s.beta),
-            gamma=(0,) + tuple(g + s.kappa for g in s.gamma),
-            m=s.m,
-            kappa=s.kappa,
-            r=s.r,
-        )
-    return s
-
-
-def content(s: BSymbol) -> Counter:
-    """Multiset of all entries of both rows."""
-    return Counter(s.beta) + Counter(s.gamma)
-
-
 def content_key(s: BSymbol) -> tuple:
     """The content multiset as a sorted tuple."""
     return tuple(sorted(s.beta + s.gamma))
-
-
-def normalize(s: BSymbol) -> BSymbol:
-    """Integral form: entries (beta - r)/kappa and gamma/kappa, at kappa=1, r=0.
-
-    The congruences that BSymbol checks make every quotient an integer, so
-    floor division computes it exactly, as an int."""
-    return BSymbol(
-        beta=tuple((b - s.r) // s.kappa for b in s.beta),
-        gamma=tuple(g // s.kappa for g in s.gamma),
-        m=s.m,
-        kappa=1,
-        r=0,
-    )
-
-
-def same_lusztig_family(bp1: Bipartition, bp2: Bipartition, c1, kappa) -> bool:
-    """Equality of symbol contents at a common N (integral case only)."""
-    c1, kappa = Fraction(c1), Fraction(kappa)
-    if kappa <= 0:
-        raise ValueError("kappa must be positive")
-    if (c1 / kappa).denominator != 1:
-        raise ValueError("family comparison needs the integral case r = 0")
-    n1 = sum(bp1[0]) + sum(bp1[1])
-    n2 = sum(bp2[0]) + sum(bp2[1])
-    N = max(n1, n2, 1)
-    s1 = symbol_of(bp1, N, c1, kappa)
-    s2 = symbol_of(bp2, N, c1, kappa)
-    return content_key(s1) == content_key(s2)
-
-
-def is_cuspidal_symbol(s: BSymbol) -> bool:
-    """Content multiplicities n_i weakly decreasing in i >= 0 (no gaps)."""
-    cnt = content(normalize(s))
-    if not cnt:
-        return True
-    top = max(cnt)
-    prev = None
-    for i in range(int(top) + 1):
-        ni = cnt.get(i, 0)
-        if prev is not None and ni > prev:
-            return False
-        prev = ni
-    return True
 
 
 def bar(s: BSymbol, t: int | None = None) -> BSymbol:
@@ -227,13 +138,3 @@ def bar(s: BSymbol, t: int | None = None) -> BSymbol:
     new_beta = tuple(sorted(full - {t - int(g) for g in s.gamma}))
     new_gamma = tuple(sorted(full - {t - int(b) for b in s.beta}))
     return BSymbol(beta=new_beta, gamma=new_gamma, m=s.m, kappa=s.kappa, r=s.r)
-
-
-def family_k_invariant(s: BSymbol) -> tuple[int, int]:
-    """(k_F, predicted family size C(2k+m, k)) from the content multiplicities."""
-    cnt = content(normalize(s))
-    doubled = sum(1 for c in cnt.values() if c == 2)
-    k = s.N - doubled
-    if k < 0:
-        raise AssertionError("negative k invariant")
-    return k, comb(2 * k + s.m, k)

@@ -60,6 +60,9 @@ def _result(name: str, failures: list[str], checked: int) -> SuiteResult:
 # Shared grids
 # ---------------------------------------------------------------------------
 
+GRID_N = 8  # largest n of the full grid and of the suite-6 leaf posets
+
+
 def _b_grid(max_n: int):
     params = [CherednikParameter.type_B(m, 1) for m in range(8)]
     params += [
@@ -70,9 +73,9 @@ def _b_grid(max_n: int):
     return [("B", n, p) for n in range(1, max_n + 1) for p in params]
 
 
-def _i2_grid(lo: int = 5, hi: int = 16):
+def _i2_grid():
     out = []
-    for m in range(lo, hi + 1):
+    for m in range(5, 17):
         if m % 2:
             out.append(("I2", m, CherednikParameter.type_I2(1, 1)))
         else:
@@ -81,7 +84,7 @@ def _i2_grid(lo: int = 5, hi: int = 16):
     return out
 
 
-def _full_grid(max_n: int = 8):
+def _full_grid(max_n: int = GRID_N):
     grid = _b_grid(max_n)
     grid += [("D", n, CherednikParameter.type_D(1)) for n in range(2, max_n + 1)]
     grid += _i2_grid()
@@ -95,10 +98,10 @@ def _full_grid(max_n: int = 8):
 # Suites (numbered to match the reported criteria)
 # ---------------------------------------------------------------------------
 
-def suite_1_families_equality(max_n: int = 8) -> SuiteResult:
+def suite_1_families_equality() -> SuiteResult:
     """CM partition equals Lusztig partition on the full grid."""
     failures = []
-    grid = _full_grid(max_n)
+    grid = _full_grid()
     for type_tag, size, param in grid:
         cm = cm_families(type_tag, size, param).as_sets()
         lu = lusztig_families(type_tag, size, param).as_sets()
@@ -107,11 +110,11 @@ def suite_1_families_equality(max_n: int = 8) -> SuiteResult:
     return _result("1 families CM=Lusztig", failures, len(grid))
 
 
-def suite_2_cuspidal_equality(max_n: int = 8) -> SuiteResult:
+def suite_2_cuspidal_equality() -> SuiteResult:
     """Cuspidal families agree between methods; type-B existence/shape/size."""
     failures = []
     checked = 0
-    for type_tag, size, param in _full_grid(max_n):
+    for type_tag, size, param in _full_grid():
         cm = {frozenset(f.members) for f in cuspidal_families(type_tag, size, param, "CM")}
         lu = {frozenset(f.members) for f in cuspidal_families(type_tag, size, param, "Lusztig")}
         checked += 1
@@ -147,16 +150,16 @@ def suite_2_cuspidal_equality(max_n: int = 8) -> SuiteResult:
     return _result("2 cuspidal CM=Lusztig + Fcusp", failures, checked)
 
 
-def suite_3_rigid_oracle_B(max_n: int = 5) -> SuiteResult:
+def suite_3_rigid_oracle_B() -> SuiteResult:
     """Equation oracle matches the closed form for type B plus smooth points."""
     failures = []
     checked = 0
     points = []
-    for n in range(1, max_n + 1):
+    for n in range(1, 6):
         for m in range(-(n - 1), n):
             points.append((n, CherednikParameter.type_B(m, 1)))
-    points.append((max_n - 1, CherednikParameter.type_B(Fraction(1, 2), 1)))
-    points.append((max_n - 1, CherednikParameter.type_B(Fraction(7, 3), Fraction(1, 3))))
+    points.append((4, CherednikParameter.type_B(Fraction(1, 2), 1)))
+    points.append((4, CherednikParameter.type_B(Fraction(7, 3), Fraction(1, 3))))
     for n, param in points:
         checked += 1
         cf = rigid_modules("B", n, param, "closed_form")
@@ -166,11 +169,11 @@ def suite_3_rigid_oracle_B(max_n: int = 5) -> SuiteResult:
     return _result("3 rigid closed_form=oracle (B)", failures, checked)
 
 
-def suite_4_dihedral_table1(lo: int = 5, hi: int = 12) -> SuiteResult:
+def suite_4_dihedral_table1() -> SuiteResult:
     """Families, rigids and cuspidals for I2(m) from first principles."""
     failures = []
     checked = 0
-    for m in range(lo, hi + 1):
+    for m in range(5, 13):
         if m % 2:
             params = [(1, 1)]
         else:
@@ -191,11 +194,11 @@ def suite_4_dihedral_table1(lo: int = 5, hi: int = 12) -> SuiteResult:
     return _result("4 dihedral table (families/rigid/cuspidal)", failures, checked)
 
 
-def suite_5_dihedral_table4(ms=(6, 8, 10, 12, 14, 16)) -> SuiteResult:
+def suite_5_dihedral_table4() -> SuiteResult:
     """j-induction from both rank-one parabolics matches the reference rows."""
     failures = []
     checked = 0
-    for m in ms:
+    for m in range(6, 17, 2):
         for a, b in ((1, 1), (1, 2), (2, 1), (0, 1), (1, 0)):
             want = fx.table4_j_induction(m, a, b)
             for (p, chi), labels in want.items():
@@ -206,7 +209,7 @@ def suite_5_dihedral_table4(ms=(6, 8, 10, 12, 14, 16)) -> SuiteResult:
     return _result("5 dihedral j-induction", failures, checked)
 
 
-def suite_6_leaves(max_n: int = 8) -> SuiteResult:
+def suite_6_leaves() -> SuiteResult:
     """Leaf dimensions, poset sanity, and cuspidal-leaf existence."""
     failures = []
     checked = 0
@@ -221,19 +224,19 @@ def suite_6_leaves(max_n: int = 8) -> SuiteResult:
     check(sorted(l.dimension for l in lp.leaves) == [0, 8, 12], "B6 (1,1) dims")
     lp = leaves_D(4, 1)
     check(sorted(l.dimension for l in lp.leaves) == [0, 6], "D4 dims")
-    for n in range(1, max_n + 1):
+    for n in range(1, GRID_N + 1):
         lpd = leaves_B(n, 1, 0)
         check(
             all(l.dimension == 2 * len(l.index) for l in lpd.leaves),
             f"degenerate dims n={n}",
         )
         check(lpd.is_antisymmetric() and parabolic_order_refined(lpd), f"degenerate poset n={n}")
-    posets = [leaves_B(n, m, 1) for n in range(1, max_n + 1) for m in range(4)]
-    posets += [leaves_D(n, 1) for n in range(2, max_n + 1)]
+    posets = [leaves_B(n, m, 1) for n in range(1, GRID_N + 1) for m in range(4)]
+    posets += [leaves_D(n, 1) for n in range(2, GRID_N + 1)]
     for lp in posets:
         check(lp.is_antisymmetric() and parabolic_order_refined(lp), "poset sanity")
     # cuspidal leaf exists iff the cuspidal family does (nonzero parameters)
-    for type_tag, size, param in _full_grid(max_n):
+    for type_tag, size, param in _full_grid():
         leaves = coxeter.lookup(type_tag).leaves
         if leaves is None or param.is_zero():
             continue
@@ -244,9 +247,9 @@ def suite_6_leaves(max_n: int = 8) -> SuiteResult:
     return _result("6 leaf posets", failures, checked)
 
 
-def suite_7_rigid_implies_cuspidal(max_n: int = 8) -> SuiteResult:
+def suite_7_rigid_implies_cuspidal() -> SuiteResult:
     failures = []
-    grid = _full_grid(max_n)
+    grid = _full_grid()
     for type_tag, size, param in grid:
         if not rigid_implies_cuspidal_check(type_tag, size, param):
             failures.append(f"{type_tag} {size} {param.to_json()}")
@@ -316,7 +319,7 @@ def _i2_relations_ok(label, m) -> bool:
     return acc == one
 
 
-def suite_8_structural(max_sn: int = 5, max_bn: int = 4, max_i2: int = 16) -> SuiteResult:
+def suite_8_structural() -> SuiteResult:
     failures = []
     checked = 0
 
@@ -327,18 +330,18 @@ def suite_8_structural(max_sn: int = 5, max_bn: int = 4, max_i2: int = 16) -> Su
             failures.append(msg)
 
     # group relations
-    for n in range(1, max_sn + 1):
+    for n in range(1, 6):
         for lam in partitions(n):
             check(_sn_relations_ok(lam), f"Sn relations {lam}")
-    for n in range(1, max_bn + 1):
+    for n in range(1, 5):
         for bp in bipartitions(n):
             check(_bn_relations_ok(bp), f"Bn relations {bp}")
-    for m in range(5, max_i2 + 1):
+    for m in range(5, 17):
         for lab in i2_labels(m):
             check(_i2_relations_ok(lab, m), f"I2({m}) relations {lab}")
 
     # character orthonormality
-    for n in range(1, max_sn + 1):
+    for n in range(1, 6):
         labs = partitions(n)
         for i, lam in enumerate(labs):
             for nu in labs[i:]:
@@ -347,13 +350,13 @@ def suite_8_structural(max_sn: int = 5, max_bn: int = 4, max_i2: int = 16) -> Su
                     for mu in partitions(n)
                 )
                 check(ip == (1 if lam == nu else 0), f"Sn orth {lam} {nu}")
-    for n in range(1, max_bn + 1):
+    for n in range(1, 5):
         labs = bipartitions(n)
         for i, bp1 in enumerate(labs):
             for bp2 in labs[i:]:
                 ip = bn_inner_product(n, bn_character_dict(bp1), bn_character_dict(bp2))
                 check(ip == (1 if bp1 == bp2 else 0), f"Bn orth {bp1} {bp2}")
-    for m in range(5, max_i2 + 1):
+    for m in range(5, 17):
         table = i2_character_table(m)
         labs = i2_labels(m)
         for i, l1 in enumerate(labs):
@@ -380,7 +383,7 @@ def suite_8_structural(max_sn: int = 5, max_bn: int = 4, max_i2: int = 16) -> Su
     return _result("8 structural oracles", failures, checked)
 
 
-def suite_9_symmetries(max_n: int = 6) -> SuiteResult:
+def suite_9_symmetries() -> SuiteResult:
     """Component-swap twist for c1 -> -c1 and rescaling invariance."""
     failures = []
     checked = 0
@@ -391,7 +394,7 @@ def suite_9_symmetries(max_n: int = 6) -> SuiteResult:
         if not cond:
             failures.append(msg)
 
-    for n in range(1, max_n + 1):
+    for n in range(1, 7):
         for m in range(4):
             for kappa in (1, Fraction(1, 2)):
                 pos = cm_families("B", n, CherednikParameter.type_B(m * kappa, kappa))
@@ -400,10 +403,10 @@ def suite_9_symmetries(max_n: int = 6) -> SuiteResult:
     scalars = (Fraction(2), Fraction(1, 3))
     points = [
         ("B", 4, CherednikParameter.type_B(1, 1)),
-        ("B", max_n, CherednikParameter.type_B(2, 1)),
-        ("B", max_n, CherednikParameter.type_B(1, 0)),
-        ("A", max_n, CherednikParameter.type_A(1)),
-        ("D", max_n, CherednikParameter.type_D(1)),
+        ("B", 6, CherednikParameter.type_B(2, 1)),
+        ("B", 6, CherednikParameter.type_B(1, 0)),
+        ("A", 6, CherednikParameter.type_A(1)),
+        ("D", 6, CherednikParameter.type_D(1)),
         ("I2", 8, CherednikParameter.type_I2(1, 2)),
         ("I2", 7, CherednikParameter.type_I2(1, 1)),
     ]

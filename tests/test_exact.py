@@ -181,6 +181,22 @@ def test_rational_cyclotomic_hashes_as_its_fraction():
     assert 1 in {Cyclotomic.from_rational(8, 1)}
 
 
+def test_cyclotomic_equality_across_conductors():
+    # elements of two conductors are equal exactly when both are the same rational,
+    # so == agrees with the hash and stays transitive
+    c5, c8 = Cyclotomic.from_rational(5, 1), Cyclotomic.from_rational(8, 1)
+    assert c5 == 1 == c8 and c5 == c8 and c8 == c5
+    assert len({1, c5, c8}) == 1 and len({c5, c8}) == 1
+    half5, half8 = (Cyclotomic.from_rational(m, Fraction(1, 2)) for m in (5, 8))
+    assert half5 == half8 and half5 != c8
+    assert Cyclotomic.zero(5) == Cyclotomic.zero(8)
+    assert Cyclotomic.zeta(5) != Cyclotomic.zeta(8)
+    assert Cyclotomic.zeta(8, 4) == Cyclotomic.from_rational(5, -1)  # zeta_8^4 = -1
+    assert c5 + Cyclotomic.zeta(5) != c8 + Cyclotomic.zeta(8)
+    with pytest.raises(ValueError):
+        c5 + c8  # mixed-conductor arithmetic still raises
+
+
 def test_cyclotomic_rejects_floats():
     z = Cyclotomic.zeta(8)
     ops = [lambda: z * 0.1, lambda: 0.1 * z, lambda: z + 0.5, lambda: 0.5 + z,

@@ -10,7 +10,6 @@ from cmfamilies.exact import CherednikParameter
 from cmfamilies.families import (
     clifford_descent,
     cm_families,
-    degenerate_j_induction,
     dihedral_a_function,
     dihedral_j_induction,
     lusztig_families,
@@ -117,12 +116,6 @@ def test_clifford_descent_swap_stability():
         assert {swap_bipartition(bp) for bp in mem} == mem
     down = clifford_descent(fp)
     assert down.type_tag == "D"
-
-
-def test_degenerate_j_induction_examples():
-    assert degenerate_j_induction(((), (1,)), (2,), 1) == ((2,), (1,))
-    assert degenerate_j_induction(((), (2, 1)), (1, 1), 1) == ((1, 1), (2, 1))
-    assert degenerate_j_induction(((), ()), (1,), 1) == ((1,), ())
 
 
 def test_dihedral_a_function_sample():

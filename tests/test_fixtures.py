@@ -1,8 +1,20 @@
+import json
+from pathlib import Path
+
 import pytest
 
 from cmfamilies import fixtures as fx
+from cmfamilies.cuspidal import cuspidal_families
+from cmfamilies.exact import CherednikParameter
 from cmfamilies.partitions import is_partition
 from cmfamilies.symbols import BSymbol
+
+# reference data that only the tests read
+DATA = Path(__file__).resolve().parent / "data"
+
+
+def _data(name: str) -> dict:
+    return json.loads((DATA / f"{name}.json").read_text())
 
 
 def test_unknown_fixture():
@@ -10,22 +22,11 @@ def test_unknown_fixture():
         fx.load_fixture("no-such-fixture")
 
 
-def test_hyphen_alias():
-    assert fx.load_fixture("fcusp-2-1") == fx.load_fixture("fcusp_2_1")
-
-
 def test_every_fixture_has_source():
-    for name in (
-        "dihedral_table1",
-        "dihedral_table2",
-        "dihedral_table3",
-        "dihedral_table4",
-        "fcusp_2_1",
-        "fcusp_1_2",
-        "symbol_example_411",
-        "d_cuspidal_symbols",
-    ):
+    for name in ("dihedral_table1", "dihedral_table2", "dihedral_table4"):
         assert fx.load_fixture(name)["source"]
+    for name in ("fcusp_2_1", "fcusp_1_2", "symbol_example_411", "d_cuspidal_symbols"):
+        assert _data(name)["source"]
 
 
 def test_table1_has_five_even_regimes_total():
@@ -35,24 +36,28 @@ def test_table1_has_five_even_regimes_total():
 
 def test_fcusp_members_are_bipartitions():
     for k, m in ((2, 1), (1, 2)):
-        mem = fx.fcusp_members(k, m)
+        mem = [(tuple(p0), tuple(p1)) for p0, p1 in _data(f"fcusp_{k}_{m}")["members"]]
         n = k * (k + m)
         for lam0, lam1 in mem:
             assert is_partition(lam0) or lam0 == ()
             assert is_partition(lam1) or lam1 == ()
             assert sum(lam0) + sum(lam1) == n
         assert len(set(mem)) == len(mem)
+        # and they are the one cuspidal family of B_n at c1 = m kappa
+        fams = cuspidal_families("B", n, CherednikParameter.type_B(m, 1), "CM")
+        assert [set(f.members) for f in fams] == [set(mem)]
 
 
 def test_symbol_fixtures_roundtrip():
-    ex = fx.load_fixture("symbol_example_411")
+    # BSymbol reads the string entries that to_json writes as Fractions
+    ex = _data("symbol_example_411")
     for key in ("symbol", "bar_symbol"):
-        s = BSymbol.from_json(ex[key])
-        assert BSymbol.from_json(s.to_json()) == s
-    for case in fx.load_fixture("d_cuspidal_symbols")["cases"]:
+        s = BSymbol(**ex[key])
+        assert BSymbol(**s.to_json()) == s and s.to_json() == ex[key]
+    for case in _data("d_cuspidal_symbols")["cases"]:
         for sj in case["symbols"]:
-            s = BSymbol.from_json(sj)
-            assert BSymbol.from_json(s.to_json()) == s
+            s = BSymbol(**sj)
+            assert BSymbol(**s.to_json()) == s and s.to_json() == sj
 
 
 def test_token_expansion():
@@ -67,5 +72,3 @@ def test_token_expansion():
 def test_table_regime_errors():
     with pytest.raises(ValueError):
         fx.table1_rigid(8, 0, 0)
-    with pytest.raises(ValueError):
-        fx.table3_a_function(7, 1, 1)

@@ -12,7 +12,6 @@ from cmfamilies.partitions import (
     dagger,
     format_bipartition,
     hook_dimension,
-    lr_coefficient,
     parse_bipartition,
     partitions,
     refinement_le,
@@ -81,34 +80,6 @@ def test_dagger_is_injective():
     for k, m in ((2, 1), (1, 2), (3, 0)):
         images = {dagger(lam, k, m) for lam in subpartitions_of_box(k, m)}
         assert len(images) == len(subpartitions_of_box(k, m))
-
-
-def test_lr_examples():
-    # Pieri: c^nu_{lam,(1)} = 1 for each addable box
-    assert lr_coefficient((1,), (1,), (2,)) == 1
-    assert lr_coefficient((1,), (1,), (1, 1)) == 1
-    assert lr_coefficient((2, 1), (2, 1), (3, 2, 1)) == 2
-    assert lr_coefficient((2,), (2,), (3, 1)) == 1
-    assert lr_coefficient((2,), (2,), (2, 1)) == 0
-
-
-@settings(max_examples=60)
-@given(small_partitions(3), small_partitions(3), small_partitions(6))
-def test_lr_symmetry(lam, mu, nu):
-    assert lr_coefficient(lam, mu, nu) == lr_coefficient(mu, lam, nu)
-
-
-@settings(max_examples=60)
-@given(small_partitions(3), small_partitions(3))
-def test_lr_total_multiplicity(lam, mu):
-    # sum over nu of c^nu dim-consistency: dims multiply for induction
-    n = sum(lam) + sum(mu)
-    total = sum(
-        lr_coefficient(lam, mu, nu) * hook_dimension(nu) for nu in partitions(n)
-    )
-    from math import comb
-
-    assert total == comb(n, sum(lam)) * hook_dimension(lam) * hook_dimension(mu)
 
 
 def test_refinement_examples():

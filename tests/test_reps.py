@@ -2,43 +2,36 @@ import os
 import subprocess
 import sys
 from fractions import Fraction
+from math import comb, factorial
 from pathlib import Path
-
-from hypothesis import strategies as st
 
 import cmfamilies
 from cmfamilies.exact import Cyclotomic
 from cmfamilies.partitions import bipartitions, hook_dimension, partitions
 from cmfamilies.reps import (
+    bn_centralizer_order,
     bn_character,
     bn_character_dict,
-    bn_class_size,
     bn_classes,
-    bn_dim,
-    bn_element_matrix,
     bn_inner_product,
     bn_neg_transposition_matrix,
-    bn_order,
     bn_transposition_matrix,
     branching_reducibility_check,
     build_B_rep,
     build_dihedral_rep,
-    decompose_bn,
-    decompose_sn,
     i2_character,
-    i2_class_rep_matrix,
+    i2_character_table,
     i2_classes,
     i2_induced_from_reflection,
     i2_labels,
-    induced_from_br_bnr,
     induced_from_sj_bnj,
     induced_from_young,
     jucys_murphy_eigenvalue,
     mat_add,
+    mat_identity,
     mat_is_zero,
     mat_mul,
     mat_scale,
-    mat_trace,
     sn_character,
     sn_norm,
     standard_tableaux,
@@ -46,6 +39,68 @@ from cmfamilies.reps import (
     zee,
 )
 from cmfamilies.verify import _bn_relations_ok, _i2_relations_ok, _sn_relations_ok
+
+
+# -- references that only these tests use ------------------------------------
+
+def bn_order(n):
+    return 2**n * factorial(n)
+
+
+def bn_class_size(n, cls):
+    return bn_order(n) // bn_centralizer_order(cls)
+
+
+def bn_dim(bp):
+    r = sum(bp[0])
+    return comb(r + sum(bp[1]), r) * hook_dimension(bp[0]) * hook_dimension(bp[1])
+
+
+def mat_trace(a):
+    return sum((a[i][i] for i in range(1, len(a))), a[0][0])
+
+
+def bn_class_matrix(rep, cls):
+    """Matrix of an element of the class (alpha, beta) of B_n: each part p is
+    the p-cycle s_j s_(j+1) ... s_(j+p-2) on its own block j, ..., j+p-1, times
+    eps_j when the part is in beta (a negative cycle)."""
+    mat, j = mat_identity(rep.dim), 1
+    for p, negative in [(p, False) for p in cls[0]] + [(p, True) for p in cls[1]]:
+        for name in [f"s{a}" for a in range(j, j + p - 1)] + [f"eps{j}"] * negative:
+            mat = mat_mul(mat, rep.generators[name])
+        j += p
+    return mat
+
+
+def i2_class_matrix(rep, cls, m):
+    """Matrix of s, t, or r^l = (st)^l (the class e is r^0)."""
+    if cls in ("s", "t"):
+        return rep.generators[cls]
+    r = mat_mul(rep.generators["s"], rep.generators["t"])
+    out = mat_identity(rep.dim, Cyclotomic.from_rational(m, 1), Cyclotomic.zero(m))
+    for _ in range(0 if cls == "e" else int(cls[1:])):
+        out = mat_mul(r, out)
+    return out
+
+
+def decompose_sn(n, phi):
+    """Irreducible multiplicities of the S_n class function phi."""
+    out = {}
+    for lam in partitions(n):
+        mult = sum(Fraction(phi[mu] * sn_character(lam, mu), zee(mu)) for mu in partitions(n))
+        if mult:
+            out[lam] = mult
+    return out
+
+
+def decompose_bn(n, phi):
+    """Irreducible multiplicities of the B_n class function phi."""
+    out = {}
+    for bp in bipartitions(n):
+        mult = bn_inner_product(n, phi, bn_character_dict(bp))
+        if mult:
+            out[bp] = mult
+    return out
 
 
 def test_standard_tableaux_counts():
@@ -111,12 +166,8 @@ def test_bn_trace_matches_character():
     for n in range(1, 4):
         for bp in bipartitions(n):
             rep = build_B_rep(bp)
-            from cmfamilies.reps import bn_class_representative
-
             for cls in bn_classes(n):
-                sigma, signs = bn_class_representative(n, cls)
-                mat = bn_element_matrix(rep, sigma, signs)
-                assert mat_trace(mat) == bn_character(bp, cls)
+                assert mat_trace(bn_class_matrix(rep, cls)) == bn_character(bp, cls)
 
 
 def test_i2_trace_matches_character():
@@ -124,8 +175,14 @@ def test_i2_trace_matches_character():
         for lab in i2_labels(m):
             rep = build_dihedral_rep(lab, m)
             for cls, _size in i2_classes(m):
-                mat = i2_class_rep_matrix(rep, cls, m)
-                assert mat_trace(mat) == i2_character(lab, cls, m)
+                assert mat_trace(i2_class_matrix(rep, cls, m)) == i2_character(lab, cls, m)
+
+
+def test_i2_character_table_is_built_once_per_m():
+    table = i2_character_table(8)
+    assert i2_character_table(8) is table
+    assert i2_character_table(10) is not table
+    assert table["phi_1"]["r1"] == i2_character("phi_1", "r1", 8)
 
 
 def test_jucys_murphy():
@@ -149,11 +206,11 @@ def test_induced_from_young_decomposes():
 def test_induced_from_parabolics_of_bn():
     phi = induced_from_sj_bnj((1,), ((), ()), 1)
     assert decompose_bn(1, phi) == {((1,), ()): 1, ((), (1,)): 1}
-    phi = induced_from_br_bnr(((1,), ()), ((), (1,)), 2)
+    phi = induced_from_sj_bnj((1,), ((1,), ()), 2)
     dec = decompose_bn(2, phi)
     assert all(v >= 1 for v in dec.values())
     total = sum(v * bn_dim(bp) for bp, v in dec.items())
-    assert total == 2  # index 2 times dim of the inducing module
+    assert total == 4  # index of S_1 x B_1 in B_2 times dim of the inducing module
 
 
 def test_i2_induction_total_dimension():
