@@ -5,6 +5,7 @@ rigidity-equation oracle over the desk-scale grid, with timings.
 Usage: python scripts/rigid_scan.py [--max-n N] [--max-m M]
 
 The bounds default to the oracle bounds in the type table (`coxeter.TYPES`).
+--max-n bounds type B, and type D up to D's own oracle bound.
 """
 import argparse
 import time
@@ -29,6 +30,16 @@ def main():
             status = "ok" if cf == orc else "MISMATCH"
             print(f"B n={n} m={m:+d}: {len(cf)} rigid, oracle {status}")
     print(f"-- type B done in {time.time() - t0:.1f}s")
+
+    t0 = time.time()
+    for n in range(2, min(args.max_n, coxeter.lookup("D").oracle_max) + 1):
+        for kappa in (1, -1):
+            param = CherednikParameter.type_D(kappa)
+            cf = rigid_modules("D", n, param, "closed_form")
+            orc = rigid_modules("D", n, param, "equation_oracle")
+            status = "ok" if cf == orc else "MISMATCH"
+            print(f"D n={n} kappa={kappa:+d}: {len(cf)} rigid, oracle {status}")
+    print(f"-- type D done in {time.time() - t0:.1f}s")
 
     t0 = time.time()
     for m in range(5, args.max_m + 1):

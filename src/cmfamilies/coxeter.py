@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 from math import isqrt, lcm
 from typing import Callable
 
@@ -39,8 +38,10 @@ class CoxeterType:
     lusztig_groups: Callable  # (size, param, labels) -> families by the Lusztig path
     anchor: Callable  # (size, param) -> (label, leaf label) in the cuspidal family, or None
     rigid: Callable  # (size, param, anchor) -> rigid labels, closed form
-    # (label, size) -> (class parameter name, coroot, root, matrix) per reflection
-    # of W; coroot and root are coordinate tuples in dual bases of h and h*
+    # (label, size) -> (class parameter name, coroot, root, matrix) for exactly
+    # the reflections s of W with (e_1, alpha_s) != 0, the only ones the
+    # one-row rigidity equation sums over; coroot and root are coordinate
+    # tuples in dual bases of h and h*
     reflections: Callable | None = None
     oracle_max: int = 0  # largest size the rigidity-equation oracle is run at
     leaves: Callable | None = None  # (size, param) -> LeafPoset
@@ -76,15 +77,24 @@ def _vector(n: int, entries: dict) -> tuple:
     return tuple(Fraction(entries.get(i, 0)) for i in range(1, n + 1))
 
 
+def _transpositions_of_1(gens):
+    """s_12, s_13, ..., s_1n from the adjacent transpositions s_1, ..., s_{n-1},
+    one conjugation each: s_1,j+1 = s_j s_1j s_j."""
+    s = None
+    for g in gens:
+        s = g if s is None else reps.mat_mul(reps.mat_mul(g, s), g)
+        yield s
+
+
 # ---------------------------------------------------------------------------
 # Type A: singletons; the transpositions on Young's seminormal form
 # ---------------------------------------------------------------------------
 
 def _a_reflections(lam, n):
-    """The transpositions s_ij, with root and coroot e_i - e_j."""
-    for i, j in combinations(range(1, n + 1), 2):
-        root = _vector(n, {i: 1, j: -1})
-        yield "c", root, root, reps.sn_transposition_matrix(lam, i, j)
+    """The transpositions s_1j, with root and coroot e_1 - e_j."""
+    for j, s_1j in enumerate(_transpositions_of_1(reps.symmetric_generator_matrices(lam)), 2):
+        root = _vector(n, {1: 1, j: -1})
+        yield "c", root, root, s_1j
 
 
 # ---------------------------------------------------------------------------
@@ -126,17 +136,16 @@ def _b_rigid(n, param, anchor) -> list:
 
 
 def _b_reflections(bp, n):
-    """eps_j(-1) with root e_j and coroot 2e_j (class c1); s_ij and
-    s_ij,-1 = eps_i(-1) s_ij eps_i(-1), with root = coroot = e_i - e_j and
-    e_i + e_j (class kappa); all on the induced module of bp."""
+    """eps_1(-1) with root e_1 and coroot 2e_1 (class c1); s_1j and
+    s_1j,-1 = eps_1(-1) s_1j eps_1(-1), with root = coroot = e_1 - e_j and
+    e_1 + e_j (class kappa); all on the induced module of bp."""
     rep = reps.build_B_rep(bp)
-    for j in range(1, n + 1):
-        yield "c1", _vector(n, {j: 2}), _vector(n, {j: 1}), rep.generators[f"eps{j}"]
-    for i, j in combinations(range(1, n + 1), 2):
-        minus, plus = _vector(n, {i: 1, j: -1}), _vector(n, {i: 1, j: 1})
-        s_ij = reps.bn_transposition_matrix(rep, i, j)
-        yield "kappa", minus, minus, s_ij
-        yield "kappa", plus, plus, reps.bn_neg_transposition_matrix(rep, i, s_ij)
+    yield "c1", _vector(n, {1: 2}), _vector(n, {1: 1}), rep.generators["eps1"]
+    gens = [rep.generators[f"s{a}"] for a in range(1, n)]
+    for j, s_1j in enumerate(_transpositions_of_1(gens), 2):
+        minus, plus = _vector(n, {1: 1, j: -1}), _vector(n, {1: 1, j: 1})
+        yield "kappa", minus, minus, s_1j
+        yield "kappa", plus, plus, reps.bn_neg_transposition_matrix(rep, 1, s_1j)
 
 
 # ---------------------------------------------------------------------------
@@ -153,6 +162,14 @@ def _d_cm_groups(n, param, labels) -> list:
 def _d_lusztig_groups(n, param, labels) -> tuple:
     b_param = exact.CherednikParameter.type_B(0, param.kappa)
     return families.clifford_descent(families.lusztig_families("B", n, b_param)).families
+
+
+def _d_reflections(lab, n):
+    """The class-kappa reflections of B_n (those of D_n) on the B_n module of
+    lab[:2].  A split label {lam, lam}_1,2 is decided on the whole (lam, lam)
+    module: conjugation by eps_1(-1) swaps the two halves and preserves the
+    rigidity equation, so either both halves are rigid or neither is."""
+    return (r for r in _b_reflections(lab[:2], n) if r[0] == "kappa")
 
 
 def _d_anchor(n, param):
@@ -239,6 +256,8 @@ TYPES: dict[str, CoxeterType] = {
         lusztig_groups=_d_lusztig_groups,
         anchor=_d_anchor,
         rigid=_anchor_alone,
+        reflections=_d_reflections,
+        oracle_max=6,
         leaves=lambda n, param: cuspidal.leaves_D(n, param.kappa),
     ),
     "I2": CoxeterType(

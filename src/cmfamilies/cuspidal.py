@@ -1,9 +1,12 @@
 """Symplectic-leaf posets, cuspidal-family detection, and the rigid-module
 classifier with its brute-force rigidity-equation oracle.
 
-The oracle evaluates one equation for every type: pi is rigid when
-sum_s c(s)(y, alpha_s)(alpha_s^v, x) pi(s) = 0 for all y in h and x in h*,
-the sum running over the reflections that the type's table entry lists."""
+The oracle evaluates one equation for every type A, B, D and I2(m): pi is
+rigid when T(y, x) = sum_s c(s)(y, alpha_s)(alpha_s^v, x) pi(s) = 0 for all y in
+h and x in h*.  T is W-equivariant, pi(w) T(y, x) pi(w)^-1 = T(wy, wx), and the
+W-orbit of y = e_1 spans h, so the one row T(e_1, x) = 0 is the whole
+equation; it sums over the reflections with (e_1, alpha_s) != 0, which are the
+ones the type's table entry lists."""
 from __future__ import annotations
 
 import math
@@ -198,29 +201,27 @@ def _rigid_oracle(type_tag: str, size: int, param: CherednikParameter) -> list:
 
 @cache
 def _rigidity_sums(type_tag: str, label, size: int) -> tuple:
-    """The rigidity sums of pi_label, one condition per basis pair (y_k, x_l).
+    """The rigidity sums of pi_label on the row y = e_1, one condition per
+    coordinate x_l.
 
     A condition is a tuple of (class name, sum over the reflections s of the
-    class of (y_k, alpha_s)(alpha_s^v, x_l) pi(s)); equal conditions are kept
-    once.  The parameter enters only in _label_rigid, so these are built once
-    per label."""
-    sums: dict = {}  # (k, l) -> {class name: matrix}
+    class of (e_1, alpha_s)(alpha_s^v, x_l) pi(s)); the entry lists exactly the
+    reflections with (e_1, alpha_s) != 0.  The parameter enters only in
+    _label_rigid, so these are built once per label."""
+    sums: dict = {}  # l -> {class name: matrix}
     for name, coroot, root, mat in coxeter.lookup(type_tag).reflections(label, size):
-        for k, y in enumerate(root):
-            if y == 0:
+        for l, x in enumerate(coroot):
+            if x == 0:
                 continue
-            for l, x in enumerate(coroot):
-                if x == 0:
-                    continue
-                by_class = sums.setdefault((k, l), {})
-                term = mat_scale(y * x, mat)
-                by_class[name] = mat_add(by_class[name], term) if name in by_class else term
-    return tuple(dict.fromkeys(tuple(by_class.items()) for by_class in sums.values()))
+            by_class = sums.setdefault(l, {})
+            term = mat_scale(root[0] * x, mat)
+            by_class[name] = mat_add(by_class[name], term) if name in by_class else term
+    return tuple(tuple(by_class.items()) for by_class in sums.values())
 
 
 def _label_rigid(type_tag: str, label, size: int, param: CherednikParameter) -> bool:
-    """The rigidity equation sum_s c(s)(y, alpha_s)(alpha_s^v, x) pi(s) = 0, for
-    every basis pair (y, x), with c(s) the parameter value named by s's class."""
+    """The rigidity equation sum_s c(s)(e_1, alpha_s)(alpha_s^v, x) pi(s) = 0,
+    for every basis vector x, with c(s) the parameter value named by s's class."""
     for condition in _rigidity_sums(type_tag, label, size):
         terms = [mat_scale(getattr(param, name), mat) for name, mat in condition
                  if getattr(param, name) != 0]

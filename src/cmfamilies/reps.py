@@ -389,12 +389,10 @@ def build_B_rep(bp: Bipartition) -> MatrixRep:
     gens1 = symmetric_generator_matrices(lam1)
     generators: dict[str, Matrix] = {}
 
+    one, zero = Fraction(1), Fraction(0)
     for k in range(1, n + 1):
         generators[f"eps{k}"] = tuple(
-            tuple(
-                (Fraction(1) if k in basis[i][0] else Fraction(-1)) if i == j else Fraction(0)
-                for j in range(d)
-            )
+            tuple(((one if k in basis[i][0] else -one) if i == j else zero) for j in range(d))
             for i in range(d)
         )
 
@@ -605,10 +603,8 @@ def branching_reducibility_check(type_tag: str, n: int, descriptor) -> bool:
 
     descriptor: for type A, an integer j meaning S_j x S_{n-j} (proper for
     1 <= j <= n-1); for type B, j meaning S_j x B_{n-j} (proper for
-    1 <= j <= n); the string "W" means the full group (returns False).
+    1 <= j <= n).
     """
-    if descriptor == "W":
-        return False
     j = int(descriptor)
     if type_tag == "A":
         if not (1 <= j <= n - 1):

@@ -66,10 +66,6 @@ class BSymbol:
             if g % self.kappa != 0:
                 raise ValueError("gamma entries must be divisible by kappa")
 
-    @property
-    def N(self) -> int:
-        return len(self.gamma)
-
     def to_json(self) -> dict:
         return {
             "beta": [str(b) for b in self.beta],

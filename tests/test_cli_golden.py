@@ -59,7 +59,8 @@ GOLDEN = [
     ("families --type I2 --m 7 --a 1 --b 2", 2, EMPTY),
     ("families --type B --n 3 --c1=-1 --kappa 1 --method Lusztig", 2, EMPTY),
     ("cuspidal --type B --n 3 --c1 1 --kappa 1/0", 2, EMPTY),
-    ("rigid --type D --n 4 --kappa 1 --mode oracle", 2, EMPTY),
+    ("rigid --type D --n 4 --kappa 1 --mode oracle", 0, "089c6e7e885024ce6ce0cd6f547b005a401ba4d98419436501957d872218752a"),
+    ("rigid --type D --n 7 --kappa 1 --mode oracle", 2, EMPTY),
     ("rigid --type B --n 6 --c1 1 --kappa 1 --mode oracle", 0, "a81374474d37dea2c734ace152f701e1272ba136c5ca3c346a4e8a844b72527a"),
     ("rigid --type B --n 7 --c1 1 --kappa 1 --mode oracle", 2, EMPTY),
     ("leaves --type A --n 3 --c 1", 2, EMPTY),
@@ -77,10 +78,21 @@ def test_cli_golden(capsys, query, code, digest):
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
 
-def test_b6_oracle_row_matches_closed_form(capsys):
-    """The B6 oracle row answers with the closed form's labels."""
+def _rigid_by_mode(capsys, query):
     rigid = {}
     for mode in ("oracle", "closed"):
-        assert main(f"rigid --type B --n 6 --c1 1 --kappa 1 --mode {mode}".split()) == 0
+        assert main(f"{query} --mode {mode}".split()) == 0
         rigid[mode] = json.loads(capsys.readouterr().out)["rigid"]
+    return rigid
+
+
+def test_b6_oracle_row_matches_closed_form(capsys):
+    """The B6 oracle row answers with the closed form's labels."""
+    rigid = _rigid_by_mode(capsys, "rigid --type B --n 6 --c1 1 --kappa 1")
+    assert rigid["oracle"] == rigid["closed"] != []
+
+
+def test_d4_oracle_row_matches_closed_form(capsys):
+    """The D4 oracle row answers with the closed form's labels."""
+    rigid = _rigid_by_mode(capsys, "rigid --type D --n 4 --kappa 1")
     assert rigid["oracle"] == rigid["closed"] != []

@@ -13,8 +13,10 @@ from cmfamilies.exact import CherednikParameter, Cyclotomic
 from cmfamilies.partitions import conjugate
 from cmfamilies.reps import mat_identity, mat_mul
 
-SIZES = {"A": range(1, 6), "B": range(1, 5), "I2": range(5, 13)}
-COUNT = {"A": lambda n: n * (n - 1) // 2, "B": lambda n: n * n, "I2": lambda m: m}
+SIZES = {"A": range(1, 6), "B": range(1, 5), "D": range(2, 5), "I2": range(5, 13)}
+# the reflections s with (e_1, alpha_s) != 0, the only ones the one-row equation sums over
+COUNT = {"A": lambda n: n - 1, "B": lambda n: 2 * n - 1, "D": lambda n: 2 * (n - 1),
+         "I2": lambda m: m}
 
 
 @pytest.mark.parametrize("type_tag", sorted(SIZES))

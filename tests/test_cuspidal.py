@@ -1,10 +1,12 @@
 import json
 import math
 from fractions import Fraction
+from itertools import combinations
 from pathlib import Path
 
 import pytest
 
+from cmfamilies import coxeter, reps
 from cmfamilies.cuspidal import (
     annotated_families,
     cuspidal_families,
@@ -171,11 +173,85 @@ def test_b6_oracle_matches_closed_form():
         )
 
 
+@pytest.mark.parametrize("n", range(2, 7))
+def test_d_oracle_matches_closed_form(n):
+    for kappa in (1, -1, Fraction(1, 2), Fraction(-7, 3)):
+        p = CherednikParameter.type_D(kappa)
+        assert rigid_modules("D", n, p, "closed_form") == rigid_modules(
+            "D", n, p, "equation_oracle"
+        )
+
+
+def _all_reflections(type_tag, label, size):
+    """Every reflection of W, each transposition built on its own: (class
+    name, coroot, root, matrix)."""
+    def vector(entries):
+        return tuple(Fraction(entries.get(i, 0)) for i in range(1, size + 1))
+
+    if type_tag == "I2":  # every root of I2(m) meets the first coordinate
+        yield from coxeter.TYPES["I2"].reflections(label, size)
+    elif type_tag == "A":
+        for i, j in combinations(range(1, size + 1), 2):
+            root = vector({i: 1, j: -1})
+            yield "c", root, root, reps.sn_transposition_matrix(label, i, j)
+    else:
+        rep = reps.build_B_rep(label)
+        for j in range(1, size + 1):
+            yield "c1", vector({j: 2}), vector({j: 1}), rep.generators[f"eps{j}"]
+        for i, j in combinations(range(1, size + 1), 2):
+            minus, plus = vector({i: 1, j: -1}), vector({i: 1, j: 1})
+            s_ij = reps.bn_transposition_matrix(rep, i, j)
+            yield "kappa", minus, minus, s_ij
+            yield "kappa", plus, plus, reps.bn_neg_transposition_matrix(rep, i, s_ij)
+
+
+def _rigid_every_pair(type_tag, size, param):
+    """The rigid labels by sum_s c(s)(y_k, alpha_s)(alpha_s^v, x_l) pi(s) = 0
+    for every basis pair (k, l)."""
+    out = []
+    for label in coxeter.TYPES[type_tag].labels(size):
+        sums = {}
+        for name, coroot, root, mat in _all_reflections(type_tag, label, size):
+            c = getattr(param, name)
+            for k, y in enumerate(root):
+                for l, x in enumerate(coroot):
+                    if c * y * x != 0:
+                        term = reps.mat_scale(c * y * x, mat)
+                        sums[k, l] = reps.mat_add(sums[k, l], term) if (k, l) in sums else term
+        if all(reps.mat_is_zero(s) for s in sums.values()):
+            out.append(label)
+    return sorted(out)
+
+
+def _reference_points():
+    for n in range(1, 6):
+        yield "A", n, (1,)
+    b_points = [(m, 1) for m in range(-3, 4)]
+    b_points += [(Fraction(1, 2), 1), (Fraction(7, 3), Fraction(1, 3)), (1, 0)]
+    for n in range(1, 5):
+        for values in b_points:
+            yield "B", n, values
+    for m in range(5, 11):
+        regimes = [(1, 1)] if m % 2 else [(1, 1), (-1, 1), (1, 2), (2, 1), (0, 1), (1, 0), (3, -2)]
+        for values in regimes:
+            yield "I2", m, values
+
+
+@pytest.mark.parametrize("type_tag,size,values", list(_reference_points()))
+def test_one_row_oracle_matches_every_pair(type_tag, size, values):
+    """The one-row oracle finds the rigid labels that every (y_k, x_l) row of
+    the equation, over every reflection of W, finds."""
+    param = coxeter.TYPES[type_tag].parameter(values, size)
+    assert rigid_modules(type_tag, size, param, "equation_oracle") == _rigid_every_pair(
+        type_tag, size, param
+    )
+
+
 def test_rigid_oracle_rejects_out_of_scale():
     with pytest.raises(ValueError):
         rigid_modules("B", 7, CherednikParameter.type_B(1, 1), "equation_oracle")
     with pytest.raises(ValueError):
-        rigid_modules("D", 4, CherednikParameter.type_D(1), "equation_oracle")
+        rigid_modules("D", 7, CherednikParameter.type_D(1), "equation_oracle")
     with pytest.raises(ValueError):
         rigid_modules("I2", 18, CherednikParameter.type_I2(1, 1), "equation_oracle")
     # odd m forces a = b, and the parameter must be of the requested type

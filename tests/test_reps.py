@@ -232,7 +232,6 @@ def test_branching_reducibility():
     for n in (3, 4):
         for j in range(1, n + 1):
             assert branching_reducibility_check("B", n, j)
-    assert not branching_reducibility_check("A", 4, "W")
 
 
 def test_sn_norm_of_irreducible():

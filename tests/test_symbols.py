@@ -27,7 +27,7 @@ DATA = Path(__file__).resolve().parent / "data"
 
 def symbol_bipartition(s):
     """The labeled bipartition of a symbol."""
-    Nm, N = len(s.beta), s.N
+    Nm, N = len(s.beta), len(s.gamma)
     lam0 = [(s.beta[i - 1] - s.r) // s.kappa - (i - 1) for i in range(1, Nm + 1)]
     lam1 = [s.gamma[j - 1] // s.kappa - (j - 1) for j in range(1, N + 1)]
     return tuple(p for p in reversed(lam0) if p > 0), tuple(p for p in reversed(lam1) if p > 0)
@@ -62,7 +62,7 @@ def is_cuspidal_symbol(s):
 
 def family_k_invariant(s):
     """(k, predicted family size C(2k+m, k)): k is N less the doubled contents."""
-    k = s.N - sum(1 for c in content(s).values() if c == 2)
+    k = len(s.gamma) - sum(1 for c in content(s).values() if c == 2)
     assert k >= 0
     return k, comb(2 * k + s.m, k)
 
@@ -177,7 +177,7 @@ def test_d_cuspidal_symbol_fixture():
         for sj in case["symbols"]:
             s = BSymbol(**sj)
             assert is_cuspidal_symbol(s)
-            assert weight(s) == expected_weight(case["n"], s.N, 0, 1)
+            assert weight(s) == expected_weight(case["n"], len(s.gamma), 0, 1)
             labels.add(symbol_bipartition(s))
         k = case["k"]
         assert ((k,) * k, ()) in labels
