@@ -139,13 +139,12 @@ def _b_reflections(bp, n):
     """eps_1(-1) with root e_1 and coroot 2e_1 (class c1); s_1j and
     s_1j,-1 = eps_1(-1) s_1j eps_1(-1), with root = coroot = e_1 - e_j and
     e_1 + e_j (class kappa); all on the induced module of bp."""
-    rep = reps.build_B_rep(bp)
-    yield "c1", _vector(n, {1: 2}), _vector(n, {1: 1}), rep.generators["eps1"]
-    gens = [rep.generators[f"s{a}"] for a in range(1, n)]
-    for j, s_1j in enumerate(_transpositions_of_1(gens), 2):
+    t, *s = reps.build_B_rep(bp)
+    yield "c1", _vector(n, {1: 2}), _vector(n, {1: 1}), t
+    for j, s_1j in enumerate(_transpositions_of_1(s), 2):
         minus, plus = _vector(n, {1: 1, j: -1}), _vector(n, {1: 1, j: 1})
         yield "kappa", minus, minus, s_1j
-        yield "kappa", plus, plus, reps.bn_neg_transposition_matrix(rep, 1, s_1j)
+        yield "kappa", plus, plus, reps.bn_neg_transposition_matrix(t, s_1j)
 
 
 # ---------------------------------------------------------------------------
@@ -200,12 +199,12 @@ def _i2_reflections(label, m):
     """s_l = r^l s for l < m, in the class of s (weight b) for even l and of t
     (weight a) for odd l.  In the basis where s swaps the two coordinates,
     s_l has root (1, -zeta^l) and coroot (1, -zeta^-l)."""
-    rep = reps.build_dihedral_rep(label, m)
+    gens = reps.build_dihedral_rep(label, m)
     one = exact.Cyclotomic.from_rational(m, 1)
     for l in range(m):
         root = (one, -exact.Cyclotomic.zeta(m, l))
         coroot = (one, -exact.Cyclotomic.zeta(m, -l))
-        yield "b" if l % 2 == 0 else "a", coroot, root, reps.i2_reflection_matrix(rep, l, m)
+        yield "b" if l % 2 == 0 else "a", coroot, root, reps.i2_reflection_matrix(gens, l, m)
 
 
 TYPES: dict[str, CoxeterType] = {

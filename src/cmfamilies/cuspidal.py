@@ -126,16 +126,6 @@ def parabolic_order_refined(poset: LeafPoset) -> bool:
 # Cuspidal families
 # ---------------------------------------------------------------------------
 
-def _mark_cuspidal(fp: FamilyPartition, members_of_cuspidal, leaf_label: str | None):
-    out = []
-    for f in fp.families:
-        if set(f.members) == set(members_of_cuspidal):
-            out.append(replace(f, cuspidal=True, leaf_label=leaf_label))
-        else:
-            out.append(f)
-    return replace(fp, families=tuple(out))
-
-
 def cuspidal_families(type_tag: str, size: int, param: CherednikParameter,
                       method: str = "CM") -> list[Family]:
     """The cuspidal families of the given partition method, with leaf labels."""
@@ -161,7 +151,9 @@ def annotated_families(type_tag: str, size: int, param: CherednikParameter,
     if anchor is None:
         return fp
     label, leaf_label = anchor
-    return _mark_cuspidal(fp, fp.family_of(label).members, leaf_label)
+    cusp = fp.family_of(label)
+    marked = replace(cusp, cuspidal=True, leaf_label=leaf_label)
+    return replace(fp, families=tuple(marked if f is cusp else f for f in fp.families))
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,6 @@ from .reps import i2_character, i2_classes, i2_induced_from_reflection, i2_two_d
 @dataclass(frozen=True)
 class Family:
     members: tuple
-    is_singleton: bool
     leaf_label: str | None = None
     cuspidal: bool = False
 
@@ -24,7 +23,11 @@ class Family:
         ms = tuple(sorted(members))
         if not ms:
             raise ValueError("families are nonempty")
-        return cls(members=ms, is_singleton=len(ms) == 1, **kw)
+        return cls(members=ms, **kw)
+
+    @property
+    def is_singleton(self) -> bool:
+        return len(self.members) == 1
 
 
 @dataclass(frozen=True)

@@ -6,10 +6,13 @@ irreducibles from the standard two-dimensional matrices over Q(zeta_m).
 Characters are computed combinatorially (Murnaghan-Nakayama for S_n, class
 fusion for the wreath product) so that matrix traces have an independent
 oracle to be checked against.
+
+A module is the tuple of the matrices of W's Coxeter generators:
+(s_1, ..., s_{n-1}) for S_n, (t, s_1, ..., s_{n-1}) with t = eps_1(-1) for
+B_n, and (s, t) for I2(m).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
 from itertools import combinations
@@ -140,15 +143,19 @@ def symmetric_generator_matrices(lam: Partition) -> tuple[Matrix, ...]:
     return tuple(mats)
 
 
-def sn_transposition_matrix(lam: Partition, j: int, k: int) -> Matrix:
-    """Matrix of the transposition (j, k), 1 <= j < k <= n."""
-    gens = symmetric_generator_matrices(lam)
+def _transposition(s: tuple[Matrix, ...], j: int, k: int) -> Matrix:
+    """Matrix of the transposition (j, k) from those of s_1, ..., s_{n-1}."""
     if j > k:
         j, k = k, j
-    mat = gens[k - 2]  # s_{k-1}
+    mat = s[k - 2]  # s_{k-1}
     for i in range(k - 2, j - 1, -1):
-        mat = mat_mul(mat_mul(gens[i - 1], mat), gens[i - 1])
+        mat = mat_mul(mat_mul(s[i - 1], mat), s[i - 1])
     return mat
+
+
+def sn_transposition_matrix(lam: Partition, j: int, k: int) -> Matrix:
+    """Matrix of the transposition (j, k), 1 <= j < k <= n."""
+    return _transposition(symmetric_generator_matrices(lam), j, k)
 
 
 def jucys_murphy_eigenvalue(lam: Partition):
@@ -348,14 +355,6 @@ def sn_norm(n: int, phi: dict) -> Fraction:
 # B_n matrix representations by coset induction
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class MatrixRep:
-    """Exact matrix model: generator name -> matrix."""
-
-    generators: dict = field(hash=False)
-    dim: int
-
-
 @cache
 def b_rep_basis(bp: Bipartition):
     lam0, lam1 = bp
@@ -370,8 +369,9 @@ def b_rep_basis(bp: Bipartition):
 
 
 @cache
-def build_B_rep(bp: Bipartition) -> MatrixRep:
-    """Matrices of eps_1(-1), ..., eps_n(-1) and s_1, ..., s_{n-1} on pi_bp.
+def build_B_rep(bp: Bipartition) -> tuple[Matrix, ...]:
+    """The Coxeter generators (t, s_1, ..., s_{n-1}) of B_n on pi_bp, with
+    t = eps_1(-1).
 
     The module is induced from B_r x B_{n-r}: basis vectors (A, i, j) where A
     is the r-subset of coordinates carrying the untwisted factor and (i, j)
@@ -387,15 +387,13 @@ def build_B_rep(bp: Bipartition) -> MatrixRep:
     d = len(basis)
     gens0 = symmetric_generator_matrices(lam0)
     gens1 = symmetric_generator_matrices(lam1)
-    generators: dict[str, Matrix] = {}
 
     one, zero = Fraction(1), Fraction(0)
-    for k in range(1, n + 1):
-        generators[f"eps{k}"] = tuple(
-            tuple(((one if k in basis[i][0] else -one) if i == j else zero) for j in range(d))
-            for i in range(d)
-        )
-
+    t = tuple(
+        tuple(((one if 1 in basis[i][0] else -one) if i == j else zero) for j in range(d))
+        for i in range(d)
+    )
+    generators = [t]
     for a in range(1, n):
         cols = [[Fraction(0)] * d for _ in range(d)]
         for col, (A, i, j) in enumerate(basis):
@@ -417,28 +415,20 @@ def build_B_rep(bp: Bipartition) -> MatrixRep:
             else:
                 newA = tuple(sorted(set(A) ^ {a, a + 1}))
                 cols[col][index[(newA, i, j)]] += Fraction(1)
-        generators[f"s{a}"] = tuple(tuple(cols[j2][i2] for j2 in range(d)) for i2 in range(d))
-
-    return MatrixRep(generators=generators, dim=d)
-
-
-def bn_transposition_matrix(rep: MatrixRep, j: int, k: int) -> Matrix:
-    """Matrix of s_{jk} (plain transposition) in a built B_n rep."""
-    if j > k:
-        j, k = k, j
-    gens = rep.generators
-    mat = gens[f"s{k - 1}"]
-    for i in range(k - 2, j - 1, -1):
-        mat = mat_mul(mat_mul(gens[f"s{i}"], mat), gens[f"s{i}"])
-    return mat
+        generators.append(tuple(tuple(cols[j2][i2] for j2 in range(d)) for i2 in range(d)))
+    return tuple(generators)
 
 
-def bn_neg_transposition_matrix(rep: MatrixRep, j: int, s_jk: Matrix) -> Matrix:
-    """Matrix of s_{jk,-1} = eps_j(-1) s_{jk} eps_j(-1), from the matrix of s_{jk}.
+def bn_transposition_matrix(gens: tuple[Matrix, ...], j: int, k: int) -> Matrix:
+    """Matrix of s_{jk} (plain transposition) from the generators (t, s_1, ...)."""
+    return _transposition(gens[1:], j, k)
 
-    eps_j(-1) is diagonal with entries +-1, so the conjugation negates entry
-    (r, c) exactly where those two diagonal entries differ."""
-    e = rep.generators[f"eps{j}"]
+
+def bn_neg_transposition_matrix(e: Matrix, s_jk: Matrix) -> Matrix:
+    """Matrix of s_{jk,-1} = e s_{jk} e, for e = eps_j(-1), from the matrix of s_{jk}.
+
+    e is diagonal with entries +-1, so the conjugation negates entry (r, c)
+    exactly where those two diagonal entries differ."""
     signs = [e[r][r] > 0 for r in range(len(e))]
     return tuple(
         tuple(-x if x and sr != sc else x for x, sc in zip(row, signs))
@@ -517,8 +507,8 @@ def i2_character_table(m: int) -> dict[str, dict[str, Cyclotomic]]:
     }
 
 
-def build_dihedral_rep(label: str, m: int) -> MatrixRep:
-    """Matrices for the generating reflections s and t (r = s t)."""
+def build_dihedral_rep(label: str, m: int) -> tuple[Matrix, Matrix]:
+    """Matrices of the generating reflections (s, t) (r = s t)."""
     if m < 5:
         raise ValueError("m >= 5 required")
     if label not in i2_labels(m):
@@ -528,17 +518,14 @@ def build_dihedral_rep(label: str, m: int) -> MatrixRep:
         i = int(label.split("_")[1])
         z = Cyclotomic.zeta
         s = ((rat(0), rat(1)), (rat(1), rat(0)))
-        t = ((rat(0), z(m, -i)), (z(m, i), rat(0)))
-        return MatrixRep(generators={"s": s, "t": t}, dim=2)
+        return s, ((rat(0), z(m, -i)), (z(m, i), rat(0)))
     vals = {"1": (1, 1), "eps": (-1, -1), "eps1": (1, -1), "eps2": (-1, 1)}[label]
-    s = ((rat(vals[0]),),)
-    t = ((rat(vals[1]),),)
-    return MatrixRep(generators={"s": s, "t": t}, dim=1)
+    return ((rat(vals[0]),),), ((rat(vals[1]),),)
 
 
-def i2_reflection_matrix(rep: MatrixRep, l: int, m: int) -> Matrix:
+def i2_reflection_matrix(gens: tuple[Matrix, Matrix], l: int, m: int) -> Matrix:
     """Matrix of the reflection s_l = r^l s, with r = s t."""
-    s, t = rep.generators["s"], rep.generators["t"]
+    s, t = gens
     r = mat_mul(s, t)
     out = s
     for _ in range(l % m):
@@ -588,15 +575,6 @@ def i2_induced_from_reflection(m: int, parabolic: int, chi: str) -> dict[str, in
 # ---------------------------------------------------------------------------
 # Generic operations used by the spec surface
 # ---------------------------------------------------------------------------
-
-def build_symmetric_rep(lam: Partition) -> MatrixRep:
-    n = sum(lam)
-    if n < 1:
-        raise ValueError("need n >= 1")
-    gens = symmetric_generator_matrices(lam)
-    generators = {f"s{a}": gens[a - 1] for a in range(1, n)}
-    return MatrixRep(generators=generators, dim=hook_dimension(lam))
-
 
 def branching_reducibility_check(type_tag: str, n: int, descriptor) -> bool:
     """True iff every irreducible of the given parabolic induces reducibly.

@@ -31,7 +31,6 @@ from .reps import (
     branching_reducibility_check,
     build_B_rep,
     build_dihedral_rep,
-    build_symmetric_rep,
     i2_character_table,
     i2_classes,
     i2_labels,
@@ -39,6 +38,7 @@ from .reps import (
     mat_identity,
     mat_mul,
     sn_character,
+    symmetric_generator_matrices,
     zee,
 )
 
@@ -54,6 +54,22 @@ def _result(name: str, failures: list[str], checked: int) -> SuiteResult:
     if failures:
         return SuiteResult(name, False, f"{len(failures)} failure(s): " + "; ".join(failures))
     return SuiteResult(name, True, f"{checked} checks")
+
+
+class _Checks:
+    """Counts the checks of a suite and keeps the messages of those that fail."""
+
+    def __init__(self):
+        self.failures: list[str] = []
+        self.count = 0
+
+    def __call__(self, cond: bool, msg: str) -> None:
+        self.count += 1
+        if not cond:
+            self.failures.append(msg)
+
+    def result(self, name: str) -> SuiteResult:
+        return _result(name, self.failures, self.count)
 
 
 # ---------------------------------------------------------------------------
@@ -211,14 +227,7 @@ def suite_5_dihedral_table4() -> SuiteResult:
 
 def suite_6_leaves() -> SuiteResult:
     """Leaf dimensions, poset sanity, and cuspidal-leaf existence."""
-    failures = []
-    checked = 0
-
-    def check(cond: bool, msg: str):
-        nonlocal checked
-        checked += 1
-        if not cond:
-            failures.append(msg)
+    check = _Checks()
 
     lp = leaves_B(6, 1, 1)
     check(sorted(l.dimension for l in lp.leaves) == [0, 8, 12], "B6 (1,1) dims")
@@ -244,7 +253,7 @@ def suite_6_leaves() -> SuiteResult:
         has_zero = bool(lp.zero_dimensional())
         has_cusp = bool(cuspidal_families(type_tag, size, param, "CM"))
         check(has_zero == has_cusp, f"leaf iff family: {type_tag} {size} {param.to_json()}")
-    return _result("6 leaf posets", failures, checked)
+    return check.result("6 leaf posets")
 
 
 def suite_7_rigid_implies_cuspidal() -> SuiteResult:
@@ -256,89 +265,49 @@ def suite_7_rigid_implies_cuspidal() -> SuiteResult:
     return _result("7 rigid => cuspidal", failures, len(grid))
 
 
-def _sn_relations_ok(lam) -> bool:
-    rep = build_symmetric_rep(lam)
-    n = sum(lam)
-    one = mat_identity(rep.dim)
-    g = rep.generators
-    for a in range(1, n):
-        if mat_mul(g[f"s{a}"], g[f"s{a}"]) != one:
+def _a_order(i: int, j: int) -> int:
+    return 3 if abs(i - j) == 1 else 2
+
+
+def _b_order(i: int, j: int) -> int:
+    return 4 if {i, j} == {0, 1} else _a_order(i, j)
+
+
+def _alternating(a, b, k: int):
+    """The product a b a ... of k factors."""
+    out = a
+    for f in range(1, k):
+        out = mat_mul(out, b if f % 2 else a)
+    return out
+
+
+def _coxeter_relations_ok(gens, order) -> bool:
+    """g_i^2 = 1 for every generator and g_i g_j g_i ... = g_j g_i g_j ..., with
+    order(i, j) factors a side, for every pair: the Coxeter presentation of W."""
+    for i, g in enumerate(gens):
+        if mat_mul(g, g) != mat_identity(len(g)):
             return False
-    for a in range(1, n - 1):
-        left = mat_mul(g[f"s{a}"], mat_mul(g[f"s{a + 1}"], g[f"s{a}"]))
-        right = mat_mul(g[f"s{a + 1}"], mat_mul(g[f"s{a}"], g[f"s{a + 1}"]))
-        if left != right:
-            return False
-    for a in range(1, n):
-        for b in range(a + 2, n):
-            if mat_mul(g[f"s{a}"], g[f"s{b}"]) != mat_mul(g[f"s{b}"], g[f"s{a}"]):
+        for j, h in enumerate(gens[i + 1:], i + 1):
+            if _alternating(g, h, order(i, j)) != _alternating(h, g, order(i, j)):
                 return False
     return True
-
-
-def _bn_relations_ok(bp) -> bool:
-    rep = build_B_rep(bp)
-    n = sum(bp[0]) + sum(bp[1])
-    one = mat_identity(rep.dim)
-    g = rep.generators
-    for k in range(1, n + 1):
-        if mat_mul(g[f"eps{k}"], g[f"eps{k}"]) != one:
-            return False
-        for j in range(k + 1, n + 1):
-            if mat_mul(g[f"eps{k}"], g[f"eps{j}"]) != mat_mul(g[f"eps{j}"], g[f"eps{k}"]):
-                return False
-    for a in range(1, n):
-        if mat_mul(g[f"s{a}"], g[f"s{a}"]) != one:
-            return False
-        conj = mat_mul(g[f"s{a}"], mat_mul(g[f"eps{a}"], g[f"s{a}"]))
-        if conj != g[f"eps{a + 1}"]:
-            return False
-        for k in range(1, n + 1):
-            if k in (a, a + 1):
-                continue
-            if mat_mul(g[f"s{a}"], g[f"eps{k}"]) != mat_mul(g[f"eps{k}"], g[f"s{a}"]):
-                return False
-    for a in range(1, n - 1):
-        left = mat_mul(g[f"s{a}"], mat_mul(g[f"s{a + 1}"], g[f"s{a}"]))
-        right = mat_mul(g[f"s{a + 1}"], mat_mul(g[f"s{a}"], g[f"s{a + 1}"]))
-        if left != right:
-            return False
-    return True
-
-
-def _i2_relations_ok(label, m) -> bool:
-    rep = build_dihedral_rep(label, m)
-    one = mat_identity(rep.dim, Cyclotomic.from_rational(m, 1), Cyclotomic.zero(m))
-    s, t = rep.generators["s"], rep.generators["t"]
-    if not (mat_mul(s, s) == one and mat_mul(t, t) == one):
-        return False
-    r = mat_mul(s, t)
-    acc = one
-    for _ in range(m):
-        acc = mat_mul(r, acc)
-    return acc == one
 
 
 def suite_8_structural() -> SuiteResult:
-    failures = []
-    checked = 0
+    check = _Checks()
 
-    def check(cond: bool, msg: str):
-        nonlocal checked
-        checked += 1
-        if not cond:
-            failures.append(msg)
-
-    # group relations
+    # the Coxeter presentation of W on every module's generators
     for n in range(1, 6):
         for lam in partitions(n):
-            check(_sn_relations_ok(lam), f"Sn relations {lam}")
+            check(_coxeter_relations_ok(symmetric_generator_matrices(lam), _a_order),
+                  f"Sn relations {lam}")
     for n in range(1, 5):
         for bp in bipartitions(n):
-            check(_bn_relations_ok(bp), f"Bn relations {bp}")
+            check(_coxeter_relations_ok(build_B_rep(bp), _b_order), f"Bn relations {bp}")
     for m in range(5, 17):
         for lab in i2_labels(m):
-            check(_i2_relations_ok(lab, m), f"I2({m}) relations {lab}")
+            check(_coxeter_relations_ok(build_dihedral_rep(lab, m), lambda i, j: m),
+                  f"I2({m}) relations {lab}")
 
     # character orthonormality
     for n in range(1, 6):
@@ -380,19 +349,12 @@ def suite_8_structural() -> SuiteResult:
                 check(
                     jucys_murphy_eigenvalue((l,) * b) == l - b, f"JM ({l}^{b})"
                 )
-    return _result("8 structural oracles", failures, checked)
+    return check.result("8 structural oracles")
 
 
 def suite_9_symmetries() -> SuiteResult:
     """Component-swap twist for c1 -> -c1 and rescaling invariance."""
-    failures = []
-    checked = 0
-
-    def check(cond: bool, msg: str):
-        nonlocal checked
-        checked += 1
-        if not cond:
-            failures.append(msg)
+    check = _Checks()
 
     for n in range(1, 7):
         for m in range(4):
@@ -423,7 +385,7 @@ def suite_9_symmetries() -> SuiteResult:
                 lusztig_families(type_tag, size, scaled).as_sets() == base_lu,
                 f"Lusztig rescale {type_tag} {size} x{alpha}",
             )
-    return _result("9 symmetry suites", failures, checked)
+    return check.result("9 symmetry suites")
 
 
 SUITES = {

@@ -53,6 +53,8 @@ GOLDEN = [
     ("families --type B --n 5 --c1 9/2 --kappa 3/2 --method both", 0, "fa4cf539efc7c39b6d750feccacdcec737fd0cd73ec9219051c23dd53880a020"),
     ("families --type D --n 6 --kappa 2/3 --method both", 0, "6beab17dca5f7dbbde6cffd78f11cb726d40203151b1a3f25255fd4ea1b66b3d"),
     ("verify --suite 5", 0, "b7947464da2dc4fa7fca484937a4eaff69d988c200aaf08e90c600fc23351941"),
+    ("verify --suite 3", 0, "fd388f0cce2bd2c1a486fb0c8b8bfa088ad3ce81a49cac7f839657953678fd9f"),
+    ("verify --suite 8", 0, "5cd83a221cb014a0ad8193e739bf4f0e2881ea17224b37c8ccc7ae8b98e7a5d5"),
     ("families --type B --n 3 --c1 1", 2, EMPTY),
     ("families --type I2 --a 1 --b 1", 2, EMPTY),
     ("families --type D --n 1 --kappa 1", 2, EMPTY),

@@ -195,14 +195,21 @@ def _all_reflections(type_tag, label, size):
             root = vector({i: 1, j: -1})
             yield "c", root, root, reps.sn_transposition_matrix(label, i, j)
     else:
-        rep = reps.build_B_rep(label)
+        gens, basis = reps.build_B_rep(label), reps.b_rep_basis(label)
+
+        def eps(j):
+            """eps_j(-1): diagonal, +1 on the basis vectors (A, i, k) with j in A."""
+            d = len(basis)
+            return tuple(tuple(Fraction(0 if r != c else 1 if j in basis[r][0] else -1)
+                               for c in range(d)) for r in range(d))
+
         for j in range(1, size + 1):
-            yield "c1", vector({j: 2}), vector({j: 1}), rep.generators[f"eps{j}"]
+            yield "c1", vector({j: 2}), vector({j: 1}), eps(j)
         for i, j in combinations(range(1, size + 1), 2):
             minus, plus = vector({i: 1, j: -1}), vector({i: 1, j: 1})
-            s_ij = reps.bn_transposition_matrix(rep, i, j)
+            s_ij = reps.bn_transposition_matrix(gens, i, j)
             yield "kappa", minus, minus, s_ij
-            yield "kappa", plus, plus, reps.bn_neg_transposition_matrix(rep, i, s_ij)
+            yield "kappa", plus, plus, reps.bn_neg_transposition_matrix(eps(i), s_ij)
 
 
 def _rigid_every_pair(type_tag, size, param):

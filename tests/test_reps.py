@@ -9,6 +9,7 @@ import cmfamilies
 from cmfamilies.exact import Cyclotomic
 from cmfamilies.partitions import bipartitions, hook_dimension, partitions
 from cmfamilies.reps import (
+    b_rep_basis,
     bn_centralizer_order,
     bn_character,
     bn_character_dict,
@@ -38,7 +39,7 @@ from cmfamilies.reps import (
     symmetric_generator_matrices,
     zee,
 )
-from cmfamilies.verify import _bn_relations_ok, _i2_relations_ok, _sn_relations_ok
+from cmfamilies.verify import _a_order, _b_order, _coxeter_relations_ok
 
 
 # -- references that only these tests use ------------------------------------
@@ -60,24 +61,37 @@ def mat_trace(a):
     return sum((a[i][i] for i in range(1, len(a))), a[0][0])
 
 
-def bn_class_matrix(rep, cls):
+def eps_matrix(bp, j):
+    """eps_j(-1) on the module of bp: diagonal, +1 on the basis vectors (A, i, k)
+    whose subset A holds j and -1 on the others."""
+    basis = b_rep_basis(bp)
+    one, zero = Fraction(1), Fraction(0)
+    return tuple(
+        tuple((one if j in basis[r][0] else -one) if r == c else zero for c in range(len(basis)))
+        for r in range(len(basis))
+    )
+
+
+def bn_class_matrix(bp, cls):
     """Matrix of an element of the class (alpha, beta) of B_n: each part p is
     the p-cycle s_j s_(j+1) ... s_(j+p-2) on its own block j, ..., j+p-1, times
     eps_j when the part is in beta (a negative cycle)."""
-    mat, j = mat_identity(rep.dim), 1
+    s = build_B_rep(bp)  # (t, s_1, ..., s_(n-1)): s_a is s[a]
+    mat, j = mat_identity(len(s[0])), 1
     for p, negative in [(p, False) for p in cls[0]] + [(p, True) for p in cls[1]]:
-        for name in [f"s{a}" for a in range(j, j + p - 1)] + [f"eps{j}"] * negative:
-            mat = mat_mul(mat, rep.generators[name])
+        for factor in [s[a] for a in range(j, j + p - 1)] + [eps_matrix(bp, j)] * negative:
+            mat = mat_mul(mat, factor)
         j += p
     return mat
 
 
-def i2_class_matrix(rep, cls, m):
+def i2_class_matrix(gens, cls, m):
     """Matrix of s, t, or r^l = (st)^l (the class e is r^0)."""
+    s, t = gens
     if cls in ("s", "t"):
-        return rep.generators[cls]
-    r = mat_mul(rep.generators["s"], rep.generators["t"])
-    out = mat_identity(rep.dim, Cyclotomic.from_rational(m, 1), Cyclotomic.zero(m))
+        return s if cls == "s" else t
+    r = mat_mul(s, t)
+    out = mat_identity(len(s), Cyclotomic.from_rational(m, 1), Cyclotomic.zero(m))
     for _ in range(0 if cls == "e" else int(cls[1:])):
         out = mat_mul(r, out)
     return out
@@ -112,19 +126,43 @@ def test_standard_tableaux_counts():
 def test_sn_relations():
     for n in range(1, 6):
         for lam in partitions(n):
-            assert _sn_relations_ok(lam)
+            assert _coxeter_relations_ok(symmetric_generator_matrices(lam), _a_order)
 
 
 def test_bn_relations():
     for n in range(1, 4):
         for bp in bipartitions(n):
-            assert _bn_relations_ok(bp)
+            gens = build_B_rep(bp)
+            assert len(gens) == n
+            assert gens[0] == eps_matrix(bp, 1)
+            assert _coxeter_relations_ok(gens, _b_order)
 
 
 def test_i2_relations():
     for m in (5, 6, 7, 12):
         for lab in i2_labels(m):
-            assert _i2_relations_ok(lab, m)
+            assert _coxeter_relations_ok(build_dihedral_rep(lab, m), lambda i, j: m)
+
+
+def _perturbed(gens, g, r, c):
+    """gens with entry (r, c) of gens[g] increased by 1."""
+    mat = [list(row) for row in gens[g]]
+    mat[r][c] += 1
+    return gens[:g] + (tuple(map(tuple, mat)),) + gens[g + 1:]
+
+
+def test_coxeter_relations_reject_planted_defects():
+    sn = symmetric_generator_matrices((2, 1))
+    assert _coxeter_relations_ok(sn, _a_order)
+    assert not _coxeter_relations_ok(_perturbed(sn, 0, 0, 1), _a_order)
+    bn = build_B_rep(((1,), (1,)))
+    assert _coxeter_relations_ok(bn, _b_order)
+    assert not _coxeter_relations_ok(_perturbed(bn, 1, 0, 0), _b_order)
+    # (t s_1)^4 = 1 but t s_1 t != s_1 t s_1 on this module
+    assert not _coxeter_relations_ok(bn, lambda i, j: 3 if {i, j} == {0, 1} else _a_order(i, j))
+    phi = build_dihedral_rep("phi_1", 5)
+    assert _coxeter_relations_ok(phi, lambda i, j: 5)
+    assert not _coxeter_relations_ok(phi, lambda i, j: 6)
 
 
 def test_murnaghan_nakayama_values():
@@ -165,17 +203,16 @@ def test_bn_orthonormality():
 def test_bn_trace_matches_character():
     for n in range(1, 4):
         for bp in bipartitions(n):
-            rep = build_B_rep(bp)
             for cls in bn_classes(n):
-                assert mat_trace(bn_class_matrix(rep, cls)) == bn_character(bp, cls)
+                assert mat_trace(bn_class_matrix(bp, cls)) == bn_character(bp, cls)
 
 
 def test_i2_trace_matches_character():
     for m in (5, 8):
         for lab in i2_labels(m):
-            rep = build_dihedral_rep(lab, m)
+            gens = build_dihedral_rep(lab, m)
             for cls, _size in i2_classes(m):
-                assert mat_trace(i2_class_matrix(rep, cls, m)) == i2_character(lab, cls, m)
+                assert mat_trace(i2_class_matrix(gens, cls, m)) == i2_character(lab, cls, m)
 
 
 def test_i2_character_table_is_built_once_per_m():
@@ -272,13 +309,13 @@ def _kernel_cases():
     """Lists of same-shape matrices; every ordered pair of a list is a case."""
     for n in range(1, 4):
         for bp in bipartitions(n):
-            yield list(build_B_rep(bp).generators.values())
+            yield [*build_B_rep(bp), *(eps_matrix(bp, j) for j in range(2, n + 1))]
     for n in range(2, 6):
         for lam in partitions(n):
             yield list(symmetric_generator_matrices(lam))
     for m in range(5, 9):
         for lab in i2_labels(m):
-            yield list(build_dihedral_rep(lab, m).generators.values())
+            yield list(build_dihedral_rep(lab, m))
     q = Fraction
     yield [((q(0), q(0)), (q(0), q(0))), ((q(1), q(-2)), (q(0), q(3, 4)))]
     yield [((q(-5, 3),),), ((q(0),),)]
@@ -328,12 +365,12 @@ def test_matrix_kernel_non_square_product():
 def test_neg_transposition_is_eps_conjugate():
     for n in range(2, 5):
         for bp in bipartitions(n):
-            rep = build_B_rep(bp)
+            gens = build_B_rep(bp)
             for j in range(1, n):
+                eps = eps_matrix(bp, j)
                 for k in range(j + 1, n + 1):
-                    s_jk = bn_transposition_matrix(rep, j, k)
-                    eps = rep.generators[f"eps{j}"]
-                    assert bn_neg_transposition_matrix(rep, j, s_jk) == mat_mul(mat_mul(eps, s_jk), eps)
+                    s_jk = bn_transposition_matrix(gens, j, k)
+                    assert bn_neg_transposition_matrix(eps, s_jk) == mat_mul(mat_mul(eps, s_jk), eps)
 
 
 def test_mat_is_zero_on_both_entry_rings():
