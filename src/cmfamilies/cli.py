@@ -10,10 +10,11 @@ import json
 import os
 import sys
 from dataclasses import replace
+from fractions import Fraction
 
 from . import coxeter
 from .cuspidal import annotated_families, rigid_modules
-from .exact import CherednikParameter, parse_rational
+from .exact import CherednikParameter
 from .families import FamilyPartition
 from .partitions import parse_bipartition
 from .symbols import bar, symbol_of
@@ -24,13 +25,21 @@ class ValidationError(Exception):
     pass
 
 
-def _build_param(args) -> CherednikParameter:
+def _build_param(args, sized: bool = True) -> CherednikParameter:
+    """The parameter of the requested type.  The type takes its size flag
+    (unless not sized) and its parameter flags; any other type flag given is
+    a validation error."""
     t = coxeter.lookup(args.type)
+    accepted = (t.size_flag, *t.params) if sized else t.params
+    every = dict.fromkeys(f for e in coxeter.TYPES.values() for f in (e.size_flag, *e.params))
+    stray = [f"--{f}" for f in every if f not in accepted and getattr(args, f) is not None]
+    if stray:
+        raise ValidationError(f"{args.subcommand} --type {args.type} takes no {', '.join(stray)}")
     if any(getattr(args, name) is None for name in t.params):
         flags = " and ".join(f"--{name}" for name in t.params)
         raise ValidationError(f"type {args.type} needs {flags}")
     try:
-        values = [parse_rational(getattr(args, name)) for name in t.params]
+        values = [Fraction(getattr(args, name)) for name in t.params]
         return t.parameter(values, getattr(args, t.size_flag))
     except (ValueError, ZeroDivisionError) as exc:
         raise ValidationError(str(exc)) from None
@@ -176,7 +185,7 @@ def cmd_leaves(args) -> int:
 def cmd_symbols(args) -> int:
     if args.type != "B":
         raise ValidationError("symbols are computed for type B")
-    param = _build_param(args)
+    param = _build_param(args, sized=False)
     try:
         bp = parse_bipartition(args.bp)
     except ValueError as exc:

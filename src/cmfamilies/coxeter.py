@@ -201,10 +201,10 @@ def _i2_reflections(label, m):
     s_l has root (1, -zeta^l) and coroot (1, -zeta^-l)."""
     gens = reps.build_dihedral_rep(label, m)
     one = exact.Cyclotomic.from_rational(m, 1)
-    for l in range(m):
+    for l, s_l in enumerate(reps.i2_reflection_matrix(gens, m)):
         root = (one, -exact.Cyclotomic.zeta(m, l))
         coroot = (one, -exact.Cyclotomic.zeta(m, -l))
-        yield "b" if l % 2 == 0 else "a", coroot, root, reps.i2_reflection_matrix(gens, l, m)
+        yield "b" if l % 2 == 0 else "a", coroot, root, s_l
 
 
 TYPES: dict[str, CoxeterType] = {

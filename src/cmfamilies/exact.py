@@ -195,11 +195,6 @@ class Cyclotomic:
 # Parameters
 # ---------------------------------------------------------------------------
 
-def parse_rational(text) -> Fraction:
-    """Parse "p", "p/q", "-p/q" into an exact rational."""
-    return Fraction(text)
-
-
 @dataclass(frozen=True)
 class CherednikParameter:
     """Exact rational parameter, one value per name in the type's table entry."""

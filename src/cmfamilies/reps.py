@@ -227,21 +227,10 @@ def _merge(a: Partition, b: Partition) -> Partition:
 # B_n classes and characters (combinatorial)
 # ---------------------------------------------------------------------------
 
+# A class of B_n is a pair (alpha, beta) of partitions with total n: alpha
+# holds the positive cycle types, beta the negative ones.  So the classes are
+# listed by partitions.bipartitions(n).
 BnClass = tuple[Partition, Partition]
-
-
-@cache
-def bn_classes(n: int) -> tuple[BnClass, ...]:
-    """Conjugacy classes of B_n: pairs (alpha, beta) of partitions with total n.
-
-    alpha holds positive cycle types, beta negative ones.
-    """
-    out = []
-    for r in range(n + 1):
-        for a in partitions(r):
-            for b in partitions(n - r):
-                out.append((a, b))
-    return tuple(out)
 
 
 def bn_centralizer_order(cls: BnClass) -> int:
@@ -295,7 +284,7 @@ def bn_character(bp: Bipartition, cls: BnClass) -> int:
 def bn_inner_product(n: int, phi: dict, psi: dict) -> Fraction:
     """<phi, psi> over B_n for real-valued class functions (dicts class->value)."""
     return sum(
-        (Fraction(phi[c] * psi[c], bn_centralizer_order(c)) for c in bn_classes(n)),
+        (Fraction(phi[c] * psi[c], bn_centralizer_order(c)) for c in bipartitions(n)),
         Fraction(0),
     )
 
@@ -303,7 +292,7 @@ def bn_inner_product(n: int, phi: dict, psi: dict) -> Fraction:
 @cache
 def bn_character_dict(bp: Bipartition) -> dict:
     n = sum(bp[0]) + sum(bp[1])
-    return {c: bn_character(bp, c) for c in bn_classes(n)}
+    return {c: bn_character(bp, c) for c in bipartitions(n)}
 
 
 # ---------------------------------------------------------------------------
@@ -317,7 +306,7 @@ def induced_from_sj_bnj(nu: Partition, bp: Bipartition, n: int) -> dict:
     if j + k != n:
         raise ValueError("sizes must add to n")
     out = {}
-    for cls in bn_classes(n):
+    for cls in bipartitions(n):
         alpha, beta = cls
         total = Fraction(0)
         for mu, a_rest in _submultisets(alpha):
@@ -523,14 +512,15 @@ def build_dihedral_rep(label: str, m: int) -> tuple[Matrix, Matrix]:
     return ((rat(vals[0]),),), ((rat(vals[1]),),)
 
 
-def i2_reflection_matrix(gens: tuple[Matrix, Matrix], l: int, m: int) -> Matrix:
-    """Matrix of the reflection s_l = r^l s, with r = s t."""
+def i2_reflection_matrix(gens: tuple[Matrix, Matrix], m: int) -> tuple[Matrix, ...]:
+    """The reflections (s_0, ..., s_{m-1}) with s_l = r^l s, r = s t: one
+    running product s_l = r s_{l-1}."""
     s, t = gens
     r = mat_mul(s, t)
-    out = s
-    for _ in range(l % m):
-        out = mat_mul(r, out)
-    return out
+    out = [s]
+    for _ in range(1, m):
+        out.append(mat_mul(r, out[-1]))
+    return tuple(out)
 
 
 def i2_induced_from_reflection(m: int, parabolic: int, chi: str) -> dict[str, int]:
@@ -570,36 +560,3 @@ def i2_induced_from_reflection(m: int, parabolic: int, chi: str) -> dict[str, in
         if mult:
             out[lab] = mult
     return out
-
-
-# ---------------------------------------------------------------------------
-# Generic operations used by the spec surface
-# ---------------------------------------------------------------------------
-
-def branching_reducibility_check(type_tag: str, n: int, descriptor) -> bool:
-    """True iff every irreducible of the given parabolic induces reducibly.
-
-    descriptor: for type A, an integer j meaning S_j x S_{n-j} (proper for
-    1 <= j <= n-1); for type B, j meaning S_j x B_{n-j} (proper for
-    1 <= j <= n).
-    """
-    j = int(descriptor)
-    if type_tag == "A":
-        if not (1 <= j <= n - 1):
-            raise ValueError("proper maximal Young subgroups have 1 <= j <= n-1")
-        for nu1 in partitions(j):
-            for nu2 in partitions(n - j):
-                phi = induced_from_young(nu1, nu2, n)
-                if sn_norm(n, phi) == 1:
-                    return False
-        return True
-    if type_tag == "B":
-        if not (1 <= j <= n):
-            raise ValueError("maximal parabolics of B_n are S_j x B_{n-j}, 1 <= j <= n")
-        for nu in partitions(j):
-            for bp in bipartitions(n - j):
-                phi = induced_from_sj_bnj(nu, bp, n)
-                if bn_inner_product(n, phi, phi) == 1:
-                    return False
-        return True
-    raise ValueError(f"unsupported type {type_tag!r}")

@@ -5,6 +5,7 @@ from __future__ import annotations
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import wraps
 from math import comb
 
 from . import coxeter
@@ -28,16 +29,18 @@ from .partitions import bipartitions, dagger, partitions, subpartitions_of_box
 from .reps import (
     bn_character_dict,
     bn_inner_product,
-    branching_reducibility_check,
     build_B_rep,
     build_dihedral_rep,
     i2_character_table,
     i2_classes,
     i2_labels,
+    induced_from_sj_bnj,
+    induced_from_young,
     jucys_murphy_eigenvalue,
     mat_identity,
     mat_mul,
     sn_character,
+    sn_norm,
     symmetric_generator_matrices,
     zee,
 )
@@ -50,26 +53,23 @@ class SuiteResult:
     detail: str
 
 
-def _result(name: str, failures: list[str], checked: int) -> SuiteResult:
-    if failures:
-        return SuiteResult(name, False, f"{len(failures)} failure(s): " + "; ".join(failures))
-    return SuiteResult(name, True, f"{checked} checks")
-
-
-class _Checks:
-    """Counts the checks of a suite and keeps the messages of those that fail."""
-
-    def __init__(self):
-        self.failures: list[str] = []
-        self.count = 0
-
-    def __call__(self, cond: bool, msg: str) -> None:
-        self.count += 1
-        if not cond:
-            self.failures.append(msg)
-
-    def result(self, name: str) -> SuiteResult:
-        return _result(name, self.failures, self.count)
+def _suite(name: str):
+    """Decorator: the generator of (ok, message) pairs becomes the zero-argument
+    suite.  Every pair is one check; the result lists each failed message."""
+    def ledger(checks):
+        @wraps(checks)
+        def suite() -> SuiteResult:
+            count, failures = 0, []
+            for ok, msg in checks():
+                count += 1
+                if not ok:
+                    failures.append(msg)
+            if failures:
+                detail = f"{len(failures)} failure(s): " + "; ".join(failures)
+                return SuiteResult(name, False, detail)
+            return SuiteResult(name, True, f"{count} checks")
+        return suite
+    return ledger
 
 
 # ---------------------------------------------------------------------------
@@ -114,62 +114,58 @@ def _full_grid(max_n: int = GRID_N):
 # Suites (numbered to match the reported criteria)
 # ---------------------------------------------------------------------------
 
-def suite_1_families_equality() -> SuiteResult:
+@_suite("1 families CM=Lusztig")
+def suite_1_families_equality():
     """CM partition equals Lusztig partition on the full grid."""
-    failures = []
-    grid = _full_grid()
-    for type_tag, size, param in grid:
+    for type_tag, size, param in _full_grid():
         cm = cm_families(type_tag, size, param).as_sets()
         lu = lusztig_families(type_tag, size, param).as_sets()
-        if cm != lu:
-            failures.append(f"{type_tag} {size} {param.to_json()}")
-    return _result("1 families CM=Lusztig", failures, len(grid))
+        yield cm == lu, f"{type_tag} {size} {param.to_json()}"
 
 
-def suite_2_cuspidal_equality() -> SuiteResult:
+def _fcusp_failure(size: int, param: CherednikParameter, cm: set) -> str | None:
+    """Why the cuspidal families cm of B_size break the box classification:
+    at integral c1/kappa = m one family, Fcusp, of size C(2k + |m|, k) when
+    size = k(k + |m|), and none otherwise.  None if they do not."""
+    m = None if param.is_zero() or param.kappa == 0 else param.b_integral_m()
+    if m is None:
+        return None
+    ks = [k for k in range(1, size + 1) if k * (k + abs(m)) == size]
+    if not ks:
+        return f"unexpected cuspidal: B {size} {param.to_json()}" if cm else None
+    (k,) = ks
+    fcusp = {(lam, dagger(lam, k, abs(m))) for lam in subpartitions_of_box(k, abs(m))}
+    if m < 0:
+        fcusp = {(b, a) for a, b in fcusp}
+    if len(cm) != 1:
+        return f"not unique: B {size} {param.to_json()}"
+    if next(iter(cm)) != frozenset(fcusp):
+        return f"not Fcusp: B {size} {param.to_json()}"
+    if len(fcusp) != comb(2 * k + abs(m), k):
+        return f"wrong size: B {size} {param.to_json()}"
+    return None
+
+
+@_suite("2 cuspidal CM=Lusztig + Fcusp")
+def suite_2_cuspidal_equality():
     """Cuspidal families agree between methods; type-B existence/shape/size."""
-    failures = []
-    checked = 0
     for type_tag, size, param in _full_grid():
         cm = {frozenset(f.members) for f in cuspidal_families(type_tag, size, param, "CM")}
         lu = {frozenset(f.members) for f in cuspidal_families(type_tag, size, param, "Lusztig")}
-        checked += 1
         if cm != lu:
-            failures.append(f"methods differ: {type_tag} {size} {param.to_json()}")
-            continue
-        if type_tag != "B" or param.is_zero() or param.kappa == 0:
-            continue
-        m = param.b_integral_m()
-        if m is None:
-            continue
-        ks = [k for k in range(1, size + 1) if k * (k + abs(m)) == size]
-        if not ks:
-            if cm:
-                failures.append(f"unexpected cuspidal: B {size} {param.to_json()}")
-            continue
-        (k,) = ks
-        fcusp = {(lam, dagger(lam, k, abs(m))) for lam in subpartitions_of_box(k, abs(m))}
-        if m < 0:
-            fcusp = {(b, a) for a, b in fcusp}
-        if len(cm) != 1:
-            failures.append(f"not unique: B {size} {param.to_json()}")
-        elif next(iter(cm)) != frozenset(fcusp):
-            failures.append(f"not Fcusp: B {size} {param.to_json()}")
-        elif len(fcusp) != comb(2 * k + abs(m), k):
-            failures.append(f"wrong size: B {size} {param.to_json()}")
+            msg = f"methods differ: {type_tag} {size} {param.to_json()}"
+        else:
+            msg = _fcusp_failure(size, param, cm) if type_tag == "B" else None
+        yield msg is None, msg
     # the two displayed instances
     for n, m, want in ((6, 1, 10), (3, 2, 4)):
         fams = cuspidal_families("B", n, CherednikParameter.type_B(m, 1), "CM")
-        checked += 1
-        if len(fams) != 1 or len(fams[0].members) != want:
-            failures.append(f"display size: B {n} m={m}")
-    return _result("2 cuspidal CM=Lusztig + Fcusp", failures, checked)
+        yield len(fams) == 1 and len(fams[0].members) == want, f"display size: B {n} m={m}"
 
 
-def suite_3_rigid_oracle_B() -> SuiteResult:
+@_suite("3 rigid closed_form=oracle (B)")
+def suite_3_rigid_oracle_B():
     """Equation oracle matches the closed form for type B plus smooth points."""
-    failures = []
-    checked = 0
     points = []
     for n in range(1, 6):
         for m in range(-(n - 1), n):
@@ -177,18 +173,15 @@ def suite_3_rigid_oracle_B() -> SuiteResult:
     points.append((4, CherednikParameter.type_B(Fraction(1, 2), 1)))
     points.append((4, CherednikParameter.type_B(Fraction(7, 3), Fraction(1, 3))))
     for n, param in points:
-        checked += 1
         cf = rigid_modules("B", n, param, "closed_form")
         orc = rigid_modules("B", n, param, "equation_oracle")
-        if cf != orc:
-            failures.append(f"B {n} {param.to_json()}")
-    return _result("3 rigid closed_form=oracle (B)", failures, checked)
+        yield cf == orc, f"B {n} {param.to_json()}"
 
 
-def suite_4_dihedral_table1() -> SuiteResult:
-    """Families, rigids and cuspidals for I2(m) from first principles."""
-    failures = []
-    checked = 0
+@_suite("4 dihedral table (families/rigid/cuspidal)")
+def suite_4_dihedral_table1():
+    """Families, rigids and cuspidals for I2(m) from first principles; one
+    check per point, whose message names every part that failed."""
     for m in range(5, 13):
         if m % 2:
             params = [(1, 1)]
@@ -196,54 +189,45 @@ def suite_4_dihedral_table1() -> SuiteResult:
             params = [(1, 1), (-1, 1), (1, 2), (2, 1), (0, 1), (1, 0)]
         for a, b in params:
             param = CherednikParameter.type_I2(a, b)
-            checked += 1
-            orc = rigid_modules("I2", m, param, "equation_oracle")
-            if orc != fx.table1_rigid(m, a, b):
-                failures.append(f"rigid m={m} a={a} b={b}")
+            failed = []
+            if rigid_modules("I2", m, param, "equation_oracle") != fx.table1_rigid(m, a, b):
+                failed.append("rigid")
             if a >= 0 and b >= 0 and (a, b) != (0, 0):
                 if cm_families("I2", m, param).as_sets() != fx.table2_families(m, a, b):
-                    failures.append(f"families m={m} a={a} b={b}")
+                    failed.append("families")
                 cusp = cuspidal_families("I2", m, param, "CM")
                 want = cuspidal_families("I2", m, param, "Lusztig")
                 if [set(f.members) for f in cusp] != [set(f.members) for f in want]:
-                    failures.append(f"cuspidal m={m} a={a} b={b}")
-    return _result("4 dihedral table (families/rigid/cuspidal)", failures, checked)
+                    failed.append("cuspidal")
+            yield not failed, f"{'/'.join(failed)} m={m} a={a} b={b}"
 
 
-def suite_5_dihedral_table4() -> SuiteResult:
+@_suite("5 dihedral j-induction")
+def suite_5_dihedral_table4():
     """j-induction from both rank-one parabolics matches the reference rows."""
-    failures = []
-    checked = 0
     for m in range(6, 17, 2):
         for a, b in ((1, 1), (1, 2), (2, 1), (0, 1), (1, 0)):
             want = fx.table4_j_induction(m, a, b)
             for (p, chi), labels in want.items():
-                checked += 1
                 got = set(dihedral_j_induction(m, a, b, p, chi))
-                if got != labels:
-                    failures.append(f"m={m} a={a} b={b} P{p} {chi}")
-    return _result("5 dihedral j-induction", failures, checked)
+                yield got == labels, f"m={m} a={a} b={b} P{p} {chi}"
 
 
-def suite_6_leaves() -> SuiteResult:
+@_suite("6 leaf posets")
+def suite_6_leaves():
     """Leaf dimensions, poset sanity, and cuspidal-leaf existence."""
-    check = _Checks()
-
     lp = leaves_B(6, 1, 1)
-    check(sorted(l.dimension for l in lp.leaves) == [0, 8, 12], "B6 (1,1) dims")
+    yield sorted(l.dimension for l in lp.leaves) == [0, 8, 12], "B6 (1,1) dims"
     lp = leaves_D(4, 1)
-    check(sorted(l.dimension for l in lp.leaves) == [0, 6], "D4 dims")
+    yield sorted(l.dimension for l in lp.leaves) == [0, 6], "D4 dims"
     for n in range(1, GRID_N + 1):
         lpd = leaves_B(n, 1, 0)
-        check(
-            all(l.dimension == 2 * len(l.index) for l in lpd.leaves),
-            f"degenerate dims n={n}",
-        )
-        check(lpd.is_antisymmetric() and parabolic_order_refined(lpd), f"degenerate poset n={n}")
+        yield all(l.dimension == 2 * len(l.index) for l in lpd.leaves), f"degenerate dims n={n}"
+        yield lpd.is_antisymmetric() and parabolic_order_refined(lpd), f"degenerate poset n={n}"
     posets = [leaves_B(n, m, 1) for n in range(1, GRID_N + 1) for m in range(4)]
     posets += [leaves_D(n, 1) for n in range(2, GRID_N + 1)]
     for lp in posets:
-        check(lp.is_antisymmetric() and parabolic_order_refined(lp), "poset sanity")
+        yield lp.is_antisymmetric() and parabolic_order_refined(lp), "poset sanity"
     # cuspidal leaf exists iff the cuspidal family does (nonzero parameters)
     for type_tag, size, param in _full_grid():
         leaves = coxeter.lookup(type_tag).leaves
@@ -252,17 +236,14 @@ def suite_6_leaves() -> SuiteResult:
         lp = leaves(size, param)
         has_zero = bool(lp.zero_dimensional())
         has_cusp = bool(cuspidal_families(type_tag, size, param, "CM"))
-        check(has_zero == has_cusp, f"leaf iff family: {type_tag} {size} {param.to_json()}")
-    return check.result("6 leaf posets")
+        yield has_zero == has_cusp, f"leaf iff family: {type_tag} {size} {param.to_json()}"
 
 
-def suite_7_rigid_implies_cuspidal() -> SuiteResult:
-    failures = []
-    grid = _full_grid()
-    for type_tag, size, param in grid:
-        if not rigid_implies_cuspidal_check(type_tag, size, param):
-            failures.append(f"{type_tag} {size} {param.to_json()}")
-    return _result("7 rigid => cuspidal", failures, len(grid))
+@_suite("7 rigid => cuspidal")
+def suite_7_rigid_implies_cuspidal():
+    for type_tag, size, param in _full_grid():
+        ok = rigid_implies_cuspidal_check(type_tag, size, param)
+        yield ok, f"{type_tag} {size} {param.to_json()}"
 
 
 def _a_order(i: int, j: int) -> int:
@@ -293,21 +274,20 @@ def _coxeter_relations_ok(gens, order) -> bool:
     return True
 
 
-def suite_8_structural() -> SuiteResult:
-    check = _Checks()
-
+@_suite("8 structural oracles")
+def suite_8_structural():
     # the Coxeter presentation of W on every module's generators
     for n in range(1, 6):
         for lam in partitions(n):
-            check(_coxeter_relations_ok(symmetric_generator_matrices(lam), _a_order),
-                  f"Sn relations {lam}")
+            yield (_coxeter_relations_ok(symmetric_generator_matrices(lam), _a_order),
+                   f"Sn relations {lam}")
     for n in range(1, 5):
         for bp in bipartitions(n):
-            check(_coxeter_relations_ok(build_B_rep(bp), _b_order), f"Bn relations {bp}")
+            yield _coxeter_relations_ok(build_B_rep(bp), _b_order), f"Bn relations {bp}"
     for m in range(5, 17):
         for lab in i2_labels(m):
-            check(_coxeter_relations_ok(build_dihedral_rep(lab, m), lambda i, j: m),
-                  f"I2({m}) relations {lab}")
+            yield (_coxeter_relations_ok(build_dihedral_rep(lab, m), lambda i, j: m),
+                   f"I2({m}) relations {lab}")
 
     # character orthonormality
     for n in range(1, 6):
@@ -318,13 +298,13 @@ def suite_8_structural() -> SuiteResult:
                     Fraction(sn_character(lam, mu) * sn_character(nu, mu), zee(mu))
                     for mu in partitions(n)
                 )
-                check(ip == (1 if lam == nu else 0), f"Sn orth {lam} {nu}")
+                yield ip == (1 if lam == nu else 0), f"Sn orth {lam} {nu}"
     for n in range(1, 5):
         labs = bipartitions(n)
         for i, bp1 in enumerate(labs):
             for bp2 in labs[i:]:
                 ip = bn_inner_product(n, bn_character_dict(bp1), bn_character_dict(bp2))
-                check(ip == (1 if bp1 == bp2 else 0), f"Bn orth {bp1} {bp2}")
+                yield ip == (1 if bp1 == bp2 else 0), f"Bn orth {bp1} {bp2}"
     for m in range(5, 17):
         table = i2_character_table(m)
         labs = i2_labels(m)
@@ -332,36 +312,36 @@ def suite_8_structural() -> SuiteResult:
             for l2 in labs[i:]:
                 total = sum((table[l1][cls] * table[l2][cls].conjugate() * size
                              for cls, size in i2_classes(m)), Cyclotomic.zero(m))
-                check(total == (2 * m if l1 == l2 else 0), f"I2({m}) orth {l1} {l2}")
+                yield total == (2 * m if l1 == l2 else 0), f"I2({m}) orth {l1} {l2}"
 
-    # branching: induction from every proper maximal parabolic is reducible
+    # branching: every irreducible of a proper maximal parabolic, S_j x S_{n-j}
+    # of S_n or S_j x B_{n-j} of B_n, induces to a character of norm > 1
     for n in (4, 5):
         for j in range(1, n):
-            check(branching_reducibility_check("A", n, j), f"S{n} parabolic {j}")
+            yield all(sn_norm(n, induced_from_young(nu1, nu2, n)) != 1
+                      for nu1 in partitions(j) for nu2 in partitions(n - j)), f"S{n} parabolic {j}"
     for n in (3, 4):
         for j in range(1, n + 1):
-            check(branching_reducibility_check("B", n, j), f"B{n} parabolic {j}")
+            yield all(bn_inner_product(n, phi, phi) != 1
+                      for nu in partitions(j) for bp in bipartitions(n - j)
+                      for phi in [induced_from_sj_bnj(nu, bp, n)]), f"B{n} parabolic {j}"
 
     # Jucys-Murphy element acts by l - b on the rectangle (l^b)
     for l in range(1, 7):
         for b in range(1, 7):
             if l * b <= 6:
-                check(
-                    jucys_murphy_eigenvalue((l,) * b) == l - b, f"JM ({l}^{b})"
-                )
-    return check.result("8 structural oracles")
+                yield jucys_murphy_eigenvalue((l,) * b) == l - b, f"JM ({l}^{b})"
 
 
-def suite_9_symmetries() -> SuiteResult:
+@_suite("9 symmetry suites")
+def suite_9_symmetries():
     """Component-swap twist for c1 -> -c1 and rescaling invariance."""
-    check = _Checks()
-
     for n in range(1, 7):
         for m in range(4):
             for kappa in (1, Fraction(1, 2)):
                 pos = cm_families("B", n, CherednikParameter.type_B(m * kappa, kappa))
                 neg = cm_families("B", n, CherednikParameter.type_B(-m * kappa, kappa))
-                check(tau_twist(pos).as_sets() == neg.as_sets(), f"tau B {n} m={m} k={kappa}")
+                yield tau_twist(pos).as_sets() == neg.as_sets(), f"tau B {n} m={m} k={kappa}"
     scalars = (Fraction(2), Fraction(1, 3))
     points = [
         ("B", 4, CherednikParameter.type_B(1, 1)),
@@ -377,15 +357,10 @@ def suite_9_symmetries() -> SuiteResult:
         base_lu = lusztig_families(type_tag, size, param).as_sets()
         for alpha in scalars:
             scaled = CherednikParameter(type_tag, tuple(alpha * v for v in param.values))
-            check(
-                cm_families(type_tag, size, scaled).as_sets() == base_cm,
-                f"CM rescale {type_tag} {size} x{alpha}",
-            )
-            check(
-                lusztig_families(type_tag, size, scaled).as_sets() == base_lu,
-                f"Lusztig rescale {type_tag} {size} x{alpha}",
-            )
-    return check.result("9 symmetry suites")
+            yield (cm_families(type_tag, size, scaled).as_sets() == base_cm,
+                   f"CM rescale {type_tag} {size} x{alpha}")
+            yield (lusztig_families(type_tag, size, scaled).as_sets() == base_lu,
+                   f"Lusztig rescale {type_tag} {size} x{alpha}")
 
 
 SUITES = {

@@ -8,7 +8,7 @@ import pytest
 
 import cmfamilies
 from cmfamilies.cli import main
-from cmfamilies.verify import _result
+from cmfamilies.verify import SuiteResult, _suite
 
 
 def run(capsys, *argv):
@@ -148,12 +148,38 @@ def test_verify_repeated_suite_runs_once(capsys):
     assert out.splitlines() == ["[PASS] 5 dihedral j-induction: 120 checks"]
 
 
-def test_verify_result_lists_every_failure():
-    failures = [f"point {i}" for i in range(7)]
-    result = _result("x", failures, 7)
-    assert not result.passed
-    assert result.detail.startswith("7 failure(s): ")
-    assert all(f in result.detail for f in failures)
+def test_suite_ledger_lists_every_failure():
+    @_suite("x")
+    def mixed():
+        for i in range(11):
+            yield i % 3 == 0, f"point {i}"
+
+    result = mixed()
+    failed = [f"point {i}" for i in range(11) if i % 3]
+    assert not result.passed and result.name == "x"
+    assert result.detail == "7 failure(s): " + "; ".join(failed)
+
+    @_suite("y")
+    def passing():
+        for i in range(5):
+            yield True, f"point {i}"
+
+    assert passing() == SuiteResult("y", True, "5 checks")
+
+
+STRAY = [
+    # a query, and the type flags in it that its type (or symbols) does not take
+    ("families --type B --n 2 --c1 1 --kappa 1 --a 5 --m 9", ["--m", "--a"]),
+    ("rigid --type A --n 2 --c 1 --kappa 3", ["--kappa"]),
+    ("symbols --type B --c1 1 --kappa 1 --bp [1|] --n 7", ["--n"]),
+]
+
+
+@pytest.mark.parametrize("query,stray", STRAY, ids=[q for q, _ in STRAY])
+def test_stray_type_flag_exit_2(capsys, query, stray):
+    code, out, err = run(capsys, *query.split())
+    assert code == 2 and out == ""
+    assert all(flag in err for flag in stray)
 
 
 GENERIC_CASES = [

@@ -61,6 +61,10 @@ GOLDEN = [
     ("families --type I2 --m 7 --a 1 --b 2", 2, EMPTY),
     ("families --type B --n 3 --c1=-1 --kappa 1 --method Lusztig", 2, EMPTY),
     ("cuspidal --type B --n 3 --c1 1 --kappa 1/0", 2, EMPTY),
+    ("families --type B --n 3 --c1 x --kappa 1", 2, EMPTY),
+    ("families --type B --n 2 --c1 1 --kappa 1 --a 5 --m 9", 2, EMPTY),
+    ("rigid --type A --n 2 --c 1 --kappa 3", 2, EMPTY),
+    ("symbols --type B --c1 1 --kappa 1 --bp [1|] --n 7", 2, EMPTY),
     ("rigid --type D --n 4 --kappa 1 --mode oracle", 0, "089c6e7e885024ce6ce0cd6f547b005a401ba4d98419436501957d872218752a"),
     ("rigid --type D --n 7 --kappa 1 --mode oracle", 2, EMPTY),
     ("rigid --type B --n 6 --c1 1 --kappa 1 --mode oracle", 0, "a81374474d37dea2c734ace152f701e1272ba136c5ca3c346a4e8a844b72527a"),

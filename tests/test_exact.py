@@ -15,7 +15,6 @@ from cmfamilies.exact import (
     Cyclotomic,
     charged_residue,
     cyclotomic_poly,
-    parse_rational,
     residue,
 )
 
@@ -205,13 +204,6 @@ def test_cyclotomic_rejects_floats():
     for op in ops:
         with pytest.raises(TypeError):
             op()
-
-
-def test_parse_rational():
-    assert parse_rational("3/2") == Fraction(3, 2)
-    assert parse_rational("-1") == -1
-    with pytest.raises(ValueError):
-        parse_rational("x")
 
 
 def test_parameter_shapes():

@@ -13,11 +13,9 @@ from cmfamilies.reps import (
     bn_centralizer_order,
     bn_character,
     bn_character_dict,
-    bn_classes,
     bn_inner_product,
     bn_neg_transposition_matrix,
     bn_transposition_matrix,
-    branching_reducibility_check,
     build_B_rep,
     build_dihedral_rep,
     i2_character,
@@ -188,7 +186,7 @@ def test_sn_orthonormality():
 def test_bn_dims_and_order():
     for n in range(1, 5):
         assert sum(bn_dim(bp) ** 2 for bp in bipartitions(n)) == bn_order(n)
-        assert sum(bn_class_size(n, cls) for cls in bn_classes(n)) == bn_order(n)
+        assert sum(bn_class_size(n, cls) for cls in bipartitions(n)) == bn_order(n)
 
 
 def test_bn_orthonormality():
@@ -203,7 +201,7 @@ def test_bn_orthonormality():
 def test_bn_trace_matches_character():
     for n in range(1, 4):
         for bp in bipartitions(n):
-            for cls in bn_classes(n):
+            for cls in bipartitions(n):
                 assert mat_trace(bn_class_matrix(bp, cls)) == bn_character(bp, cls)
 
 
@@ -262,15 +260,6 @@ def test_i2_induction_total_dimension():
                 assert total == m  # index of the order-2 parabolic in I2(m)
 
 
-def test_branching_reducibility():
-    for n in (4, 5):
-        for j in range(1, n):
-            assert branching_reducibility_check("A", n, j)
-    for n in (3, 4):
-        for j in range(1, n + 1):
-            assert branching_reducibility_check("B", n, j)
-
-
 def test_sn_norm_of_irreducible():
     for n in range(1, 5):
         for lam in partitions(n):
@@ -283,7 +272,7 @@ def test_d_restriction_norms():
     for n in (2, 3, 4, 5):
         for bp in bipartitions(n):
             tot = 0
-            for cls in bn_classes(n):
+            for cls in bipartitions(n):
                 if len(cls[1]) % 2 == 0:
                     tot += bn_character(bp, cls) ** 2 * bn_class_size(n, cls)
             norm = Fraction(tot, bn_order(n) // 2)
