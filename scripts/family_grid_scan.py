@@ -18,13 +18,13 @@ def main():
     args = ap.parse_args()
     t0 = time.time()
     rows = 0
-    for type_tag, size, param in _full_grid(args.max_n):
-        cm = annotated_families(type_tag, size, param, "CM")
-        lu = lusztig_families(type_tag, size, param)
+    for size, param in _full_grid(args.max_n):
+        cm = annotated_families(size, param, "CM")
+        lu = lusztig_families(size, param)
         cusp = [f for f in cm.families if f.cuspidal]
         cusp_desc = f"cuspidal size {len(cusp[0].members)}" if cusp else "no cuspidal"
         print(
-            f"{type_tag:>2} size={size:<2} param={param.to_json()} "
+            f"{param.type_tag:>2} size={size:<2} param={param.to_json()} "
             f"families={len(cm.families):<3} equal={cm.as_sets() == lu.as_sets()} {cusp_desc}"
         )
         rows += 1

@@ -25,8 +25,8 @@ def main():
     for n in range(1, args.max_n + 1):
         for m in range(-(n - 1), n):
             param = CherednikParameter.type_B(m, 1)
-            cf = rigid_modules("B", n, param, "closed_form")
-            orc = rigid_modules("B", n, param, "equation_oracle")
+            cf = rigid_modules(n, param, mode="closed_form")
+            orc = rigid_modules(n, param, mode="equation_oracle")
             status = "ok" if cf == orc else "MISMATCH"
             print(f"B n={n} m={m:+d}: {len(cf)} rigid, oracle {status}")
     print(f"-- type B done in {time.time() - t0:.1f}s")
@@ -35,8 +35,8 @@ def main():
     for n in range(2, min(args.max_n, coxeter.lookup("D").oracle_max) + 1):
         for kappa in (1, -1):
             param = CherednikParameter.type_D(kappa)
-            cf = rigid_modules("D", n, param, "closed_form")
-            orc = rigid_modules("D", n, param, "equation_oracle")
+            cf = rigid_modules(n, param, mode="closed_form")
+            orc = rigid_modules(n, param, mode="equation_oracle")
             status = "ok" if cf == orc else "MISMATCH"
             print(f"D n={n} kappa={kappa:+d}: {len(cf)} rigid, oracle {status}")
     print(f"-- type D done in {time.time() - t0:.1f}s")
@@ -48,8 +48,8 @@ def main():
         )
         for a, b in params:
             param = CherednikParameter.type_I2(a, b)
-            cf = rigid_modules("I2", m, param, "closed_form")
-            orc = rigid_modules("I2", m, param, "equation_oracle")
+            cf = rigid_modules(m, param, mode="closed_form")
+            orc = rigid_modules(m, param, mode="equation_oracle")
             status = "ok" if cf == orc else "MISMATCH"
             print(f"I2({m}) a={a} b={b}: rigid {cf} oracle {status}")
     print(f"-- dihedral done in {time.time() - t0:.1f}s")

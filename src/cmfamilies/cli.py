@@ -1,7 +1,8 @@
 """Command-line frontend: families | cuspidal | rigid | leaves | symbols | verify.
 
 Output is deterministic: canonical family order, sorted labels, sorted JSON
-keys.  Exit codes: 0 success, 1 verification failure, 2 validation error.
+keys.  Exit codes: 0 success, 1 verification failure, 2 validation error:
+main turns every ValueError or ZeroDivisionError into "error: ..." on stderr.
 """
 from __future__ import annotations
 
@@ -21,10 +22,6 @@ from .symbols import bar, symbol_of
 from .verify import run_suites
 
 
-class ValidationError(Exception):
-    pass
-
-
 def _build_param(args, sized: bool = True) -> CherednikParameter:
     """The parameter of the requested type.  The type takes its size flag
     (unless not sized) and its parameter flags; any other type flag given is
@@ -34,15 +31,12 @@ def _build_param(args, sized: bool = True) -> CherednikParameter:
     every = dict.fromkeys(f for e in coxeter.TYPES.values() for f in (e.size_flag, *e.params))
     stray = [f"--{f}" for f in every if f not in accepted and getattr(args, f) is not None]
     if stray:
-        raise ValidationError(f"{args.subcommand} --type {args.type} takes no {', '.join(stray)}")
+        raise ValueError(f"{args.subcommand} --type {args.type} takes no {', '.join(stray)}")
     if any(getattr(args, name) is None for name in t.params):
         flags = " and ".join(f"--{name}" for name in t.params)
-        raise ValidationError(f"type {args.type} needs {flags}")
-    try:
-        values = [Fraction(getattr(args, name)) for name in t.params]
-        return t.parameter(values, getattr(args, t.size_flag))
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ValidationError(str(exc)) from None
+        raise ValueError(f"type {args.type} needs {flags}")
+    values = [Fraction(getattr(args, name)) for name in t.params]
+    return t.parameter(values, getattr(args, t.size_flag))
 
 
 def _size(args) -> int:
@@ -50,14 +44,14 @@ def _size(args) -> int:
     size = getattr(args, t.size_flag)
     bound = f"{t.size_flag} >= {t.min_size}"
     if size is None:
-        raise ValidationError(f"type {args.type} needs --{t.size_flag} (with {bound})")
+        raise ValueError(f"type {args.type} needs --{t.size_flag} (with {bound})")
     if size < t.min_size:
-        raise ValidationError(f"need {bound}")
+        raise ValueError(f"need {bound}")
     return size
 
 
 def _partition_json(fp: FamilyPartition) -> dict:
-    t = coxeter.lookup(fp.type_tag)
+    t = coxeter.lookup(fp.param.type_tag)
     fams = []
     for f in fp.families:
         fams.append(
@@ -69,7 +63,7 @@ def _partition_json(fp: FamilyPartition) -> dict:
             }
         )
     return {
-        "type": fp.type_tag,
+        "type": fp.param.type_tag,
         t.size_flag: fp.size,
         "param": fp.param.to_json(),
         "method": fp.method,
@@ -78,8 +72,8 @@ def _partition_json(fp: FamilyPartition) -> dict:
 
 
 def _partition_text(fp: FamilyPartition) -> str:
-    t = coxeter.lookup(fp.type_tag)
-    lines = [f"{fp.type_tag} size={fp.size} param={fp.param.to_json()} method={fp.method}"]
+    t = coxeter.lookup(fp.param.type_tag)
+    lines = [f"{fp.param.type_tag} size={fp.size} param={fp.param.to_json()} method={fp.method}"]
     for f in fp.families:
         mark = " (cuspidal)" if f.cuspidal else ""
         lines.append("  {" + ", ".join(t.label_text(x) for x in f.members) + "}" + mark)
@@ -93,13 +87,6 @@ def _emit(args, payload_json, payload_text: str) -> None:
         print(payload_text)
 
 
-def _annotated(args, size: int, param: CherednikParameter, method: str) -> FamilyPartition:
-    try:
-        return annotated_families(args.type, size, param, method)
-    except ValueError as exc:
-        raise ValidationError(str(exc)) from None
-
-
 def cmd_families(args) -> int:
     param = _build_param(args)
     size = _size(args)
@@ -108,9 +95,9 @@ def cmd_families(args) -> int:
         # the families at the type's generic point, reported for the given param
         t = coxeter.lookup(args.type)
         generic = t.parameter(t.generic(size), size)
-        parts = [replace(_annotated(args, size, generic, m), param=param) for m in methods]
+        parts = [replace(annotated_families(size, generic, m), param=param) for m in methods]
     else:
-        parts = [_annotated(args, size, param, m) for m in methods]
+        parts = [annotated_families(size, param, m) for m in methods]
     if args.format == "json":
         out = [_partition_json(fp) for fp in parts]
         payload = out[0] if len(out) == 1 else {
@@ -132,7 +119,7 @@ def cmd_cuspidal(args) -> int:
     methods = ["CM", "Lusztig"] if args.method == "both" else [args.method]
     out = []
     for method in methods:
-        fp = _annotated(args, size, param, method)
+        fp = annotated_families(size, param, method)
         out.append(replace(fp, families=tuple(f for f in fp.families if f.cuspidal)))
     if args.format == "json":
         payload = [_partition_json(fp) for fp in out]
@@ -147,10 +134,7 @@ def cmd_rigid(args) -> int:
     param = _build_param(args)
     size = _size(args)
     mode = {"closed": "closed_form", "oracle": "equation_oracle"}.get(args.mode, args.mode)
-    try:
-        labels = rigid_modules(args.type, size, param, mode)
-    except ValueError as exc:
-        raise ValidationError(str(exc)) from None
+    labels = rigid_modules(size, param, mode=mode)
     payload = {
         "type": args.type,
         t.size_flag: size,
@@ -168,12 +152,8 @@ def cmd_leaves(args) -> int:
     param = _build_param(args)
     size = _size(args)
     if t.leaves is None:
-        raise ValidationError(f"no leaf poset is computed for type {args.type}")
-    try:
-        lp = t.leaves(size, param)
-    except ValueError as exc:
-        raise ValidationError(str(exc)) from None
-    payload = lp.to_json()
+        raise ValueError(f"no leaf poset is computed for type {args.type}")
+    payload = t.leaves(size, param).to_json()
     text = "\n".join(
         f"L_{e['k']} dim={e['dim']} parabolic={e['parabolic']} below={e['below']}"
         for e in payload
@@ -184,20 +164,14 @@ def cmd_leaves(args) -> int:
 
 def cmd_symbols(args) -> int:
     if args.type != "B":
-        raise ValidationError("symbols are computed for type B")
+        raise ValueError("symbols are computed for type B")
     param = _build_param(args, sized=False)
-    try:
-        bp = parse_bipartition(args.bp)
-    except ValueError as exc:
-        raise ValidationError(str(exc)) from None
+    bp = parse_bipartition(args.bp)
     n = sum(bp[0]) + sum(bp[1])
     N = args.enn if args.enn is not None else max(n, 1)
-    try:
-        s = symbol_of(bp, N, param.c1, param.kappa)
-        if args.bar is not None:
-            s = bar(s, args.bar)
-    except (ValueError, AssertionError) as exc:
-        raise ValidationError(str(exc)) from None
+    s = symbol_of(bp, N, param.c1, param.kappa)
+    if args.bar is not None:
+        s = bar(s, args.bar)
     text = "({} ; {})".format(
         ",".join(str(b) for b in s.beta), ",".join(str(g) for g in s.gamma)
     )
@@ -207,12 +181,9 @@ def cmd_symbols(args) -> int:
 
 def cmd_verify(args) -> int:
     if args.jobs < 1:
-        raise ValidationError("--jobs must be at least 1")
+        raise ValueError("--jobs must be at least 1")
     keys = None if args.suite == "all" else [k.strip() for k in args.suite.split(",")]
-    try:
-        results = run_suites(keys, jobs=args.jobs)
-    except KeyError as exc:
-        raise ValidationError(exc.args[0]) from None
+    results = run_suites(keys, jobs=args.jobs)
     ok = True
     for r in results:
         print(f"[{'PASS' if r.passed else 'FAIL'}] {r.name}: {r.detail}")
@@ -282,7 +253,7 @@ def main(argv=None) -> int:
         code = args.func(args)
         sys.stdout.flush()
         return code
-    except ValidationError as exc:
+    except (ValueError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except BrokenPipeError:

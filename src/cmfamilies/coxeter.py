@@ -42,8 +42,8 @@ class CoxeterType:
     # the reflections s of W with (e_1, alpha_s) != 0, the only ones the
     # one-row rigidity equation sums over; coroot and root are coordinate
     # tuples in dual bases of h and h*
-    reflections: Callable | None = None
-    oracle_max: int = 0  # largest size the rigidity-equation oracle is run at
+    reflections: Callable
+    oracle_max: int  # largest size the rigidity-equation oracle is run at
     leaves: Callable | None = None  # (size, param) -> LeafPoset
 
 
@@ -54,12 +54,10 @@ def lookup(type_tag: str) -> CoxeterType:
         raise ValueError(f"unknown type {type_tag!r}") from None
 
 
-def checked(type_tag: str, size: int, param) -> CoxeterType:
-    """The entry of type_tag; ValueError unless param is a parameter of that
-    type at this size (odd m forces a = b in I2(m))."""
-    entry = lookup(type_tag)
-    if param.type_tag != type_tag:
-        raise ValueError("parameter shape does not match the requested type")
+def checked(size: int, param) -> CoxeterType:
+    """The entry of param's type; ValueError unless param is a parameter of
+    that type at this size (odd m forces a = b in I2(m))."""
+    entry = lookup(param.type_tag)
     entry.parameter(param.values, size)
     return entry
 
@@ -160,7 +158,7 @@ def _d_cm_groups(n, param, labels) -> list:
 
 def _d_lusztig_groups(n, param, labels) -> tuple:
     b_param = exact.CherednikParameter.type_B(0, param.kappa)
-    return families.clifford_descent(families.lusztig_families("B", n, b_param)).families
+    return families.clifford_descent(families.lusztig_families(n, b_param)).families
 
 
 def _d_reflections(lab, n):

@@ -126,20 +126,18 @@ def parabolic_order_refined(poset: LeafPoset) -> bool:
 # Cuspidal families
 # ---------------------------------------------------------------------------
 
-def cuspidal_families(type_tag: str, size: int, param: CherednikParameter,
-                      method: str = "CM") -> list[Family]:
+def cuspidal_families(size: int, param: CherednikParameter, method: str = "CM") -> list[Family]:
     """The cuspidal families of the given partition method, with leaf labels."""
-    fp = annotated_families(type_tag, size, param, method)
+    fp = annotated_families(size, param, method)
     return [f for f in fp.families if f.cuspidal]
 
 
-def annotated_families(type_tag: str, size: int, param: CherednikParameter,
-                       method: str = "CM") -> FamilyPartition:
+def annotated_families(size: int, param: CherednikParameter, method: str = "CM") -> FamilyPartition:
     """Family partition with cuspidal flags and leaf labels filled in."""
     if method == "CM":
-        fp = cm_families(type_tag, size, param)
+        fp = cm_families(size, param)
     elif method == "Lusztig":
-        fp = lusztig_families(type_tag, size, param)
+        fp = lusztig_families(size, param)
     else:
         raise ValueError(f"unknown method {method!r}")
 
@@ -147,7 +145,7 @@ def annotated_families(type_tag: str, size: int, param: CherednikParameter,
         # the unique family is cuspidal in both senses
         anchor = (fp.families[0].members[0], None)
     else:
-        anchor = coxeter.lookup(type_tag).anchor(size, param)
+        anchor = coxeter.lookup(param.type_tag).anchor(size, param)
     if anchor is None:
         return fp
     label, leaf_label = anchor
@@ -160,35 +158,31 @@ def annotated_families(type_tag: str, size: int, param: CherednikParameter,
 # Rigid modules
 # ---------------------------------------------------------------------------
 
-def rigid_modules(type_tag: str, size: int, param: CherednikParameter,
-                  mode: str = "closed_form") -> list:
-    coxeter.checked(type_tag, size, param)
+def rigid_modules(size: int, param: CherednikParameter, mode: str = "closed_form") -> list:
+    coxeter.checked(size, param)
     if mode == "closed_form":
-        return _rigid_closed_form(type_tag, size, param)
+        return _rigid_closed_form(size, param)
     if mode == "equation_oracle":
-        return _rigid_oracle(type_tag, size, param)
+        return _rigid_oracle(size, param)
     raise ValueError(f"unknown mode {mode!r}")
 
 
-def _rigid_closed_form(type_tag: str, size: int, param: CherednikParameter) -> list:
-    labels = fam.irr_labels(type_tag, size)
+def _rigid_closed_form(size: int, param: CherednikParameter) -> list:
+    labels = fam.irr_labels(param.type_tag, size)
     if param.is_zero():
         return sorted(labels)
-    entry = coxeter.lookup(type_tag)
+    entry = coxeter.lookup(param.type_tag)
     return sorted(entry.rigid(size, param, entry.anchor(size, param)))
 
 
 # -- the rigidity-equation oracle --------------------------------------------
 
-def _rigid_oracle(type_tag: str, size: int, param: CherednikParameter) -> list:
-    entry = coxeter.lookup(type_tag)
-    if entry.reflections is None:
-        raise ValueError(f"oracle mode has no rigidity sums for type {type_tag!r}; use closed_form")
+def _rigid_oracle(size: int, param: CherednikParameter) -> list:
+    entry = coxeter.lookup(param.type_tag)
     if size > entry.oracle_max:
-        raise ValueError(
-            f"oracle mode for type {type_tag} is bounded by {entry.size_flag} <= {entry.oracle_max}"
-        )
-    return sorted(lab for lab in entry.labels(size) if _label_rigid(type_tag, lab, size, param))
+        raise ValueError(f"oracle mode for type {param.type_tag} is bounded by "
+                         f"{entry.size_flag} <= {entry.oracle_max}")
+    return sorted(lab for lab in entry.labels(size) if _label_rigid(lab, size, param))
 
 
 @cache
@@ -211,10 +205,10 @@ def _rigidity_sums(type_tag: str, label, size: int) -> tuple:
     return tuple(tuple(by_class.items()) for by_class in sums.values())
 
 
-def _label_rigid(type_tag: str, label, size: int, param: CherednikParameter) -> bool:
+def _label_rigid(label, size: int, param: CherednikParameter) -> bool:
     """The rigidity equation sum_s c(s)(e_1, alpha_s)(alpha_s^v, x) pi(s) = 0,
     for every basis vector x, with c(s) the parameter value named by s's class."""
-    for condition in _rigidity_sums(type_tag, label, size):
+    for condition in _rigidity_sums(param.type_tag, label, size):
         terms = [mat_scale(getattr(param, name), mat) for name, mat in condition
                  if getattr(param, name) != 0]
         if terms and not mat_is_zero(reduce(mat_add, terms)):
@@ -226,10 +220,10 @@ def _label_rigid(type_tag: str, label, size: int, param: CherednikParameter) -> 
 # Theorem-level checks
 # ---------------------------------------------------------------------------
 
-def rigid_implies_cuspidal_check(type_tag: str, size: int, param: CherednikParameter) -> bool:
+def rigid_implies_cuspidal_check(size: int, param: CherednikParameter) -> bool:
     """Every rigid label's CM family is cuspidal."""
-    rigids = rigid_modules(type_tag, size, param, mode="closed_form")
+    rigids = rigid_modules(size, param, mode="closed_form")
     if not rigids:
         return True
-    fp = annotated_families(type_tag, size, param, method="CM")
+    fp = annotated_families(size, param, method="CM")
     return all(fp.family_of(lab).cuspidal for lab in rigids)

@@ -32,7 +32,6 @@ class Family:
 
 @dataclass(frozen=True)
 class FamilyPartition:
-    type_tag: str
     size: int  # n, or m for I2
     param: CherednikParameter
     method: str  # "CM" | "Lusztig"
@@ -65,11 +64,11 @@ def irr_labels(type_tag: str, size: int) -> tuple:
     return coxeter.lookup(type_tag).labels(size)
 
 
-def _drive(path: str, type_tag: str, size: int, param: CherednikParameter) -> FamilyPartition:
+def _drive(path: str, size: int, param: CherednikParameter) -> FamilyPartition:
     """The partition by one path: one family at param = 0, else the entry's groups."""
-    entry = coxeter.checked(type_tag, size, param)
-    labels = irr_labels(type_tag, size)
-    meta = dict(type_tag=type_tag, size=size, param=param, method=path)
+    entry = coxeter.checked(size, param)
+    labels = irr_labels(param.type_tag, size)
+    meta = dict(size=size, param=param, method=path)
     if param.is_zero():
         return _canonical([labels], **meta)
     groups = entry.cm_groups if path == "CM" else entry.lusztig_groups
@@ -80,8 +79,8 @@ def _drive(path: str, type_tag: str, size: int, param: CherednikParameter) -> Fa
 # Calogero-Moser families
 # ---------------------------------------------------------------------------
 
-def cm_families(type_tag: str, size: int, param: CherednikParameter) -> FamilyPartition:
-    return _drive("CM", type_tag, size, param)
+def cm_families(size: int, param: CherednikParameter) -> FamilyPartition:
+    return _drive("CM", size, param)
 
 
 def _euler_key(label: str, m: int, param: CherednikParameter) -> Cyclotomic:
@@ -99,13 +98,13 @@ def _euler_key(label: str, m: int, param: CherednikParameter) -> Cyclotomic:
 # Lusztig families
 # ---------------------------------------------------------------------------
 
-def lusztig_families(type_tag: str, size: int, param: CherednikParameter) -> FamilyPartition:
+def lusztig_families(size: int, param: CherednikParameter) -> FamilyPartition:
     if any(v < 0 for v in param.values):
         raise ValueError(
             "Lusztig families are defined for nonnegative parameters; "
             "twist by a linear character (tau) to reduce to this case"
         )
-    return _drive("Lusztig", type_tag, size, param)
+    return _drive("Lusztig", size, param)
 
 
 def _lusztig_b_groups(n: int, param: CherednikParameter) -> list[list[Bipartition]]:
@@ -151,14 +150,14 @@ def swap_bipartition(bp: Bipartition) -> Bipartition:
 
 def tau_twist(fp: FamilyPartition) -> FamilyPartition:
     """Type-B partition at (c1, kappa) -> partition at (-c1, kappa)."""
-    if fp.type_tag != "B":
+    if fp.param.type_tag != "B":
         raise ValueError("tau twist is a type-B operation")
     new_param = CherednikParameter.type_B(-fp.param.c1, fp.param.kappa)
     fams = [
         replace(f, members=tuple(sorted(swap_bipartition(bp) for bp in f.members)))
         for f in fp.families
     ]
-    return _canonical(fams, type_tag="B", size=fp.size, param=new_param, method=fp.method)
+    return _canonical(fams, size=fp.size, param=new_param, method=fp.method)
 
 
 def clifford_descent(fp: FamilyPartition) -> FamilyPartition:
@@ -166,16 +165,16 @@ def clifford_descent(fp: FamilyPartition) -> FamilyPartition:
 
     Each B_n family maps to the set of D_n constituents of the restrictions of
     its members; a singleton family {(lam, lam)} splits into the two singleton
-    families {lam}_1 and {lam}_2.
+    families {lam}_1 and {lam}_2.  The families are swap-stable and disjoint,
+    so no two of them give the same constituents.
     """
-    if fp.type_tag != "B":
+    if fp.param.type_tag != "B":
         raise ValueError("descent starts from a type-B partition")
     if fp.param.c1 != 0:
         raise ValueError("Clifford descent needs c1 = 0")
     n = fp.size
     d_param = CherednikParameter.type_D(fp.param.kappa)
     out: list[list[DLabel]] = []
-    seen: set[frozenset] = set()
     for f in fp.families:
         members = set(f.members)
         if members != {swap_bipartition(bp) for bp in members}:
@@ -193,11 +192,8 @@ def clifford_descent(fp: FamilyPartition) -> FamilyPartition:
                 constituents.add(d_label(lam, mu, 2))
             else:
                 constituents.add(d_label(lam, mu))
-        key = frozenset(constituents)
-        if key not in seen:
-            seen.add(key)
-            out.append(sorted(constituents))
-    return _canonical(out, type_tag="D", size=n, param=d_param, method=fp.method)
+        out.append(sorted(constituents))
+    return _canonical(out, size=n, param=d_param, method=fp.method)
 
 
 # ---------------------------------------------------------------------------

@@ -86,27 +86,25 @@ def _b_grid(max_n: int):
         CherednikParameter.type_B(Fraction(1, 2), 1),
         CherednikParameter.type_B(3, 2),
     ]
-    return [("B", n, p) for n in range(1, max_n + 1) for p in params]
+    return [(n, p) for n in range(1, max_n + 1) for p in params]
 
 
 def _i2_grid():
     out = []
     for m in range(5, 17):
         if m % 2:
-            out.append(("I2", m, CherednikParameter.type_I2(1, 1)))
+            out.append((m, CherednikParameter.type_I2(1, 1)))
         else:
             for a, b in ((1, 1), (1, 2), (2, 1), (0, 1), (1, 0)):
-                out.append(("I2", m, CherednikParameter.type_I2(a, b)))
+                out.append((m, CherednikParameter.type_I2(a, b)))
     return out
 
 
 def _full_grid(max_n: int = GRID_N):
     grid = _b_grid(max_n)
-    grid += [("D", n, CherednikParameter.type_D(1)) for n in range(2, max_n + 1)]
+    grid += [(n, CherednikParameter.type_D(1)) for n in range(2, max_n + 1)]
     grid += _i2_grid()
-    grid += [
-        ("A", n, CherednikParameter.type_A(c)) for n in range(1, max_n + 1) for c in (0, 1)
-    ]
+    grid += [(n, CherednikParameter.type_A(c)) for n in range(1, max_n + 1) for c in (0, 1)]
     return grid
 
 
@@ -117,10 +115,10 @@ def _full_grid(max_n: int = GRID_N):
 @_suite("1 families CM=Lusztig")
 def suite_1_families_equality():
     """CM partition equals Lusztig partition on the full grid."""
-    for type_tag, size, param in _full_grid():
-        cm = cm_families(type_tag, size, param).as_sets()
-        lu = lusztig_families(type_tag, size, param).as_sets()
-        yield cm == lu, f"{type_tag} {size} {param.to_json()}"
+    for size, param in _full_grid():
+        cm = cm_families(size, param).as_sets()
+        lu = lusztig_families(size, param).as_sets()
+        yield cm == lu, f"{param.type_tag} {size} {param.to_json()}"
 
 
 def _fcusp_failure(size: int, param: CherednikParameter, cm: set) -> str | None:
@@ -149,17 +147,17 @@ def _fcusp_failure(size: int, param: CherednikParameter, cm: set) -> str | None:
 @_suite("2 cuspidal CM=Lusztig + Fcusp")
 def suite_2_cuspidal_equality():
     """Cuspidal families agree between methods; type-B existence/shape/size."""
-    for type_tag, size, param in _full_grid():
-        cm = {frozenset(f.members) for f in cuspidal_families(type_tag, size, param, "CM")}
-        lu = {frozenset(f.members) for f in cuspidal_families(type_tag, size, param, "Lusztig")}
+    for size, param in _full_grid():
+        cm = {frozenset(f.members) for f in cuspidal_families(size, param, "CM")}
+        lu = {frozenset(f.members) for f in cuspidal_families(size, param, "Lusztig")}
         if cm != lu:
-            msg = f"methods differ: {type_tag} {size} {param.to_json()}"
+            msg = f"methods differ: {param.type_tag} {size} {param.to_json()}"
         else:
-            msg = _fcusp_failure(size, param, cm) if type_tag == "B" else None
+            msg = _fcusp_failure(size, param, cm) if param.type_tag == "B" else None
         yield msg is None, msg
     # the two displayed instances
     for n, m, want in ((6, 1, 10), (3, 2, 4)):
-        fams = cuspidal_families("B", n, CherednikParameter.type_B(m, 1), "CM")
+        fams = cuspidal_families(n, CherednikParameter.type_B(m, 1), "CM")
         yield len(fams) == 1 and len(fams[0].members) == want, f"display size: B {n} m={m}"
 
 
@@ -173,8 +171,8 @@ def suite_3_rigid_oracle_B():
     points.append((4, CherednikParameter.type_B(Fraction(1, 2), 1)))
     points.append((4, CherednikParameter.type_B(Fraction(7, 3), Fraction(1, 3))))
     for n, param in points:
-        cf = rigid_modules("B", n, param, "closed_form")
-        orc = rigid_modules("B", n, param, "equation_oracle")
+        cf = rigid_modules(n, param, mode="closed_form")
+        orc = rigid_modules(n, param, mode="equation_oracle")
         yield cf == orc, f"B {n} {param.to_json()}"
 
 
@@ -190,13 +188,13 @@ def suite_4_dihedral_table1():
         for a, b in params:
             param = CherednikParameter.type_I2(a, b)
             failed = []
-            if rigid_modules("I2", m, param, "equation_oracle") != fx.table1_rigid(m, a, b):
+            if rigid_modules(m, param, mode="equation_oracle") != fx.table1_rigid(m, a, b):
                 failed.append("rigid")
             if a >= 0 and b >= 0 and (a, b) != (0, 0):
-                if cm_families("I2", m, param).as_sets() != fx.table2_families(m, a, b):
+                if cm_families(m, param).as_sets() != fx.table2_families(m, a, b):
                     failed.append("families")
-                cusp = cuspidal_families("I2", m, param, "CM")
-                want = cuspidal_families("I2", m, param, "Lusztig")
+                cusp = cuspidal_families(m, param, "CM")
+                want = cuspidal_families(m, param, "Lusztig")
                 if [set(f.members) for f in cusp] != [set(f.members) for f in want]:
                     failed.append("cuspidal")
             yield not failed, f"{'/'.join(failed)} m={m} a={a} b={b}"
@@ -229,21 +227,21 @@ def suite_6_leaves():
     for lp in posets:
         yield lp.is_antisymmetric() and parabolic_order_refined(lp), "poset sanity"
     # cuspidal leaf exists iff the cuspidal family does (nonzero parameters)
-    for type_tag, size, param in _full_grid():
-        leaves = coxeter.lookup(type_tag).leaves
+    for size, param in _full_grid():
+        leaves = coxeter.lookup(param.type_tag).leaves
         if leaves is None or param.is_zero():
             continue
         lp = leaves(size, param)
         has_zero = bool(lp.zero_dimensional())
-        has_cusp = bool(cuspidal_families(type_tag, size, param, "CM"))
-        yield has_zero == has_cusp, f"leaf iff family: {type_tag} {size} {param.to_json()}"
+        has_cusp = bool(cuspidal_families(size, param, "CM"))
+        yield has_zero == has_cusp, f"leaf iff family: {param.type_tag} {size} {param.to_json()}"
 
 
 @_suite("7 rigid => cuspidal")
 def suite_7_rigid_implies_cuspidal():
-    for type_tag, size, param in _full_grid():
-        ok = rigid_implies_cuspidal_check(type_tag, size, param)
-        yield ok, f"{type_tag} {size} {param.to_json()}"
+    for size, param in _full_grid():
+        ok = rigid_implies_cuspidal_check(size, param)
+        yield ok, f"{param.type_tag} {size} {param.to_json()}"
 
 
 def _a_order(i: int, j: int) -> int:
@@ -339,28 +337,28 @@ def suite_9_symmetries():
     for n in range(1, 7):
         for m in range(4):
             for kappa in (1, Fraction(1, 2)):
-                pos = cm_families("B", n, CherednikParameter.type_B(m * kappa, kappa))
-                neg = cm_families("B", n, CherednikParameter.type_B(-m * kappa, kappa))
+                pos = cm_families(n, CherednikParameter.type_B(m * kappa, kappa))
+                neg = cm_families(n, CherednikParameter.type_B(-m * kappa, kappa))
                 yield tau_twist(pos).as_sets() == neg.as_sets(), f"tau B {n} m={m} k={kappa}"
     scalars = (Fraction(2), Fraction(1, 3))
     points = [
-        ("B", 4, CherednikParameter.type_B(1, 1)),
-        ("B", 6, CherednikParameter.type_B(2, 1)),
-        ("B", 6, CherednikParameter.type_B(1, 0)),
-        ("A", 6, CherednikParameter.type_A(1)),
-        ("D", 6, CherednikParameter.type_D(1)),
-        ("I2", 8, CherednikParameter.type_I2(1, 2)),
-        ("I2", 7, CherednikParameter.type_I2(1, 1)),
+        (4, CherednikParameter.type_B(1, 1)),
+        (6, CherednikParameter.type_B(2, 1)),
+        (6, CherednikParameter.type_B(1, 0)),
+        (6, CherednikParameter.type_A(1)),
+        (6, CherednikParameter.type_D(1)),
+        (8, CherednikParameter.type_I2(1, 2)),
+        (7, CherednikParameter.type_I2(1, 1)),
     ]
-    for type_tag, size, param in points:
-        base_cm = cm_families(type_tag, size, param).as_sets()
-        base_lu = lusztig_families(type_tag, size, param).as_sets()
+    for size, param in points:
+        base_cm = cm_families(size, param).as_sets()
+        base_lu = lusztig_families(size, param).as_sets()
         for alpha in scalars:
-            scaled = CherednikParameter(type_tag, tuple(alpha * v for v in param.values))
-            yield (cm_families(type_tag, size, scaled).as_sets() == base_cm,
-                   f"CM rescale {type_tag} {size} x{alpha}")
-            yield (lusztig_families(type_tag, size, scaled).as_sets() == base_lu,
-                   f"Lusztig rescale {type_tag} {size} x{alpha}")
+            scaled = CherednikParameter(param.type_tag, tuple(alpha * v for v in param.values))
+            yield (cm_families(size, scaled).as_sets() == base_cm,
+                   f"CM rescale {param.type_tag} {size} x{alpha}")
+            yield (lusztig_families(size, scaled).as_sets() == base_lu,
+                   f"Lusztig rescale {param.type_tag} {size} x{alpha}")
 
 
 SUITES = {
@@ -384,7 +382,7 @@ def run_suites(keys=None, jobs: int = 1) -> list[SuiteResult]:
     keys = list(SUITES) if keys in (None, "all") else list(dict.fromkeys(keys))
     for k in keys:
         if k not in SUITES:
-            raise KeyError(f"unknown suite {k!r}")
+            raise ValueError(f"unknown suite {k!r}")
     if jobs > 1 and len(keys) > 1:
         with ProcessPoolExecutor(max_workers=min(jobs, len(keys))) as pool:
             return list(pool.map(_run_one, keys))

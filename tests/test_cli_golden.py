@@ -1,4 +1,5 @@
-"""Golden CLI outputs: exit code and sha256 of stdout for a fixed query set.
+"""Golden CLI outputs: exit code and sha256 of stdout for a fixed query set,
+and the full stderr of every exit-2 query.
 
 The hashes pin the output of every subcommand, for every type, in both
 formats, and each exit-2 path (which prints nothing on stdout).  A change to
@@ -77,11 +78,48 @@ GOLDEN = [
     ("verify --suite 5 --jobs 0", 2, EMPTY),
 ]
 
+# the stderr of each exit-2 query in GOLDEN
+ERRORS = {
+    "symbols --type B --c1 1 --kappa 1 --bp [2,1|1] --enn 3 --bar 1": "error: t=1 below the largest entry 5\n",
+    "families --type B --n 3 --c1 1": "error: type B needs --c1 and --kappa\n",
+    "families --type I2 --a 1 --b 1": "error: type I2 needs --m (with m >= 5)\n",
+    "families --type D --n 1 --kappa 1": "error: need n >= 2\n",
+    "families --type I2 --m 7 --a 1 --b 2": "error: odd m forces a = b (one reflection class)\n",
+    "families --type B --n 3 --c1=-1 --kappa 1 --method Lusztig": "error: Lusztig families are defined for nonnegative parameters; twist by a linear character (tau) to reduce to this case\n",
+    "cuspidal --type B --n 3 --c1 1 --kappa 1/0": "error: Fraction(1, 0)\n",
+    "families --type B --n 3 --c1 x --kappa 1": "error: Invalid literal for Fraction: 'x'\n",
+    "families --type B --n 2 --c1 1 --kappa 1 --a 5 --m 9": "error: families --type B takes no --m, --a\n",
+    "rigid --type A --n 2 --c 1 --kappa 3": "error: rigid --type A takes no --kappa\n",
+    "symbols --type B --c1 1 --kappa 1 --bp [1|] --n 7": "error: symbols --type B takes no --n\n",
+    "rigid --type D --n 7 --kappa 1 --mode oracle": "error: oracle mode for type D is bounded by n <= 6\n",
+    "rigid --type B --n 7 --c1 1 --kappa 1 --mode oracle": "error: oracle mode for type B is bounded by n <= 6\n",
+    "leaves --type A --n 3 --c 1": "error: no leaf poset is computed for type A\n",
+    "leaves --type D --n 4 --kappa 0": "error: the type-D classification needs kappa != 0\n",
+    "symbols --type D --kappa 1 --bp [1|1]": "error: symbols are computed for type B\n",
+    "symbols --type B --c1 1 --kappa 1 --bp 2,1": "error: not a bipartition: '2,1'\n",
+    "verify --suite nope": "error: unknown suite 'nope'\n",
+    "verify --suite 5 --jobs 0": "error: --jobs must be at least 1\n",
+}
+
 
 @pytest.mark.parametrize("query,code,digest", GOLDEN, ids=[q for q, _, _ in GOLDEN])
 def test_cli_golden(capsys, query, code, digest):
     assert main(query.split()) == code
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
+EXIT_2 = [q for q, code, _ in GOLDEN if code == 2]
+
+
+@pytest.mark.parametrize("query", EXIT_2)
+def test_cli_golden_stderr(capsys, query):
+    """Every exit-2 query prints exactly its pinned message on stderr."""
+    assert main(query.split()) == 2
+    assert capsys.readouterr().err == ERRORS[query]
+
+
+def test_every_pinned_message_is_an_exit_2_query():
+    assert sorted(ERRORS) == sorted(EXIT_2)
 
 
 def _rigid_by_mode(capsys, query):

@@ -62,7 +62,7 @@ def test_oracle_symmetries(type_tag, size, values):
 
     def rigid(scale):
         param = entry.parameter([scale * Fraction(v) for v in values], size)
-        return rigid_modules(type_tag, size, param, "equation_oracle")
+        return rigid_modules(size, param, "equation_oracle")
 
     got = rigid(1)
     assert sorted(_sign_twist(type_tag, lab) for lab in got) == got

@@ -80,7 +80,7 @@ def test_leaves_json_shape():
 
 
 def test_cuspidal_b61_display():
-    fams = cuspidal_families("B", 6, CherednikParameter.type_B(1, 1), "CM")
+    fams = cuspidal_families(6, CherednikParameter.type_B(1, 1), "CM")
     assert len(fams) == 1
     want = {(lam, dagger(lam, 2, 1)) for lam in subpartitions_of_box(2, 1)}
     assert set(fams[0].members) == want
@@ -89,57 +89,57 @@ def test_cuspidal_b61_display():
 
 
 def test_cuspidal_b32_display():
-    fams = cuspidal_families("B", 3, CherednikParameter.type_B(2, 1), "Lusztig")
+    fams = cuspidal_families(3, CherednikParameter.type_B(2, 1), "Lusztig")
     assert len(fams) == 1 and len(fams[0].members) == 4
     data = json.loads((Path(__file__).resolve().parent / "data" / "fcusp_1_2.json").read_text())
     assert set(fams[0].members) == {(tuple(p0), tuple(p1)) for p0, p1 in data["members"]}
 
 
 def test_cuspidal_none_when_no_rectangle():
-    assert cuspidal_families("B", 5, CherednikParameter.type_B(0, 1), "CM") == []
-    assert cuspidal_families("A", 4, CherednikParameter.type_A(1), "CM") == []
-    assert cuspidal_families("B", 4, CherednikParameter.type_B(1, 0), "CM") == []
+    assert cuspidal_families(5, CherednikParameter.type_B(0, 1), "CM") == []
+    assert cuspidal_families(4, CherednikParameter.type_A(1), "CM") == []
+    assert cuspidal_families(4, CherednikParameter.type_B(1, 0), "CM") == []
 
 
 def test_cuspidal_zero_parameter():
-    fams = cuspidal_families("B", 3, CherednikParameter.type_B(0, 0), "CM")
+    fams = cuspidal_families(3, CherednikParameter.type_B(0, 0), "CM")
     assert len(fams) == 1 and len(fams[0].members) == 10  # all of Irr B_3
 
 
 def test_cuspidal_i2_odd_convention():
-    fams = cuspidal_families("I2", 7, CherednikParameter.type_I2(1, 1), "Lusztig")
+    fams = cuspidal_families(7, CherednikParameter.type_I2(1, 1), "Lusztig")
     assert len(fams) == 1
     assert set(fams[0].members) == {"phi_1", "phi_2", "phi_3"}
 
 
 def test_cuspidal_d4():
-    fams = cuspidal_families("D", 4, CherednikParameter.type_D(1), "CM")
+    fams = cuspidal_families(4, CherednikParameter.type_D(1), "CM")
     assert len(fams) == 1 and fams[0].leaf_label == "D4"
 
 
 def test_rigid_closed_form_examples():
-    assert rigid_modules("B", 4, CherednikParameter.type_B(0, 1)) == [
+    assert rigid_modules(4, CherednikParameter.type_B(0, 1)) == [
         ((), (2, 2)),
         ((2, 2), ()),
     ]
-    assert rigid_modules("B", 2, CherednikParameter.type_B(1, 1)) == [
+    assert rigid_modules(2, CherednikParameter.type_B(1, 1)) == [
         ((), (2,)),
         ((1, 1), ()),
     ]
-    assert rigid_modules("D", 4, CherednikParameter.type_D(1)) == [((2, 2), (), None)]
-    assert rigid_modules("A", 4, CherednikParameter.type_A(1)) == []
-    got = rigid_modules("I2", 8, CherednikParameter.type_I2(-1, 1))
+    assert rigid_modules(4, CherednikParameter.type_D(1)) == [((2, 2), (), None)]
+    assert rigid_modules(4, CherednikParameter.type_A(1)) == []
+    got = rigid_modules(8, CherednikParameter.type_I2(-1, 1))
     assert got == ["1", "eps", "phi_1", "phi_2"]
 
 
 def test_rigid_negative_m_swap():
-    pos = rigid_modules("B", 2, CherednikParameter.type_B(1, 1))
-    neg = rigid_modules("B", 2, CherednikParameter.type_B(-1, 1))
+    pos = rigid_modules(2, CherednikParameter.type_B(1, 1))
+    neg = rigid_modules(2, CherednikParameter.type_B(-1, 1))
     assert sorted((b, a) for a, b in pos) == neg
 
 
 def test_rigid_zero_parameter_all():
-    labels = rigid_modules("B", 2, CherednikParameter.type_B(0, 0))
+    labels = rigid_modules(2, CherednikParameter.type_B(0, 0))
     assert len(labels) == 5
 
 
@@ -147,39 +147,29 @@ def test_rigid_oracle_matches_small():
     for n in (1, 2, 3):
         for m in range(-(n - 1), n):
             p = CherednikParameter.type_B(m, 1)
-            assert rigid_modules("B", n, p, "closed_form") == rigid_modules(
-                "B", n, p, "equation_oracle"
-            )
+            assert rigid_modules(n, p, "closed_form") == rigid_modules(n, p, "equation_oracle")
     for m in (5, 6, 8):
         params = [(1, 1)] if m % 2 else [(1, 1), (-1, 1), (1, 2)]
         for a, b in params:
             p = CherednikParameter.type_I2(a, b)
-            assert rigid_modules("I2", m, p, "closed_form") == rigid_modules(
-                "I2", m, p, "equation_oracle"
-            )
+            assert rigid_modules(m, p, "closed_form") == rigid_modules(m, p, "equation_oracle")
     for c in (0, 1):
         p = CherednikParameter.type_A(c)
-        assert rigid_modules("A", 4, p, "closed_form") == rigid_modules(
-            "A", 4, p, "equation_oracle"
-        )
+        assert rigid_modules(4, p, "closed_form") == rigid_modules(4, p, "equation_oracle")
 
 
 def test_b6_oracle_matches_closed_form():
     points = [(m, 1) for m in range(-5, 6)] + [(Fraction(1, 2), 1)]
     for c1, kappa in points:
         p = CherednikParameter.type_B(c1, kappa)
-        assert rigid_modules("B", 6, p, "closed_form") == rigid_modules(
-            "B", 6, p, "equation_oracle"
-        )
+        assert rigid_modules(6, p, "closed_form") == rigid_modules(6, p, "equation_oracle")
 
 
 @pytest.mark.parametrize("n", range(2, 7))
 def test_d_oracle_matches_closed_form(n):
     for kappa in (1, -1, Fraction(1, 2), Fraction(-7, 3)):
         p = CherednikParameter.type_D(kappa)
-        assert rigid_modules("D", n, p, "closed_form") == rigid_modules(
-            "D", n, p, "equation_oracle"
-        )
+        assert rigid_modules(n, p, "closed_form") == rigid_modules(n, p, "equation_oracle")
 
 
 def _all_reflections(type_tag, label, size):
@@ -249,44 +239,40 @@ def test_one_row_oracle_matches_every_pair(type_tag, size, values):
     """The one-row oracle finds the rigid labels that every (y_k, x_l) row of
     the equation, over every reflection of W, finds."""
     param = coxeter.TYPES[type_tag].parameter(values, size)
-    assert rigid_modules(type_tag, size, param, "equation_oracle") == _rigid_every_pair(
-        type_tag, size, param
-    )
+    assert rigid_modules(size, param, "equation_oracle") == _rigid_every_pair(type_tag, size, param)
 
 
 def test_rigid_oracle_rejects_out_of_scale():
     with pytest.raises(ValueError):
-        rigid_modules("B", 7, CherednikParameter.type_B(1, 1), "equation_oracle")
+        rigid_modules(7, CherednikParameter.type_B(1, 1), "equation_oracle")
     with pytest.raises(ValueError):
-        rigid_modules("D", 7, CherednikParameter.type_D(1), "equation_oracle")
+        rigid_modules(7, CherednikParameter.type_D(1), "equation_oracle")
     with pytest.raises(ValueError):
-        rigid_modules("I2", 18, CherednikParameter.type_I2(1, 1), "equation_oracle")
-    # odd m forces a = b, and the parameter must be of the requested type
+        rigid_modules(18, CherednikParameter.type_I2(1, 1), "equation_oracle")
+    # odd m forces a = b
     for mode in ("closed_form", "equation_oracle"):
         with pytest.raises(ValueError):
-            rigid_modules("I2", 7, CherednikParameter.type_I2(1, 2), mode)
-        with pytest.raises(ValueError):
-            rigid_modules("B", 3, CherednikParameter.type_A(1), mode)
+            rigid_modules(7, CherednikParameter.type_I2(1, 2), mode)
 
 
 def test_rigid_labels_lie_in_cuspidal_family():
     p = CherednikParameter.type_B(1, 1)
-    fp = annotated_families("B", 6, p, "CM")
-    for lab in rigid_modules("B", 6, p):
+    fp = annotated_families(6, p, "CM")
+    for lab in rigid_modules(6, p):
         assert fp.family_of(lab).cuspidal
 
 
 def test_rigid_implies_cuspidal_samples():
-    assert rigid_implies_cuspidal_check("B", 6, CherednikParameter.type_B(1, 1))
-    assert rigid_implies_cuspidal_check("I2", 8, CherednikParameter.type_I2(1, 1))
-    assert rigid_implies_cuspidal_check("D", 5, CherednikParameter.type_D(1))
-    assert rigid_implies_cuspidal_check("B", 5, CherednikParameter.type_B(Fraction(1, 2), 1))
+    assert rigid_implies_cuspidal_check(6, CherednikParameter.type_B(1, 1))
+    assert rigid_implies_cuspidal_check(8, CherednikParameter.type_I2(1, 1))
+    assert rigid_implies_cuspidal_check(5, CherednikParameter.type_D(1))
+    assert rigid_implies_cuspidal_check(5, CherednikParameter.type_B(Fraction(1, 2), 1))
 
 
 def test_singleton_families_never_cuspidal():
     for n in range(1, 7):
         for m in range(0, 3):
-            fp = annotated_families("B", n, CherednikParameter.type_B(m, 1), "CM")
+            fp = annotated_families(n, CherednikParameter.type_B(m, 1), "CM")
             for f in fp.families:
                 if f.is_singleton and not fp.param.is_zero():
                     assert not f.cuspidal

@@ -19,9 +19,9 @@ from cmfamilies.families import (
 
 
 def test_type_a_singletons_and_zero():
-    fp = cm_families("A", 4, CherednikParameter.type_A(1))
+    fp = cm_families(4, CherednikParameter.type_A(1))
     assert all(f.is_singleton for f in fp.families)
-    fp0 = cm_families("A", 4, CherednikParameter.type_A(0))
+    fp0 = cm_families(4, CherednikParameter.type_A(0))
     assert len(fp0.families) == 1
 
 
@@ -29,31 +29,31 @@ def test_b_families_small_equal():
     for n in range(1, 7):
         for m in range(0, 4):
             p = CherednikParameter.type_B(m, 1)
-            assert cm_families("B", n, p).as_sets() == lusztig_families("B", n, p).as_sets()
+            assert cm_families(n, p).as_sets() == lusztig_families(n, p).as_sets()
 
 
 def test_b_degenerate_by_second_size():
     p = CherednikParameter.type_B(1, 0)
-    fp = cm_families("B", 4, p)
+    fp = cm_families(4, p)
     assert len(fp.families) == 5  # grouped by |lam1| = 0..4
-    assert fp.as_sets() == lusztig_families("B", 4, p).as_sets()
+    assert fp.as_sets() == lusztig_families(4, p).as_sets()
 
 
 def test_b_non_integral_singletons():
     p = CherednikParameter.type_B(Fraction(1, 2), 1)
-    fp = lusztig_families("B", 5, p)
+    fp = lusztig_families(5, p)
     assert all(f.is_singleton for f in fp.families)
-    assert cm_families("B", 5, p).as_sets() == fp.as_sets()
+    assert cm_families(5, p).as_sets() == fp.as_sets()
 
 
 def test_d_families_small_equal():
     for n in range(2, 7):
         p = CherednikParameter.type_D(1)
-        assert cm_families("D", n, p).as_sets() == lusztig_families("D", n, p).as_sets()
+        assert cm_families(n, p).as_sets() == lusztig_families(n, p).as_sets()
 
 
 def test_d4_cuspidal_class():
-    fp = cm_families("D", 4, CherednikParameter.type_D(1))
+    fp = cm_families(4, CherednikParameter.type_D(1))
     fam = fp.family_of(((2, 2), (), None))
     assert set(fam.members) == {
         ((2,), (1, 1), None),
@@ -63,7 +63,7 @@ def test_d4_cuspidal_class():
 
 
 def test_d_split_labels_are_singletons():
-    fp = cm_families("D", 2, CherednikParameter.type_D(1))
+    fp = cm_families(2, CherednikParameter.type_D(1))
     for f in fp.families:
         for lab in f.members:
             if lab[2] is not None:
@@ -75,20 +75,20 @@ def test_i2_families_match_reference():
         params = [(1, 1)] if m % 2 else [(1, 1), (1, 2), (2, 1), (0, 1), (1, 0)]
         for a, b in params:
             p = CherednikParameter.type_I2(a, b)
-            assert cm_families("I2", m, p).as_sets() == fx.table2_families(m, a, b)
-            assert lusztig_families("I2", m, p).as_sets() == fx.table2_families(m, a, b)
+            assert cm_families(m, p).as_sets() == fx.table2_families(m, a, b)
+            assert lusztig_families(m, p).as_sets() == fx.table2_families(m, a, b)
 
 
 def test_lusztig_rejects_negative():
     with pytest.raises(ValueError):
-        lusztig_families("B", 3, CherednikParameter.type_B(-1, 1))
+        lusztig_families(3, CherednikParameter.type_B(-1, 1))
 
 
 @settings(max_examples=40)
 @given(st.integers(1, 6), st.integers(0, 3))
 def test_tau_twist_property(n, m):
-    pos = cm_families("B", n, CherednikParameter.type_B(m, 1))
-    neg = cm_families("B", n, CherednikParameter.type_B(-m, 1))
+    pos = cm_families(n, CherednikParameter.type_B(m, 1))
+    neg = cm_families(n, CherednikParameter.type_B(-m, 1))
     assert tau_twist(pos).as_sets() == neg.as_sets()
     # tau is an involution on partitions of Irr
     assert tau_twist(tau_twist(pos)).as_sets() == pos.as_sets()
@@ -101,21 +101,21 @@ def test_tau_twist_property(n, m):
     st.integers(0, 3),
 )
 def test_rescaling_invariance(n, alpha, m):
-    base = cm_families("B", n, CherednikParameter.type_B(m, 1))
-    scaled = cm_families("B", n, CherednikParameter.type_B(m * alpha, alpha))
+    base = cm_families(n, CherednikParameter.type_B(m, 1))
+    scaled = cm_families(n, CherednikParameter.type_B(m * alpha, alpha))
     assert base.as_sets() == scaled.as_sets()
-    lbase = lusztig_families("B", n, CherednikParameter.type_B(m, 1))
-    lscaled = lusztig_families("B", n, CherednikParameter.type_B(m * alpha, alpha))
+    lbase = lusztig_families(n, CherednikParameter.type_B(m, 1))
+    lscaled = lusztig_families(n, CherednikParameter.type_B(m * alpha, alpha))
     assert lbase.as_sets() == lscaled.as_sets()
 
 
 def test_clifford_descent_swap_stability():
-    fp = lusztig_families("B", 4, CherednikParameter.type_B(0, 1))
+    fp = lusztig_families(4, CherednikParameter.type_B(0, 1))
     for f in fp.families:
         mem = set(f.members)
         assert {swap_bipartition(bp) for bp in mem} == mem
     down = clifford_descent(fp)
-    assert down.type_tag == "D"
+    assert down.param.type_tag == "D"
 
 
 def test_dihedral_a_function_sample():
@@ -148,13 +148,13 @@ def test_cm_keys_are_int_and_scale_invariant(monkeypatch):
         return keys[-1]
 
     monkeypatch.setattr(exact, "charged_residue", recording)
-    cases = [("B", n, CherednikParameter.type_B, point) for n in range(1, 7) for point in CM_POINTS]
-    cases += [("D", n, CherednikParameter.type_D, (kappa,))
+    cases = [(n, CherednikParameter.type_B, point) for n in range(1, 7) for point in CM_POINTS]
+    cases += [(n, CherednikParameter.type_D, (kappa,))
               for n in range(2, 7) for kappa in (1, 3, Fraction(2, 3), Fraction(-1, 2))]
-    for type_tag, n, make, point in cases:
+    for n, make, point in cases:
         keys.clear()
-        groups = cm_families(type_tag, n, make(*point)).as_sets()
+        groups = cm_families(n, make(*point)).as_sets()
         assert keys and all(type(x) is int for key in keys for x in key)
         for alpha in (Fraction(1, 3), Fraction(5, 2), 7):
             scaled = make(*(alpha * v for v in point))
-            assert cm_families(type_tag, n, scaled).as_sets() == groups
+            assert cm_families(n, scaled).as_sets() == groups

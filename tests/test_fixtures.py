@@ -44,7 +44,7 @@ def test_fcusp_members_are_bipartitions():
             assert sum(lam0) + sum(lam1) == n
         assert len(set(mem)) == len(mem)
         # and they are the one cuspidal family of B_n at c1 = m kappa
-        fams = cuspidal_families("B", n, CherednikParameter.type_B(m, 1), "CM")
+        fams = cuspidal_families(n, CherednikParameter.type_B(m, 1), "CM")
         assert [set(f.members) for f in fams] == [set(mem)]
 
 

@@ -6,9 +6,14 @@ benchmark's session and workloads use, and the names in the benchmark
 tracer's TARGETS and CYCLOTOMIC_METHODS.  From there the walk follows name
 references through the source, read with the stdlib ast module: bare names,
 names imported from a package module, and attributes of an imported package
-module.  A class is one node, so reaching it reaches every method.  A
-definition that no entry point reaches is dead: delete it, or move it into
-the test that uses it as a reference.
+module.  A definition that no entry point reaches is dead: delete it, or move
+it into the test that uses it as a reference.
+
+The walk sees a class as one node.  Its members (methods, properties and
+dataclass fields) are checked by name instead: a member is reached when its
+name appears in a program file as an attribute, a keyword or a string
+constant.  The program files are the package, the scripts and the
+benchmark's session, workloads and tracer.
 """
 import ast
 from pathlib import Path
@@ -19,6 +24,10 @@ USERS = [*sorted((ROOT / "scripts").glob("*.py")),
          ROOT / "perfbench" / "session.py", ROOT / "perfbench" / "workloads.py"]
 TRACER = ROOT / "perfbench" / "tracer.py"
 DEFINITION = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
+def _dunder(name: str) -> bool:
+    return name[:2] + name[-2:] == "____"
 
 
 def _module(path: Path) -> str:
@@ -48,18 +57,21 @@ def _imports(tree: ast.Module, base: str = "") -> dict:
     return out
 
 
+def _bound_names(node) -> list:
+    """The names a def, class or assignment statement binds; [] for any other."""
+    if isinstance(node, DEFINITION):
+        return [node.name]
+    if isinstance(node, (ast.Assign, ast.AnnAssign)):
+        targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+        return [t.id for t in targets if isinstance(t, ast.Name)]
+    return []
+
+
 def _definitions(tree: ast.Module) -> dict:
     """Top-level name -> the statements that bind it: defs, classes, assignments."""
     out: dict = {}
     for node in tree.body:
-        if isinstance(node, DEFINITION):
-            names = [node.name]
-        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
-            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-            names = [t.id for t in targets if isinstance(t, ast.Name)]
-        else:
-            continue
-        for name in names:
+        for name in _bound_names(node):
             out.setdefault(name, []).append(node)
     return out
 
@@ -120,7 +132,7 @@ def _reached() -> set:
 def test_every_definition_is_reached():
     reached = _reached()
     dead = [f"{module}.{node.name}" for module, (_, tree) in TREES.items() for node in tree.body
-            if isinstance(node, DEFINITION) and node.name[:2] + node.name[-2:] != "____"
+            if isinstance(node, DEFINITION) and not _dunder(node.name)
             and (module, node.name) not in reached]
     assert not dead, f"no program path reaches: {', '.join(dead)}"
 
@@ -131,3 +143,42 @@ def test_every_exported_name_is_reached():
                  for node in defs.get("__all__", []) for name in ast.literal_eval(node.value)
                  if _resolve(module, name) not in reached]
     assert not unreached, f"__all__ names that no program path reaches: {', '.join(unreached)}"
+
+
+def _used_names(paths) -> set:
+    """Every name the files use as an attribute, a keyword or a string constant."""
+    out = set()
+    for node in (n for path in paths for n in ast.walk(ast.parse(path.read_text()))):
+        if isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.keyword) and node.arg:
+            out.add(node.arg)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            out.add(node.value)
+    return out
+
+
+USED = _used_names([path for path, _ in TREES.values()] + USERS + [TRACER])
+
+
+def _unreached_members(trees: dict) -> list:
+    """module.Class.member for every method, property and field of a top-level
+    class whose name no program file uses."""
+    return [f"{module}.{cls.name}.{name}" for module, tree in trees.items()
+            for cls in tree.body if isinstance(cls, ast.ClassDef)
+            for node in cls.body for name in _bound_names(node)
+            if not _dunder(name) and name not in USED]
+
+
+def test_every_class_member_is_reached():
+    unreached = _unreached_members({module: tree for module, (_, tree) in TREES.items()})
+    assert not unreached, f"no program file uses: {', '.join(unreached)}"
+
+
+def test_an_unused_member_is_found():
+    """A method planted in a package class, and used nowhere, is reported."""
+    path, _ = TREES[f"{PACKAGE}.families"]
+    tree = ast.parse(path.read_text())
+    family = next(n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "Family")
+    family.body += ast.parse("def planted_unused(self):\n    return 0\n").body
+    assert _unreached_members({"families": tree}) == ["families.Family.planted_unused"]
