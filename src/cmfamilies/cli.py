@@ -7,11 +7,12 @@ main turns every ValueError or ZeroDivisionError into "error: ..." on stderr.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from dataclasses import replace
 from fractions import Fraction
+from functools import cache
+from json.encoder import encode_basestring_ascii
 
 from . import coxeter
 from .cuspidal import annotated_families, rigid_modules
@@ -80,9 +81,45 @@ def _partition_text(fp: FamilyPartition) -> str:
     return "\n".join(lines)
 
 
+_SCALARS = {True: "true", False: "false", None: "null"}
+
+
+def _json(o, pad: str = "") -> str:
+    """json.dumps(o, sort_keys=True, indent=2), byte for byte, in one direct
+    pass (indent sends json to its pure-Python encoder).  Writes lists,
+    tuples, dicts with str keys, str, bool, None and int; anything else (a
+    float, a Fraction) is a TypeError.  A list of plain ints, most of a label
+    row, is joined in one go."""
+    if isinstance(o, (list, tuple)):
+        if not o:
+            return "[]"
+        inner = pad + "  "
+        sep = ",\n" + inner
+        if type(o[0]) is int and all(type(x) is int for x in o):
+            body = sep.join(map(str, o))
+        else:
+            body = sep.join([_json(x, inner) for x in o])
+        return f"[\n{inner}{body}\n{pad}]"
+    if isinstance(o, dict):
+        if not o:
+            return "{}"
+        inner = pad + "  "
+        sep = ",\n" + inner
+        body = sep.join([f"{encode_basestring_ascii(k)}: {_json(v, inner)}"
+                         for k, v in sorted(o.items())])
+        return f"{{\n{inner}{body}\n{pad}}}"
+    if isinstance(o, str):
+        return encode_basestring_ascii(o)
+    if o is None or isinstance(o, bool):
+        return _SCALARS[o]
+    if isinstance(o, int):
+        return int.__repr__(o)
+    raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
+
+
 def _emit(args, payload_json, payload_text: str) -> None:
     if args.format == "json":
-        print(json.dumps(payload_json, sort_keys=True, indent=2))
+        print(_json(payload_json))
     else:
         print(payload_text)
 
@@ -191,7 +228,10 @@ def cmd_verify(args) -> int:
     return 0 if ok else 1
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built on the first call and shared by every later one;
+    parse_args keeps no state in it."""
     ap = argparse.ArgumentParser(
         prog="cmfamilies",
         description="Calogero-Moser and Lusztig families, cuspidal families, "

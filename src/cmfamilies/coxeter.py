@@ -38,13 +38,15 @@ class CoxeterType:
     lusztig_groups: Callable  # (size, param, labels) -> families by the Lusztig path
     anchor: Callable  # (size, param) -> (label, leaf label) in the cuspidal family, or None
     rigid: Callable  # (size, param, anchor) -> rigid labels, closed form
-    # (label, size) -> (class parameter name, coroot, root, matrix) for exactly
+    # (module, size) -> (class parameter name, coroot, root, matrix) for exactly
     # the reflections s of W with (e_1, alpha_s) != 0, the only ones the
-    # one-row rigidity equation sums over; coroot and root are coordinate
-    # tuples in dual bases of h and h*
+    # one-row rigidity equation sums over, acting on the module that
+    # module(label) names; coroot and root are coordinate tuples in dual bases
+    # of h and h*
     reflections: Callable
     oracle_max: int  # largest size the rigidity-equation oracle is run at
     leaves: Callable | None = None  # (size, param) -> LeafPoset
+    module: Callable = lambda label: label  # label -> the module the oracle decides it on
 
 
 def lookup(type_tag: str) -> CoxeterType:
@@ -161,12 +163,13 @@ def _d_lusztig_groups(n, param, labels) -> tuple:
     return families.clifford_descent(families.lusztig_families(n, b_param)).families
 
 
-def _d_reflections(lab, n):
+def _d_reflections(bp, n):
     """The class-kappa reflections of B_n (those of D_n) on the B_n module of
-    lab[:2].  A split label {lam, lam}_1,2 is decided on the whole (lam, lam)
-    module: conjugation by eps_1(-1) swaps the two halves and preserves the
-    rigidity equation, so either both halves are rigid or neither is."""
-    return (r for r in _b_reflections(lab[:2], n) if r[0] == "kappa")
+    bp = lab[:2].  A split label {lam, lam}_1,2 is decided on the whole
+    (lam, lam) module: conjugation by eps_1(-1) swaps the two halves and
+    preserves the rigidity equation, so either both halves are rigid or
+    neither is."""
+    return (r for r in _b_reflections(bp, n) if r[0] == "kappa")
 
 
 def _d_anchor(n, param):
@@ -256,6 +259,7 @@ TYPES: dict[str, CoxeterType] = {
         reflections=_d_reflections,
         oracle_max=6,
         leaves=lambda n, param: cuspidal.leaves_D(n, param.kappa),
+        module=lambda lab: lab[:2],
     ),
     "I2": CoxeterType(
         params=("a", "b"),

@@ -186,16 +186,17 @@ def _rigid_oracle(size: int, param: CherednikParameter) -> list:
 
 
 @cache
-def _rigidity_sums(type_tag: str, label, size: int) -> tuple:
-    """The rigidity sums of pi_label on the row y = e_1, one condition per
-    coordinate x_l.
+def _rigidity_sums(type_tag: str, module, size: int) -> tuple:
+    """The rigidity sums on the named module on the row y = e_1, one condition
+    per coordinate x_l.
 
     A condition is a tuple of (class name, sum over the reflections s of the
     class of (e_1, alpha_s)(alpha_s^v, x_l) pi(s)); the entry lists exactly the
     reflections with (e_1, alpha_s) != 0.  The parameter enters only in
-    _label_rigid, so these are built once per label."""
+    _label_rigid, so these are built once per module, however many labels
+    are decided on it."""
     sums: dict = {}  # l -> {class name: matrix}
-    for name, coroot, root, mat in coxeter.lookup(type_tag).reflections(label, size):
+    for name, coroot, root, mat in coxeter.lookup(type_tag).reflections(module, size):
         for l, x in enumerate(coroot):
             if x == 0:
                 continue
@@ -208,7 +209,8 @@ def _rigidity_sums(type_tag: str, label, size: int) -> tuple:
 def _label_rigid(label, size: int, param: CherednikParameter) -> bool:
     """The rigidity equation sum_s c(s)(e_1, alpha_s)(alpha_s^v, x) pi(s) = 0,
     for every basis vector x, with c(s) the parameter value named by s's class."""
-    for condition in _rigidity_sums(param.type_tag, label, size):
+    module = coxeter.lookup(param.type_tag).module(label)
+    for condition in _rigidity_sums(param.type_tag, module, size):
         terms = [mat_scale(getattr(param, name), mat) for name, mat in condition
                  if getattr(param, name) != 0]
         if terms and not mat_is_zero(reduce(mat_add, terms)):

@@ -1,13 +1,16 @@
+import hashlib
 import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from test_cli_golden import GOLDEN
 
 import cmfamilies
-from cmfamilies.cli import main
+from cmfamilies.cli import _json, main
 from cmfamilies.verify import SuiteResult, _suite
 
 
@@ -231,3 +234,67 @@ def test_closed_stdout_ends_without_traceback():
         proc.kill()
         proc.stderr.close()
     assert "Traceback" not in err and "Exception ignored" not in err
+
+
+def test_cached_parser_carries_no_state(capsys):
+    """One parser serves every main call: a flag given in one query, or an
+    argparse rejection, leaves nothing behind for the next query."""
+    golden = {q: (code, digest) for q, code, digest in GOLDEN}
+    for query in [
+        "families --type B --n 4 --c1 1 --kappa 1 --generic --method both",
+        "families --type B --n 4 --c1 1 --kappa 1 --method both",
+        "rigid --type B --n 2 --c1 1 --kappa 1 --mode oracle",
+        "rigid --type B --n 2 --c1 1 --kappa 1",
+        "families --type B --n 4 --c1 1 --kappa 1 --generic --method nope",
+        "families --type B --n 4 --c1 1 --kappa 1 --method both",
+    ]:
+        if query in golden:
+            assert main(query.split()) == golden[query][0], query
+            digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+            assert digest == golden[query][1], query
+        else:
+            with pytest.raises(SystemExit) as exc:
+                main(query.split())
+            assert exc.value.code == 2
+            assert capsys.readouterr().out == ""
+
+
+def _stdlib(o) -> str:
+    return json.dumps(o, sort_keys=True, indent=2)
+
+
+def test_json_writer_matches_stdlib_on_golden_rows(capsys):
+    rows = [q for q, code, _ in GOLDEN
+            if code == 0 and "--format text" not in q and not q.startswith("verify")]
+    assert len(rows) > 20
+    for query in rows:
+        assert main(query.split()) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert _json(payload) == _stdlib(payload), query
+
+
+EDGE = [
+    {},
+    [],
+    [[[], {}], {"k": [[], {}]}],
+    [1, [2, -3], [], 4, [[5]]],
+    [-7, 0, 10**40, -(10**40)],
+    [True, False, None, 1, 0],
+    [1, True, 2],
+    {"b": True, "a": False, "c": None, "d": -1},
+    ("tuple", 1, (2, 3)),
+    'quote " backslash \\ newline \n tab \t',
+    {"\u00fc key": ["\u03b6 \u2603 \U0001f600", "a\\b\"c\nd"]},
+]
+
+
+@pytest.mark.parametrize("o", EDGE, ids=range(len(EDGE)))
+def test_json_writer_matches_stdlib_on_edge_cases(o):
+    assert _json(o) == _stdlib(o)
+
+
+@pytest.mark.parametrize("o", [0.5, Fraction(1, 3), [1, 2.0], {"c": Fraction(1, 2)}],
+                         ids=["float", "Fraction", "float in list", "Fraction in dict"])
+def test_json_writer_rejects_non_json_numbers(o):
+    with pytest.raises(TypeError):
+        _json(o)

@@ -21,6 +21,7 @@ GOLDEN = [
     ("families --type A --n 3 --c 0 --method both", 0, "78112a87109304c50e72ce907e3d21a1ac721bdf1892d19013d43b6ab38d5994"),
     ("families --type A --n 4 --c 2 --generic --method both", 0, "926e54fa57dc15ec48b3fbfc5eb9cb035f286c667433eaa3a43260f1e03d4602"),
     ("families --type B --n 4 --c1 1 --kappa 1 --method both", 0, "c51aaa05c52d77c01580e4e6cdb25d0af818099defd133c139c229294e8011c7"),
+    ("families --type B --n 4 --c1 1 --kappa 1 --generic --method both", 0, "4060e03d7ff8837b9d77beb14becb500f41cbf649f3a2d000910ce395b72214a"),
     ("families --type B --n 3 --c1=-1 --kappa 1 --format text", 0, "520e7fb13c5ed2c0fbb3ce313d46f91545cf25c820c7209257449944ae913993"),
     ("families --type B --n 3 --c1 1 --kappa 0 --method both", 0, "9f6acce98f297cfb128bd4f7d42d5be587475c433f6fe4faf615c47f8d573884"),
     ("families --type B --n 4 --c1 1/2 --kappa 1 --method Lusztig --format text", 0, "657cad4c0733939d806fe69dd7f6f745634077051b7b106acd59875ba4524c4f"),
@@ -37,6 +38,7 @@ GOLDEN = [
     ("rigid --type A --n 3 --c 1 --mode oracle --format text", 0, "5dfecbf35de344dc6dc4b8a79c4e5327122b2737250403b04abf2060fbc3927f"),
     ("rigid --type A --n 2 --c 0", 0, "354db61c473fe1b4911269808ab7c6d5cfdf33cad075f73f43ffb9699c4d3226"),
     ("rigid --type B --n 3 --c1=-1 --kappa 1 --format text", 0, "5dfecbf35de344dc6dc4b8a79c4e5327122b2737250403b04abf2060fbc3927f"),
+    ("rigid --type B --n 2 --c1 1 --kappa 1", 0, "9313a441c7e62d73dfbfcaa0d2c990a93af9d78dae5c6f56675ee4b1258c011b"),
     ("rigid --type B --n 2 --c1 1 --kappa 1 --mode oracle", 0, "96aa44d5cce3744690bd357226fce28d41b26790d8701f4cb7ab391ccdccadce"),
     ("rigid --type D --n 4 --kappa 1", 0, "2f908f88b139cbe24cd41dd46b76e9143d0cc42daaaed0a8ed0d9cb8cb33b69f"),
     ("rigid --type D --n 3 --kappa 0 --format text", 0, "b34ebf446608e2a7f34a40dd6d4fde04cf04b165c1c753798251ee7e4b7c39a2"),
@@ -67,6 +69,7 @@ GOLDEN = [
     ("rigid --type A --n 2 --c 1 --kappa 3", 2, EMPTY),
     ("symbols --type B --c1 1 --kappa 1 --bp [1|] --n 7", 2, EMPTY),
     ("rigid --type D --n 4 --kappa 1 --mode oracle", 0, "089c6e7e885024ce6ce0cd6f547b005a401ba4d98419436501957d872218752a"),
+    ("rigid --type D --n 6 --kappa 1 --mode oracle", 0, "9d7319d1ca329ce31c581024b3643716e086338d9b64151e88be5c6522d58175"),
     ("rigid --type D --n 7 --kappa 1 --mode oracle", 2, EMPTY),
     ("rigid --type B --n 6 --c1 1 --kappa 1 --mode oracle", 0, "a81374474d37dea2c734ace152f701e1272ba136c5ca3c346a4e8a844b72527a"),
     ("rigid --type B --n 7 --c1 1 --kappa 1 --mode oracle", 2, EMPTY),

@@ -24,7 +24,7 @@ def test_reflections_are_reflections(type_tag):
     entry = coxeter.TYPES[type_tag]
     for size in SIZES[type_tag]:
         for label in entry.labels(size):
-            refl = list(entry.reflections(label, size))
+            refl = list(entry.reflections(entry.module(label), size))
             assert len(refl) == COUNT[type_tag](size)
             for name, coroot, root, mat in refl:
                 assert name in entry.params

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from cmfamilies import coxeter, reps
+from cmfamilies import coxeter, cuspidal, reps
 from cmfamilies.cuspidal import (
     annotated_families,
     cuspidal_families,
@@ -17,7 +17,7 @@ from cmfamilies.cuspidal import (
     rigid_modules,
 )
 from cmfamilies.exact import CherednikParameter
-from cmfamilies.partitions import dagger, subpartitions_of_box
+from cmfamilies.partitions import d_labels, dagger, subpartitions_of_box
 
 
 def test_leaves_b61():
@@ -170,6 +170,16 @@ def test_d_oracle_matches_closed_form(n):
     for kappa in (1, -1, Fraction(1, 2), Fraction(-7, 3)):
         p = CherednikParameter.type_D(kappa)
         assert rigid_modules(n, p, "closed_form") == rigid_modules(n, p, "equation_oracle")
+
+
+def test_split_d_halves_share_one_sums_entry():
+    """The halves {lam, lam}_1,2 of a split D label are decided on the one
+    (lam, lam) module, so the rigidity sums are built once per lab[:2]."""
+    cuspidal._rigidity_sums.cache_clear()
+    rigid_modules(6, CherednikParameter.type_D(1), "equation_oracle")
+    modules = {lab[:2] for lab in d_labels(6)}
+    assert len(modules) < len(d_labels(6))
+    assert cuspidal._rigidity_sums.cache_info().misses == len(modules)
 
 
 def _all_reflections(type_tag, label, size):
