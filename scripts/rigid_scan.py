@@ -44,7 +44,7 @@ def main():
     t0 = time.time()
     for m in range(5, args.max_m + 1):
         params = (
-            [(1, 1)] if m % 2 else [(1, 1), (-1, 1), (1, 2), (0, 1), (1, 0)]
+            [(1, 1)] if m % 2 else [(1, 1), (-1, 1), (1, 2), (2, 1), (0, 1), (1, 0)]
         )
         for a, b in params:
             param = CherednikParameter.type_I2(a, b)

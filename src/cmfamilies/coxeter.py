@@ -178,7 +178,7 @@ def _d_anchor(n, param):
 
 
 # ---------------------------------------------------------------------------
-# Type I2(m): Euler pairing, regime table, phi_1 anchors the cuspidal family
+# Type I2(m): Euler pairing, a-function fibres, phi_1 anchors the cuspidal family
 # ---------------------------------------------------------------------------
 
 def _i2_rigid(m, param, anchor) -> list:
@@ -236,7 +236,7 @@ TYPES: dict[str, CoxeterType] = {
         label_text=partitions.format_bipartition,
         label_json=lambda bp: [list(bp[0]), list(bp[1])],
         cm_groups=_b_cm_groups,
-        lusztig_groups=lambda n, param, labels: families._lusztig_b_groups(n, param),
+        lusztig_groups=lambda n, param, labels: families._lusztig_b_groups(n, param, labels),
         anchor=_b_anchor,
         rigid=_b_rigid,
         reflections=_b_reflections,
@@ -271,9 +271,12 @@ TYPES: dict[str, CoxeterType] = {
         label_text=str,
         label_json=str,
         cm_groups=lambda m, param, labels: families._group_by(
-            labels, lambda lab: families._euler_key(lab, m, param)
+            labels, families._euler_key(m, param).__getitem__
         ),
-        lusztig_groups=lambda m, param, labels: families._lusztig_i2_groups(m, param),
+        # the Lusztig families are the fibres of the a-function
+        lusztig_groups=lambda m, param, labels: families._group_by(
+            labels, families.dihedral_a_function(m, param.a, param.b).__getitem__
+        ),
         anchor=lambda m, param: ("phi_1", None),
         rigid=_i2_rigid,
         reflections=_i2_reflections,

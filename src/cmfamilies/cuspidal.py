@@ -83,10 +83,10 @@ def leaves_B(n: int, c1, kappa) -> LeafPoset:
             if a.index != b.index and refinement_le(b.index, a.index)
         )
         return LeafPoset(leaves=leaves, order=order)
-    if not param.b_is_singular(n):
-        leaf = Leaf(index=0, dimension=2 * n, parabolic_label="B0", parabolic_order=1)
-        return LeafPoset(leaves=(leaf,), order=frozenset())
-    m = abs(param.b_integral_m())
+    # off the walls |m| <= n - 1 (m = n stands for a non-integral m) only
+    # k = 0 is left: the open leaf B0 alone
+    m = param.b_integral_m()
+    m = n if m is None else abs(m)
     ks = [k for k in range(n + 1) if k * (k + m) <= n]
     leaves = tuple(
         Leaf(index=k, dimension=2 * (n - j), parabolic_label=f"B{j}",

@@ -255,11 +255,6 @@ class CherednikParameter:
         q = c1 / kappa
         return int(q) if q.denominator == 1 else None
 
-    def b_is_singular(self, n: int) -> bool:
-        """Type B: parameter lies on the singular locus for B_n."""
-        m = self.b_integral_m()
-        return self.kappa == 0 or (m is not None and abs(m) <= n - 1)
-
     def to_json(self) -> dict:
         names = coxeter.lookup(self.type_tag).params
         return {k: str(v) for k, v in zip(names, self.values)}

@@ -8,8 +8,8 @@ from fractions import Fraction
 from . import coxeter
 from . import symbols as sym
 from .exact import CherednikParameter, Cyclotomic
-from .partitions import Bipartition, DLabel, bipartitions, d_label
-from .reps import i2_character, i2_classes, i2_induced_from_reflection, i2_two_dim_range
+from .partitions import Bipartition, DLabel, d_label
+from .reps import i2_character_table, i2_classes, i2_induced_from_reflection, i2_two_dim_range
 
 
 @dataclass(frozen=True)
@@ -83,15 +83,15 @@ def cm_families(size: int, param: CherednikParameter) -> FamilyPartition:
     return _drive("CM", size, param)
 
 
-def _euler_key(label: str, m: int, param: CherednikParameter) -> Cyclotomic:
-    """Euler pairing sum_C c(C)|C|chi(C) over the reflection classes C of
-    I2(m), in Q(zeta_m), with c(s) = b and c(t) = a."""
+def _euler_key(m: int, param: CherednikParameter) -> dict[str, Cyclotomic]:
+    """Every label's Euler pairing sum_C c(C)|C|chi(C) over the reflection
+    classes C of I2(m), in Q(zeta_m), with c(s) = b and c(t) = a."""
     weight = {"s": param.b, "t": param.a}
-    return sum(
-        (i2_character(label, cls, m) * (weight[cls] * size)
-         for cls, size in i2_classes(m) if cls in weight),
-        Cyclotomic.zero(m),
-    )
+    weights = [(cls, weight[cls] * size) for cls, size in i2_classes(m) if cls in weight]
+    return {
+        lab: sum((row[cls] * w for cls, w in weights), Cyclotomic.zero(m))
+        for lab, row in i2_character_table(m).items()
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -107,8 +107,7 @@ def lusztig_families(size: int, param: CherednikParameter) -> FamilyPartition:
     return _drive("Lusztig", size, param)
 
 
-def _lusztig_b_groups(n: int, param: CherednikParameter) -> list[list[Bipartition]]:
-    labels = bipartitions(n)
+def _lusztig_b_groups(n: int, param: CherednikParameter, labels) -> list[list[Bipartition]]:
     c1, kappa = param.c1, param.kappa
     if kappa == 0:
         # degenerate case: families by |lam1|
@@ -117,27 +116,14 @@ def _lusztig_b_groups(n: int, param: CherednikParameter) -> list[list[Bipartitio
     if m is None:
         # non-integral rational c1/kappa: singletons
         return [[bp] for bp in labels]
-    # integral case: normalize to kappa=1, c1=m and classify by symbol content
+    # integral case: normalize to kappa=1, c1=m and classify by symbol content.
+    # Every m >= n lies in the chamber c1/kappa > n - 1 of singleton families,
+    # so m = n stands for all of them and the symbol rows stay short.
     N = max(n, 1)
+    m = min(m, n)
     return _group_by(
         labels, lambda bp: sym.content_key(sym.symbol_of(bp, N, m, 1))
     )
-
-
-def _lusztig_i2_groups(m: int, param: CherednikParameter) -> list[list[str]]:
-    a, b = param.a, param.b
-    F = [f"phi_{i}" for i in i2_two_dim_range(m)]
-    if m % 2 == 1:
-        # a = b > 0 is the only nonzero regime
-        return [["1"], ["eps"], F]
-    if a == b:  # both > 0
-        return [["1"], ["eps"], ["eps1", "eps2"] + F]
-    if a > 0 and b > 0:
-        return [["1"], ["eps"], ["eps1"], ["eps2"], F]
-    if b > a == 0:
-        return [["1", "eps1"], ["eps", "eps2"], F]
-    # a > b == 0
-    return [["1", "eps2"], ["eps", "eps1"], F]
 
 
 # ---------------------------------------------------------------------------

@@ -527,36 +527,17 @@ def i2_induced_from_reflection(m: int, parabolic: int, chi: str) -> dict[str, in
     """Decomposition of Ind_{P}^{W} chi for P = <s> (parabolic=1) or <t> (2).
 
     chi is "1" or "psi" (the nontrivial character of the order-2 subgroup).
-    Returns irreducible label -> multiplicity, computed by Frobenius from the
-    class-fusion induced character.
+    Returns irreducible label -> multiplicity, by Frobenius reciprocity: the
+    multiplicity of phi is <Res_P phi, chi>_P = (phi(1) + chi(r) phi(r)) / 2,
+    r the generator of P.
     """
     if parabolic not in (1, 2):
         raise ValueError("parabolic must be 1 or 2")
-    if m % 2 == 1:
-        refl_cls = "s"
-    else:
-        refl_cls = "s" if parabolic == 1 else "t"
-    gen_value = Fraction(1) if chi == "1" else Fraction(-1)
-    order = 2 * m
-    classes = i2_classes(m)
-    sizes = dict(classes)
-    # induced character values
-    ind = {}
-    for cls, size in classes:
-        if cls == "e":
-            val = Fraction(order, 2)  # index of P
-        elif cls == refl_cls:
-            # only the generator of P meets this class
-            val = Fraction(order, 2 * size) * gen_value
-        else:
-            val = Fraction(0)
-        ind[cls] = val
-    table = i2_character_table(m)
+    refl_cls = "t" if m % 2 == 0 and parabolic == 2 else "s"
+    sign = 1 if chi == "1" else -1
     out = {}
-    for lab in i2_labels(m):
-        total = sum((table[lab][cls].conjugate() * (ind[cls] * size) for cls, size in classes),
-                    Cyclotomic.zero(m))
-        mult = _as_int(total.rational_value() / order)
+    for lab, row in i2_character_table(m).items():
+        mult = _as_int((row["e"].rational_value() + sign * row[refl_cls].rational_value()) / 2)
         if mult:
             out[lab] = mult
     return out

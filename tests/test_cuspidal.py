@@ -41,8 +41,11 @@ def test_leaves_b_formula():
 
 
 def test_leaves_nonsingular_open_only():
-    lp = leaves_B(4, Fraction(1, 2), 1)
-    assert len(lp.leaves) == 1 and lp.leaves[0].dimension == 8
+    # off the walls |m| <= n - 1, integral or not, only the open leaf B0 is left
+    for n, c1 in ((4, Fraction(1, 2)), (3, 3), (3, -5)):
+        lp = leaves_B(n, c1, 1)
+        assert [(l.index, l.dimension, l.parabolic_label) for l in lp.leaves] == [(0, 2 * n, "B0")]
+        assert not lp.order
 
 
 def test_leaves_degenerate():

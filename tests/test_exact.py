@@ -211,8 +211,6 @@ def test_parameter_shapes():
     assert p.c1 == Fraction(1, 2) and p.kappa == 1
     assert p.b_integral_m() is None
     assert CherednikParameter.type_B(3, 1).b_integral_m() == 3
-    assert CherednikParameter.type_B(-2, 1).b_is_singular(3)
-    assert not CherednikParameter.type_B(3, 1).b_is_singular(3)
     with pytest.raises(ValueError):
         CherednikParameter.type_I2(1, 2, m=7)
     with pytest.raises(ValueError):
@@ -229,7 +227,6 @@ cases = [
     lambda: P.type_A(1).a,
     lambda: P.type_B(1, 1).c,
     lambda: P.type_D(0).b_integral_m(),
-    lambda: P.type_I2(1, 1).b_is_singular(3),
 ]
 for case in cases:
     try:
@@ -245,4 +242,4 @@ def test_wrong_type_accessors_raise_under_optimize():
     env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
     proc = subprocess.run([sys.executable, "-O", "-c", WRONG_TYPE_ACCESS], env=env,
                           capture_output=True, text=True, timeout=60, check=True)
-    assert proc.stdout.split("\n")[:-1] == ["AttributeError"] * 6
+    assert proc.stdout.split("\n")[:-1] == ["AttributeError"] * 5

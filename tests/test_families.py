@@ -16,6 +16,8 @@ from cmfamilies.families import (
     swap_bipartition,
     tau_twist,
 )
+from cmfamilies.partitions import bipartitions
+from cmfamilies.symbols import content_key, symbol_of
 
 
 def test_type_a_singletons_and_zero():
@@ -70,13 +72,33 @@ def test_d_split_labels_are_singletons():
                 assert f.is_singleton
 
 
+I2_EQUAL = [(1, 1), (Fraction(7, 3), Fraction(7, 3))]
+I2_UNEQUAL = [(1, 2), (2, 1), (0, 1), (1, 0), (Fraction(1, 3), Fraction(5, 2)),
+              (Fraction(5, 2), Fraction(1, 3)), (0, Fraction(7, 3)), (Fraction(7, 3), 0)]
+
+
 def test_i2_families_match_reference():
-    for m in range(5, 17):
-        params = [(1, 1)] if m % 2 else [(1, 1), (1, 2), (2, 1), (0, 1), (1, 0)]
+    for m in range(5, 25):
+        params = I2_EQUAL if m % 2 else I2_EQUAL + I2_UNEQUAL
         for a, b in params:
             p = CherednikParameter.type_I2(a, b)
             assert cm_families(m, p).as_sets() == fx.table2_families(m, a, b)
             assert lusztig_families(m, p).as_sets() == fx.table2_families(m, a, b)
+
+
+def test_b_lusztig_families_constant_beyond_the_walls():
+    # every m >= n lies in the chamber c1/kappa > n - 1, where the families
+    # are the same (singletons) as at m = n; the reference groups by the
+    # symbol contents at the true m, with its rows of n + m entries
+    for n in range(1, 8):
+        at_n = lusztig_families(n, CherednikParameter.type_B(n, 1)).as_sets()
+        assert all(len(f) == 1 for f in at_n)
+        for m in range(n, 3 * n + 2):
+            groups: dict = {}
+            for bp in bipartitions(n):
+                groups.setdefault(content_key(symbol_of(bp, n, m, 1)), set()).add(bp)
+            assert {frozenset(g) for g in groups.values()} == at_n
+            assert lusztig_families(n, CherednikParameter.type_B(m, 1)).as_sets() == at_n
 
 
 def test_lusztig_rejects_negative():

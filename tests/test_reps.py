@@ -5,6 +5,8 @@ from fractions import Fraction
 from math import comb, factorial
 from pathlib import Path
 
+import pytest
+
 import cmfamilies
 from cmfamilies.exact import Cyclotomic
 from cmfamilies.partitions import bipartitions, hook_dimension, partitions
@@ -112,6 +114,34 @@ def decompose_bn(n, phi):
         mult = bn_inner_product(n, phi, bn_character_dict(bp))
         if mult:
             out[bp] = mult
+    return out
+
+
+def i2_induced_by_class_fusion(m, parabolic, chi):
+    """Decomposition of Ind_P^W chi for P = <s> (parabolic=1) or <t> (2), by
+    Frobenius from the class-fusion induced character, summed over Q(zeta_m)."""
+    refl_cls = "s" if m % 2 == 1 or parabolic == 1 else "t"
+    gen_value = Fraction(1) if chi == "1" else Fraction(-1)
+    order = 2 * m
+    classes = i2_classes(m)
+    ind = {}
+    for cls, size in classes:
+        if cls == "e":
+            ind[cls] = Fraction(order, 2)  # index of P
+        elif cls == refl_cls:
+            # only the generator of P meets this class
+            ind[cls] = Fraction(order, 2 * size) * gen_value
+        else:
+            ind[cls] = Fraction(0)
+    table = i2_character_table(m)
+    out = {}
+    for lab in i2_labels(m):
+        total = sum((table[lab][cls].conjugate() * (ind[cls] * size) for cls, size in classes),
+                    Cyclotomic.zero(m))
+        mult = total.rational_value() / order
+        assert mult.denominator == 1
+        if mult:
+            out[lab] = int(mult)
     return out
 
 
@@ -258,6 +288,15 @@ def test_i2_induction_total_dimension():
                     v * dims.get(lab, 2) for lab, v in dec.items()
                 )
                 assert total == m  # index of the order-2 parabolic in I2(m)
+
+
+def test_i2_induction_matches_class_fusion():
+    for m in range(5, 41):
+        for p in (1, 2):
+            for chi in ("1", "psi"):
+                assert i2_induced_from_reflection(m, p, chi) == i2_induced_by_class_fusion(m, p, chi)
+    with pytest.raises(ValueError):
+        i2_induced_from_reflection(8, 3, "1")
 
 
 def test_sn_norm_of_irreducible():
