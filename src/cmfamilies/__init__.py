@@ -22,10 +22,9 @@ from .families import (
     lusztig_families,
     tau_twist,
 )
-from .symbols import BSymbol, bar, symbol_of
+from .symbols import bar, symbol_of
 
 __all__ = [
-    "BSymbol",
     "CherednikParameter",
     "Cyclotomic",
     "Family",

@@ -6,31 +6,32 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
-from .partitions import Bipartition
+from .partitions import Bipartition, Partition
 
 Rational = int | Fraction
 
-
-def _exact(x) -> Rational:
-    """An int as it is; anything else as a Fraction."""
-    return x if type(x) is int else Fraction(x)
+MAX_ROW = 100_000
+"""The most entries a symbol row may have: symbol_of and bar refuse more."""
 
 
 def _point(c1, kappa) -> tuple[Rational, Rational]:
     """(c1, kappa) as ints when both are integers, else as Fractions."""
-    c1, kappa = _exact(c1), _exact(kappa)
+    if type(c1) is int and type(kappa) is int:
+        return c1, kappa
+    c1, kappa = Fraction(c1), Fraction(kappa)
     if c1.denominator == kappa.denominator == 1:
         return int(c1), int(kappa)
-    return Fraction(c1), Fraction(kappa)
+    return c1, kappa
 
 
 @dataclass(frozen=True)
 class BSymbol:
     """Two-row symbol: beta has length N+m, gamma length N.
 
-    Entries are exact rationals; beta_i = r (mod kappa), gamma_j = 0 (mod kappa).
-    An int stays an int and anything else becomes a Fraction, so a symbol
-    built at an integral point is int throughout.
+    Both rows are nonnegative and strictly increasing, with beta_i = r and
+    gamma_j = 0 (mod kappa), 0 <= r < kappa.  symbol_of and bar, the only
+    builders, make rows that hold this by construction.  The entries are
+    ints at an integral point and Fractions elsewhere.
     """
 
     beta: tuple[Rational, ...]
@@ -38,33 +39,6 @@ class BSymbol:
     m: int
     kappa: Rational
     r: Rational
-
-    def __post_init__(self):
-        beta = tuple(map(_exact, self.beta))
-        gamma = tuple(map(_exact, self.gamma))
-        object.__setattr__(self, "beta", beta)
-        object.__setattr__(self, "gamma", gamma)
-        object.__setattr__(self, "kappa", _exact(self.kappa))
-        object.__setattr__(self, "r", _exact(self.r))
-        if self.kappa <= 0:
-            raise ValueError("kappa must be positive")
-        if not (0 <= self.r < self.kappa):
-            raise ValueError("need 0 <= r < kappa")
-        if self.m < 0:
-            raise ValueError("m must be nonnegative")
-        if len(beta) != len(gamma) + self.m:
-            raise ValueError("beta must have length N + m")
-        for row in (beta, gamma):
-            if any(x < 0 for x in row):
-                raise ValueError("entries must be nonnegative")
-            if any(row[i] >= row[i + 1] for i in range(len(row) - 1)):
-                raise ValueError("rows must be strictly increasing")
-        for b in beta:
-            if (b - self.r) % self.kappa != 0:
-                raise ValueError("beta entries must be congruent to r mod kappa")
-        for g in gamma:
-            if g % self.kappa != 0:
-                raise ValueError("gamma entries must be divisible by kappa")
 
     def to_json(self) -> dict:
         return {
@@ -76,6 +50,13 @@ class BSymbol:
         }
 
 
+def _row(lam: Partition, length: int, kappa: Rational, r: Rational) -> tuple:
+    """kappa*(p_i + i) + r for i = 0 .. length-1, where p is lam reversed and
+    zero-padded in front to length: the beta-numbers of lam, scaled."""
+    parts = (0,) * (length - len(lam)) + lam[::-1]
+    return tuple(kappa * (p + i) + r for i, p in enumerate(parts))
+
+
 def symbol_of(bp: Bipartition, N: int, c1, kappa) -> BSymbol:
     """The symbol Sy^N_{(c1,kappa);n}(bp); its entries are ints when c1 and
     kappa are integers."""
@@ -85,19 +66,14 @@ def symbol_of(bp: Bipartition, N: int, c1, kappa) -> BSymbol:
     if c1 < 0:
         raise ValueError("c1 must be nonnegative")
     m = int(c1 // kappa)
+    if N + m > MAX_ROW:
+        raise ValueError(f"N + m exceeds the symbol row bound {MAX_ROW}")
     r = c1 - m * kappa
     lam0, lam1 = bp
     if len(lam0) > N + m or len(lam1) > N:
         raise ValueError(f"N={N} not large enough for {bp}")
-
-    def part(lam, i):  # 1-based part with zero padding
-        return lam[i - 1] if i <= len(lam) else 0
-
-    beta = tuple(kappa * (part(lam0, N + m - i + 1) + i - 1) + r for i in range(1, N + m + 1))
-    gamma = tuple(kappa * (part(lam1, N - j + 1) + j - 1) for j in range(1, N + 1))
-    s = BSymbol(beta=beta, gamma=gamma, m=m, kappa=kappa, r=r)
-    n = sum(lam0) + sum(lam1)
-    if weight(s) != expected_weight(n, N, c1, kappa):
+    s = BSymbol(_row(lam0, N + m, kappa, r), _row(lam1, N, kappa, 0), m, kappa, r)
+    if weight(s) != expected_weight(sum(lam0) + sum(lam1), N, c1, kappa):
         raise AssertionError("weight equation violated")
     return s
 
@@ -127,10 +103,12 @@ def bar(s: BSymbol, t: int | None = None) -> BSymbol:
         raise ValueError("bar is defined in the integral case kappa=1, r=0")
     top = max((*s.beta, *s.gamma), default=0)
     if t is None:
-        t = int(top)
+        t = top
     if t < top:
         raise ValueError(f"t={t} below the largest entry {top}")
+    if t + 1 > MAX_ROW:
+        raise ValueError(f"t + 1 exceeds the symbol row bound {MAX_ROW}")
     full = set(range(t + 1))
-    new_beta = tuple(sorted(full - {t - int(g) for g in s.gamma}))
-    new_gamma = tuple(sorted(full - {t - int(b) for b in s.beta}))
-    return BSymbol(beta=new_beta, gamma=new_gamma, m=s.m, kappa=s.kappa, r=s.r)
+    new_beta = tuple(sorted(full - {t - g for g in s.gamma}))
+    new_gamma = tuple(sorted(full - {t - b for b in s.beta}))
+    return BSymbol(new_beta, new_gamma, s.m, s.kappa, s.r)

@@ -55,6 +55,8 @@ GOLDEN = [
     ("symbols --type B --c1 1 --kappa 1 --bp [2,1|1] --enn 3 --bar 1", 2, EMPTY),
     ("symbols --type B --c1 3/2 --kappa 1/2 --bp [2,1|1] --enn 3", 0, "5e41579953348167448447cd46901a5f435daae1bf9b5e644578b19cc991042f"),
     ("symbols --type B --c1 5/2 --kappa 1 --bp [2,1|1]", 0, "48b6438a1e2329825698ec7be348c8678367d6e1d430921593ab68cfb4931a60"),
+    ("symbols --type B --c1 40 --kappa 3 --bp [3,1|2,2] --enn 6", 0, "248615440ea06452b1a45aad4edc849a4454d0edcb4d7c1d025eefe517578d44"),
+    ("symbols --type B --c1 12 --kappa 1 --bp [4,2|1] --bar 40 --format text", 0, "4209d89dfcebc34625aaaee7f01fde8b92fe0f039d5184dcafa4b5c414081df1"),
     ("families --type B --n 5 --c1 9/2 --kappa 3/2 --method both", 0, "fa4cf539efc7c39b6d750feccacdcec737fd0cd73ec9219051c23dd53880a020"),
     ("families --type B --n 3 --c1 1000000 --kappa 1 --method both", 0, "2733b90c0b09fbccee323fefc5904015900437323e2d3461219c3e4f2bd39dc9"),
     ("families --type D --n 6 --kappa 2/3 --method both", 0, "6beab17dca5f7dbbde6cffd78f11cb726d40203151b1a3f25255fd4ea1b66b3d"),
@@ -80,6 +82,8 @@ GOLDEN = [
     ("leaves --type D --n 4 --kappa 0", 2, EMPTY),
     ("symbols --type D --kappa 1 --bp [1|1]", 2, EMPTY),
     ("symbols --type B --c1 1 --kappa 1 --bp 2,1", 2, EMPTY),
+    ("symbols --type B --c1 1e400 --kappa 1 --bp [1|]", 2, EMPTY),
+    ("symbols --type B --c1 1 --kappa 1 --bp [1|] --bar 1000000000", 2, EMPTY),
     ("verify --suite nope", 2, EMPTY),
     ("verify --suite 5 --jobs 0", 2, EMPTY),
 ]
@@ -103,6 +107,8 @@ ERRORS = {
     "leaves --type D --n 4 --kappa 0": "error: the type-D classification needs kappa != 0\n",
     "symbols --type D --kappa 1 --bp [1|1]": "error: symbols are computed for type B\n",
     "symbols --type B --c1 1 --kappa 1 --bp 2,1": "error: not a bipartition: '2,1'\n",
+    "symbols --type B --c1 1e400 --kappa 1 --bp [1|]": "error: N + m exceeds the symbol row bound 100000\n",
+    "symbols --type B --c1 1 --kappa 1 --bp [1|] --bar 1000000000": "error: t + 1 exceeds the symbol row bound 100000\n",
     "verify --suite nope": "error: unknown suite 'nope'\n",
     "verify --suite 5 --jobs 0": "error: --jobs must be at least 1\n",
 }

@@ -2,12 +2,12 @@ import json
 from pathlib import Path
 
 import pytest
+from test_symbols import symbol_from_json
 
 from cmfamilies import fixtures as fx
 from cmfamilies.cuspidal import cuspidal_families
 from cmfamilies.exact import CherednikParameter
 from cmfamilies.partitions import is_partition
-from cmfamilies.symbols import BSymbol
 
 # reference data that only the tests read
 DATA = Path(__file__).resolve().parent / "data"
@@ -49,15 +49,15 @@ def test_fcusp_members_are_bipartitions():
 
 
 def test_symbol_fixtures_roundtrip():
-    # BSymbol reads the string entries that to_json writes as Fractions
+    # symbol_from_json reads the string entries that to_json writes as Fractions
     ex = _data("symbol_example_411")
     for key in ("symbol", "bar_symbol"):
-        s = BSymbol(**ex[key])
-        assert BSymbol(**s.to_json()) == s and s.to_json() == ex[key]
+        s = symbol_from_json(ex[key])
+        assert symbol_from_json(s.to_json()) == s and s.to_json() == ex[key]
     for case in _data("d_cuspidal_symbols")["cases"]:
         for sj in case["symbols"]:
-            s = BSymbol(**sj)
-            assert BSymbol(**s.to_json()) == s and s.to_json() == sj
+            s = symbol_from_json(sj)
+            assert symbol_from_json(s.to_json()) == s and s.to_json() == sj
 
 
 def test_token_expansion():

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from cmfamilies.partitions import bipartitions, conjugate, dagger, subpartitions_of_box
 from cmfamilies.symbols import (
+    MAX_ROW,
     BSymbol,
     bar,
     content_key,
@@ -22,8 +23,24 @@ DATA = Path(__file__).resolve().parent / "data"
 
 
 # -- references that only these tests use ------------------------------------
-# The CLI prints symbols with BSymbol.to_json; BSymbol(**data) reads one back,
-# because BSymbol turns each string entry into a Fraction.
+
+def symbol_from_json(d):
+    """Read back a symbol that BSymbol.to_json wrote: every entry, kappa and r
+    as a Fraction."""
+    return BSymbol(beta=tuple(map(Fraction, d["beta"])), gamma=tuple(map(Fraction, d["gamma"])),
+                   m=d["m"], kappa=Fraction(d["kappa"]), r=Fraction(d["r"]))
+
+
+def assert_symbol(s):
+    """The invariants that symbol_of and bar guarantee by construction."""
+    assert s.kappa > 0 and 0 <= s.r < s.kappa and s.m >= 0
+    assert len(s.beta) == len(s.gamma) + s.m
+    for row in (s.beta, s.gamma):
+        assert all(x >= 0 for x in row)
+        assert all(a < b for a, b in zip(row, row[1:]))
+    assert all((b - s.r) % s.kappa == 0 for b in s.beta)
+    assert all(g % s.kappa == 0 for g in s.gamma)
+
 
 def symbol_bipartition(s):
     """The labeled bipartition of a symbol."""
@@ -75,9 +92,9 @@ def test_symbol_example_fixture():
     ex = json.loads((DATA / "symbol_example_411.json").read_text())
     bp = tuple(tuple(p) for p in ex["bipartition"])
     s = symbol_of(bp, ex["N"], Fraction(ex["c1"]), Fraction(ex["kappa"]))
-    assert s == BSymbol(**ex["symbol"])
+    assert s == symbol_from_json(ex["symbol"])
     bs = bar(s, ex["bar_t"])
-    assert bs == BSymbol(**ex["bar_symbol"])
+    assert bs == symbol_from_json(ex["bar_symbol"])
     assert symbol_bipartition(bs) == tuple(tuple(p) for p in ex["bar_bipartition"])
 
 
@@ -98,6 +115,37 @@ def test_shift_preserves_label(bp, m, i):
     N = max(n, 1)
     s = symbol_of(bp, N, m, 1)
     assert shift(s, i) == symbol_of(bp, N + i, m, 1)
+
+
+@settings(max_examples=150)
+@given(bp_strategy(6),
+       st.one_of(st.integers(0, 6), st.fractions(0, 6, max_denominator=4)),
+       st.one_of(st.integers(1, 3), st.fractions(Fraction(1, 4), 3, max_denominator=4)),
+       st.integers(0, 2), st.integers(0, 3))
+def test_builders_keep_the_symbol_invariants(bp, c1, kappa, pad, extra):
+    n = sum(bp[0]) + sum(bp[1])
+    N = max(n, 1) + pad
+    s = symbol_of(bp, N, c1, kappa)
+    assert_symbol(s)
+    integral = symbol_of(bp, N, s.m, 1)
+    assert_symbol(integral)
+    t = max((*integral.beta, *integral.gamma), default=0) + extra
+    assert_symbol(bar(integral, t))
+    assert_symbol(bar(integral))
+
+
+def test_row_bound():
+    # rows of exactly MAX_ROW entries are built; one entry more is refused
+    assert len(symbol_of(((), ()), 0, MAX_ROW, 1).beta) == MAX_ROW
+    assert len(symbol_of(((1,), ()), MAX_ROW - 3, 3, 1).beta) == MAX_ROW
+    with pytest.raises(ValueError, match="row bound"):
+        symbol_of(((), ()), 0, MAX_ROW + 1, 1)
+    with pytest.raises(ValueError, match="row bound"):
+        symbol_of(((1,), ()), MAX_ROW - 2, Fraction(9, 2), Fraction(3, 2))
+    s = symbol_of(((1,), ()), 1, 0, 1)
+    assert len(bar(s, MAX_ROW - 1).beta) == MAX_ROW - 1
+    with pytest.raises(ValueError, match="row bound"):
+        bar(s, MAX_ROW)
 
 
 def test_non_integral_symbol():
@@ -175,7 +223,7 @@ def test_d_cuspidal_symbol_fixture():
     for case in data["cases"]:
         labels = set()
         for sj in case["symbols"]:
-            s = BSymbol(**sj)
+            s = symbol_from_json(sj)
             assert is_cuspidal_symbol(s)
             assert weight(s) == expected_weight(case["n"], len(s.gamma), 0, 1)
             labels.add(symbol_bipartition(s))
@@ -185,7 +233,7 @@ def test_d_cuspidal_symbol_fixture():
 
 def test_symbol_json_roundtrip():
     s = symbol_of(((2, 1), (1,)), 3, Fraction(3, 2), Fraction(1, 2))
-    assert BSymbol(**s.to_json()) == s
+    assert symbol_from_json(s.to_json()) == s
 
 
 def _fields(s):
@@ -203,7 +251,7 @@ def test_symbols_never_hold_floats(c1, kappa):
     for n in range(0, 5):
         for bp in bipartitions(n):
             s = symbol_of(bp, max(n, 1), c1, kappa)
-            made = [s, normalize(s), shift(s, 2), bar(normalize(s)), BSymbol(**s.to_json())]
+            made = [s, normalize(s), shift(s, 2), bar(normalize(s)), symbol_from_json(s.to_json())]
             for t in made:
                 assert all(type(x) in (int, Fraction) for x in _fields(t))
             assert all(type(x) is int for x in _fields(normalize(s)))
