@@ -53,16 +53,8 @@ def _size(args) -> int:
 
 def _partition_json(fp: FamilyPartition) -> dict:
     t = coxeter.lookup(fp.param.type_tag)
-    fams = []
-    for f in fp.families:
-        fams.append(
-            {
-                "members": [t.label_json(x) for x in f.members],
-                "is_singleton": f.is_singleton,
-                "cuspidal": f.cuspidal,
-                "leaf_label": f.leaf_label,
-            }
-        )
+    fams = [{"members": list(f.members), "is_singleton": f.is_singleton,
+             "cuspidal": f.cuspidal, "leaf_label": f.leaf_label} for f in fp.families]
     return {
         "type": fp.param.type_tag,
         t.size_flag: fp.size,
@@ -89,8 +81,13 @@ def _json(o, pad: str = "") -> str:
     pass (indent sends json to its pure-Python encoder).  Writes lists,
     tuples, dicts with str keys, str, bool, None and int; anything else (a
     float, a Fraction) is a TypeError.  A list of plain ints, most of a label
-    row, is joined in one go."""
-    if isinstance(o, (list, tuple)):
+    row, is joined in one go.  A tuple (a label or a part of one) holds only
+    ints, strs, None and tuples, and its text is built once per (tuple, indent)
+    in a process: that memo is keyed by value, where True == 1 == 1.0, so a
+    tuple holding anything else is a TypeError when it is first written."""
+    if isinstance(o, tuple):
+        return _tuple_json(o, pad)
+    if isinstance(o, list):
         if not o:
             return "[]"
         inner = pad + "  "
@@ -115,6 +112,13 @@ def _json(o, pad: str = "") -> str:
     if isinstance(o, int):
         return int.__repr__(o)
     raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
+
+
+@cache
+def _tuple_json(t: tuple, pad: str) -> str:
+    if not all(x is None or type(x) in (int, str) or isinstance(x, tuple) for x in t):
+        raise TypeError(f"a tuple written as JSON holds only ints, strs, None and tuples: {t!r}")
+    return _json(list(t), pad)
 
 
 def _emit(args, payload_json, payload_text: str) -> None:
@@ -177,7 +181,7 @@ def cmd_rigid(args) -> int:
         t.size_flag: size,
         "param": param.to_json(),
         "mode": mode,
-        "rigid": [t.label_json(lab) for lab in labels],
+        "rigid": labels,
     }
     text = "\n".join(t.label_text(lab) for lab in labels) or "(none)"
     _emit(args, payload, text)

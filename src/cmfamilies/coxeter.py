@@ -1,8 +1,8 @@
 """The per-type table: one entry for each of the types A, B, D and I2(m).
 
 Everything that differs between the types is read from here: the parameter
-names, the size flag, the irreducible labels and their codecs, the CM and
-Lusztig groupings, the cuspidal anchor, the rigid closed form, the
+names, the size flag, the irreducible labels and their text forms, the CM
+and Lusztig groupings, the cuspidal anchor, the rigid closed form, the
 reflections with their roots and coroots, and the leaf poset.  The functions
 in `families`, `cuspidal` and `cli` that read an entry are the same for every
 type; in particular the rigidity-equation oracle in `cuspidal` is one
@@ -32,7 +32,6 @@ class CoxeterType:
     generic: Callable  # size -> parameter values whose families are the generic ones
     labels: Callable  # size -> the labels of Irr W
     label_text: Callable
-    label_json: Callable
     # below, param is nonzero; the callers handle param = 0 for every type
     cm_groups: Callable  # (size, param, labels) -> families by the CM path
     lusztig_groups: Callable  # (size, param, labels) -> families by the Lusztig path
@@ -217,7 +216,6 @@ TYPES: dict[str, CoxeterType] = {
         generic=lambda n: (1,),
         labels=lambda n: partitions.partitions(n),
         label_text=partitions.format_partition,
-        label_json=list,
         cm_groups=_singletons,
         lusztig_groups=_singletons,
         # S_1 is the trivial group: its one family is cuspidal, its one label rigid
@@ -234,7 +232,6 @@ TYPES: dict[str, CoxeterType] = {
         generic=lambda n: (Fraction(1, 2), 1),
         labels=lambda n: partitions.bipartitions(n),
         label_text=partitions.format_bipartition,
-        label_json=lambda bp: [list(bp[0]), list(bp[1])],
         cm_groups=_b_cm_groups,
         lusztig_groups=lambda n, param, labels: families._lusztig_b_groups(n, param, labels),
         anchor=_b_anchor,
@@ -251,7 +248,6 @@ TYPES: dict[str, CoxeterType] = {
         generic=lambda n: (1,),
         labels=lambda n: partitions.d_labels(n),
         label_text=partitions.format_d_label,
-        label_json=lambda lab: [list(lab[0]), list(lab[1]), lab[2]],
         cm_groups=_d_cm_groups,
         lusztig_groups=_d_lusztig_groups,
         anchor=_d_anchor,
@@ -269,7 +265,6 @@ TYPES: dict[str, CoxeterType] = {
         generic=lambda m: (1, 2 - m % 2),  # odd m forces a = b
         labels=lambda m: reps.i2_labels(m),
         label_text=str,
-        label_json=str,
         cm_groups=lambda m, param, labels: families._group_by(
             labels, families._euler_key(m, param).__getitem__
         ),

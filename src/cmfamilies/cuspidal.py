@@ -99,15 +99,16 @@ def leaves_B(n: int, c1, kappa) -> LeafPoset:
 
 
 def leaves_D(n: int, kappa) -> LeafPoset:
-    """Leaf poset for D_n (n >= 2) at kappa != 0."""
+    """Leaf poset for D_n (n >= 2) at kappa != 0.  The parabolic D1 of k = 1
+    is the trivial group, so its leaf is the open one, of dimension 2n."""
     if Fraction(kappa) == 0:
         raise ValueError("the type-D classification needs kappa != 0")
     if n < 2:
         raise ValueError("need n >= 2")
     ks = [k for k in range(1, n + 1) if k * k <= n]
     leaves = tuple(
-        Leaf(index=k, dimension=2 * (n - j), parabolic_label=f"D{j}",
-             parabolic_order=2 ** (j - 1) * math.factorial(j))
+        Leaf(index=k, dimension=2 * n if k == 1 else 2 * (n - j),
+             parabolic_label=f"D{j}", parabolic_order=2 ** (j - 1) * math.factorial(j))
         for k in ks
         for j in [k * k]
     )

@@ -71,10 +71,10 @@ def conjugate(lam: Partition) -> Partition:
     return tuple(sum(1 for p in lam if p > i) for i in range(lam[0]))
 
 
+@cache
 def contents(lam: Partition) -> tuple[int, ...]:
     """Multiset {j - i : (i, j) a box of lam} (0-based), as a sorted tuple."""
-    out = [j - i for i, row in enumerate(lam) for j in range(row)]
-    return tuple(sorted(out))
+    return tuple(sorted([j - i for i, row in enumerate(lam) for j in range(row)]))
 
 
 def hook_dimension(lam: Partition) -> int:

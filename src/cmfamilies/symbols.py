@@ -54,7 +54,7 @@ def _row(lam: Partition, length: int, kappa: Rational, r: Rational) -> tuple:
     """kappa*(p_i + i) + r for i = 0 .. length-1, where p is lam reversed and
     zero-padded in front to length: the beta-numbers of lam, scaled."""
     parts = (0,) * (length - len(lam)) + lam[::-1]
-    return tuple(kappa * (p + i) + r for i, p in enumerate(parts))
+    return tuple([kappa * (p + i) + r for i, p in enumerate(parts)])
 
 
 def symbol_of(bp: Bipartition, N: int, c1, kappa) -> BSymbol:

@@ -217,7 +217,7 @@ def suite_6_leaves():
     lp = leaves_B(6, 1, 1)
     yield sorted(l.dimension for l in lp.leaves) == [0, 8, 12], "B6 (1,1) dims"
     lp = leaves_D(4, 1)
-    yield sorted(l.dimension for l in lp.leaves) == [0, 6], "D4 dims"
+    yield sorted(l.dimension for l in lp.leaves) == [0, 8], "D4 dims"
     for n in range(1, GRID_N + 1):
         lpd = leaves_B(n, 1, 0)
         yield all(l.dimension == 2 * len(l.index) for l in lpd.leaves), f"degenerate dims n={n}"

@@ -10,7 +10,7 @@ import pytest
 from test_cli_golden import GOLDEN
 
 import cmfamilies
-from cmfamilies.cli import _json, main
+from cmfamilies.cli import _json, _tuple_json, main
 from cmfamilies.verify import SuiteResult, _suite
 
 
@@ -290,11 +290,33 @@ EDGE = [
 
 @pytest.mark.parametrize("o", EDGE, ids=range(len(EDGE)))
 def test_json_writer_matches_stdlib_on_edge_cases(o):
+    _tuple_json.cache_clear()
     assert _json(o) == _stdlib(o)
 
 
-@pytest.mark.parametrize("o", [0.5, Fraction(1, 3), [1, 2.0], {"c": Fraction(1, 2)}],
-                         ids=["float", "Fraction", "float in list", "Fraction in dict"])
+def test_json_labels_are_written_once_per_process(capsys):
+    """A second identical query prints the same bytes from the memo alone."""
+    query = "families --type B --n 6 --c1 1 --kappa 1 --method both".split()
+    _tuple_json.cache_clear()
+    assert main(query) == 0
+    first = capsys.readouterr().out
+    misses = _tuple_json.cache_info().misses
+    assert misses > 0
+    assert main(query) == 0
+    assert capsys.readouterr().out == first
+    assert _tuple_json.cache_info().misses == misses
+
+
+# the tuple memo is keyed by value, and True == 1.0 == Fraction(1) == 1: a
+# tuple holds only ints, strs, None and tuples
+@pytest.mark.parametrize(
+    "o",
+    [0.5, Fraction(1, 3), [1, 2.0], {"c": Fraction(1, 2)},
+     (True, 2), (1.0, 2), (Fraction(1), 2), [((), (True,))]],
+    ids=["float", "Fraction", "float in list", "Fraction in dict",
+         "bool in tuple", "float in tuple", "Fraction in tuple", "bool in nested tuple"],
+)
 def test_json_writer_rejects_non_json_numbers(o):
+    _tuple_json.cache_clear()
     with pytest.raises(TypeError):
         _json(o)

@@ -47,7 +47,7 @@ GOLDEN = [
     ("rigid --type I2 --m 6 --a 1 --b 1 --mode equation_oracle", 0, "2da8fcd2bc9a7c3dfc657d7689347168e0d8e4a44f6d7021a314027038100fab"),
     ("leaves --type B --n 6 --c1 1 --kappa 1 --format text", 0, "9d433ff6e71ae7093bd1f59688072a2f6b9ef0653b8e7d3debedea57da1ffe8c"),
     ("leaves --type B --n 4 --c1 1 --kappa 0", 0, "2ebdf3f2248db319326f94bc2ca694618ad436ba145e248f7bd91cb3df1dd285"),
-    ("leaves --type D --n 4 --kappa 1", 0, "b1a9c1bb737570e094e0f2590363eea6872ffaaddcb90751b0ea19c38fa8a63c"),
+    ("leaves --type D --n 4 --kappa 1", 0, "7dcb1767e5a7a9e388f33a7fb0531975967e613112153e47d91971bb4190a04a"),
     ("leaves --type B --n 3 --c1 5 --kappa 1", 0, "c4a85923ca2be4a354f01798496d45cbc31b36fb3e7872922acf6b38cd7be03a"),
     ("leaves --type B --n 4 --c1 1/2 --kappa 1 --format text", 0, "bab043836b384ed0904b81def65eb40cfdd4dd26b53954d965de82cd16e7c6f2"),
     ("symbols --type B --c1 1 --kappa 1 --bp [2,1|1] --enn 3", 0, "a84da6cf9ed69da10a0cd0f1969ac492b3890ed7548c921e6efe6d8a9fb4a365"),
@@ -60,6 +60,9 @@ GOLDEN = [
     ("families --type B --n 5 --c1 9/2 --kappa 3/2 --method both", 0, "fa4cf539efc7c39b6d750feccacdcec737fd0cd73ec9219051c23dd53880a020"),
     ("families --type B --n 3 --c1 1000000 --kappa 1 --method both", 0, "2733b90c0b09fbccee323fefc5904015900437323e2d3461219c3e4f2bd39dc9"),
     ("families --type D --n 6 --kappa 2/3 --method both", 0, "6beab17dca5f7dbbde6cffd78f11cb726d40203151b1a3f25255fd4ea1b66b3d"),
+    # the largest outputs: every B14 label in two partitions, and D14 by Clifford descent
+    ("families --type B --n 14 --c1 6 --kappa 1 --method both", 0, "4a3c8b48503d887e39d0fd30c5643e92491272f053628fcdeb365866cdc4250b"),
+    ("families --type D --n 14 --kappa 1/2 --method both", 0, "07e73ea06dbb135a2ac09ddfd6f25e9797c4255841c83a46e57a8a1a8f860a6e"),
     ("verify --suite 5", 0, "b7947464da2dc4fa7fca484937a4eaff69d988c200aaf08e90c600fc23351941"),
     ("verify --suite 3", 0, "fd388f0cce2bd2c1a486fb0c8b8bfa088ad3ce81a49cac7f839657953678fd9f"),
     ("verify --suite 8", 0, "5cd83a221cb014a0ad8193e739bf4f0e2881ea17224b37c8ccc7ae8b98e7a5d5"),

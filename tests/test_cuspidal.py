@@ -56,9 +56,23 @@ def test_leaves_degenerate():
 
 def test_leaves_d4():
     lp = leaves_D(4, 1)
-    assert sorted(l.dimension for l in lp.leaves) == [0, 6]
+    assert sorted(l.dimension for l in lp.leaves) == [0, 8]
     with pytest.raises(ValueError):
         leaves_D(4, 0)
+
+
+def test_open_leaf_has_full_dimension():
+    """The leaf whose parabolic is the trivial group (B0, D1, or S_lam with
+    lam = (1^n)) is the open one, of dimension 2n: X(D2) = X(A1)^2 has one
+    leaf, of dimension 4."""
+    assert [(l.index, l.dimension) for l in leaves_D(2, 1).leaves] == [(1, 4)]
+    for n in range(1, 11):
+        posets = [leaves_B(n, c1, kappa) for c1, kappa in
+                  ((0, 1), (1, 1), (2, 1), (-3, 1), (Fraction(1, 2), 1), (1, 0), (7, 2))]
+        posets += [leaves_D(n, kappa) for kappa in (1, -1, Fraction(1, 2)) if n >= 2]
+        for lp in posets:
+            trivial = [l for l in lp.leaves if l.parabolic_order == 1]
+            assert [l.dimension for l in trivial] == [2 * n], (n, lp)
 
 
 def test_leaf_parabolic_order_is_the_group_order():
