@@ -2,11 +2,11 @@
 
 Everything that differs between the types is read from here: the parameter
 names, the size flag, the irreducible labels and their text forms, the CM
-and Lusztig groupings, the cuspidal anchor, the rigid closed form, the
-reflections with their roots and coroots, and the leaf poset.  The functions
-in `families`, `cuspidal` and `cli` that read an entry are the same for every
-type; in particular the rigidity-equation oracle in `cuspidal` is one
-equation, summed over the entry's reflections.
+and Lusztig keys, whose fibres are the families, the cuspidal anchor, the
+rigid closed form, the reflections with their roots and coroots, and the
+leaf poset.  The functions in `families`, `cuspidal` and `cli` that read an
+entry are the same for every type; in particular the rigidity-equation
+oracle in `cuspidal` is one equation, summed over the entry's reflections.
 
 The table and the layers import each other as module objects, and an entry
 looks each layer function up in its module when it is called.  So nothing is
@@ -20,7 +20,7 @@ from fractions import Fraction
 from math import isqrt, lcm
 from typing import Callable
 
-from . import cuspidal, exact, families, partitions, reps
+from . import cuspidal, exact, families, partitions, reps, symbols
 
 
 @dataclass(frozen=True)
@@ -33,8 +33,9 @@ class CoxeterType:
     labels: Callable  # size -> the labels of Irr W
     label_text: Callable
     # below, param is nonzero; the callers handle param = 0 for every type
-    cm_groups: Callable  # (size, param, labels) -> families by the CM path
-    lusztig_groups: Callable  # (size, param, labels) -> families by the Lusztig path
+    # (size, param) -> (label -> key); the families are the fibres of the key
+    cm_key: Callable
+    lusztig_key: Callable
     anchor: Callable  # (size, param) -> (label, leaf label) in the cuspidal family, or None
     rigid: Callable  # (size, param, anchor) -> rigid labels, closed form
     # (module, size) -> (class parameter name, coroot, root, matrix) for exactly
@@ -63,10 +64,6 @@ def checked(size: int, param) -> CoxeterType:
     return entry
 
 
-def _singletons(size, param, labels) -> list:
-    return [[lab] for lab in labels]
-
-
 def _anchor_alone(size, param, anchor) -> list:
     return [anchor[0]] if anchor else []
 
@@ -86,7 +83,7 @@ def _transpositions_of_1(gens):
 
 
 # ---------------------------------------------------------------------------
-# Type A: singletons; the transpositions on Young's seminormal form
+# Type A: every label keys as itself; the transpositions on Young's seminormal form
 # ---------------------------------------------------------------------------
 
 def _a_reflections(lam, n):
@@ -108,9 +105,23 @@ def _int_charge(c1, kappa) -> tuple[int, int, int]:
     return 0, int(c1 * scale), int(-kappa * scale)
 
 
-def _b_cm_groups(n, param, labels) -> list:
+def _b_cm_key(n, param):
     charge = _int_charge(param.c1, param.kappa)
-    return families._group_by(labels, lambda bp: exact.charged_residue(bp, charge))
+    return lambda bp: exact.charged_residue(bp, charge)
+
+
+def _b_lusztig_key(n, param):
+    """|lam1| at kappa = 0; the label itself at a non-integral c1/kappa;
+    else the symbol content at (m, 1), m = c1/kappa.  Every m >= n lies in
+    the chamber c1/kappa > n - 1 of singleton families, so m = n stands for
+    all of them and the symbol rows stay short."""
+    if param.kappa == 0:
+        return lambda bp: sum(bp[1])
+    m = param.b_integral_m()
+    if m is None:
+        return lambda bp: bp
+    N, m = max(n, 1), min(m, n)
+    return lambda bp: symbols.content_key(symbols.symbol_of(bp, N, m, 1))
 
 
 def _b_anchor(n, param):
@@ -147,19 +158,20 @@ def _b_reflections(bp, n):
 
 
 # ---------------------------------------------------------------------------
-# Type D: charged residues at c1 = 0 with split labels apart, Clifford descent from B
+# Type D: the type-B keys at c1 = 0, with split labels apart
 # ---------------------------------------------------------------------------
 
-def _d_cm_groups(n, param, labels) -> list:
-    splits = [[lab] for lab in labels if lab[2] is not None]
-    rest = [lab for lab in labels if lab[2] is None]
-    charge = _int_charge(0, param.kappa)  # the type-B key at c1 = 0
-    return splits + families._group_by(rest, lambda lab: exact.charged_residue(lab[:2], charge))
-
-
-def _d_lusztig_groups(n, param, labels) -> tuple:
-    b_param = exact.CherednikParameter.type_B(0, param.kappa)
-    return families.clifford_descent(families.lusztig_families(n, b_param)).families
+def _d_key(b_key):
+    """The D_n key from a type-B key: a split label {lam}_i keys as itself,
+    any other label {lam, mu} as (lam, mu) does in B_n at (0, kappa).  The B
+    keys at c1 = 0 are swap-stable, so it does not matter which of (lam, mu)
+    and (mu, lam) d_label keeps.  The symbol of (lam, lam) holds each content
+    entry twice, so (lam, lam) is alone in its B family, and these fibres are
+    the Clifford descent of the B families: Lusztig's type-D families."""
+    def key(n, param):
+        b = b_key(n, exact.CherednikParameter.type_B(0, param.kappa))
+        return lambda lab: lab if lab[2] is not None else b(lab[:2])
+    return key
 
 
 def _d_reflections(bp, n):
@@ -216,8 +228,8 @@ TYPES: dict[str, CoxeterType] = {
         generic=lambda n: (1,),
         labels=lambda n: partitions.partitions(n),
         label_text=partitions.format_partition,
-        cm_groups=_singletons,
-        lusztig_groups=_singletons,
+        cm_key=lambda n, param: lambda lab: lab,
+        lusztig_key=lambda n, param: lambda lab: lab,
         # S_1 is the trivial group: its one family is cuspidal, its one label rigid
         anchor=lambda n, param: ((1,), None) if n == 1 else None,
         rigid=_anchor_alone,
@@ -232,8 +244,8 @@ TYPES: dict[str, CoxeterType] = {
         generic=lambda n: (Fraction(1, 2), 1),
         labels=lambda n: partitions.bipartitions(n),
         label_text=partitions.format_bipartition,
-        cm_groups=_b_cm_groups,
-        lusztig_groups=lambda n, param, labels: families._lusztig_b_groups(n, param, labels),
+        cm_key=_b_cm_key,
+        lusztig_key=_b_lusztig_key,
         anchor=_b_anchor,
         rigid=_b_rigid,
         reflections=_b_reflections,
@@ -248,8 +260,8 @@ TYPES: dict[str, CoxeterType] = {
         generic=lambda n: (1,),
         labels=lambda n: partitions.d_labels(n),
         label_text=partitions.format_d_label,
-        cm_groups=_d_cm_groups,
-        lusztig_groups=_d_lusztig_groups,
+        cm_key=_d_key(_b_cm_key),
+        lusztig_key=_d_key(_b_lusztig_key),
         anchor=_d_anchor,
         rigid=_anchor_alone,
         reflections=_d_reflections,
@@ -265,13 +277,9 @@ TYPES: dict[str, CoxeterType] = {
         generic=lambda m: (1, 2 - m % 2),  # odd m forces a = b
         labels=lambda m: reps.i2_labels(m),
         label_text=str,
-        cm_groups=lambda m, param, labels: families._group_by(
-            labels, families._euler_key(m, param).__getitem__
-        ),
+        cm_key=lambda m, param: families._euler_key(m, param).__getitem__,
         # the Lusztig families are the fibres of the a-function
-        lusztig_groups=lambda m, param, labels: families._group_by(
-            labels, families.dihedral_a_function(m, param.a, param.b).__getitem__
-        ),
+        lusztig_key=lambda m, param: families.dihedral_a_function(m, param.a, param.b).__getitem__,
         anchor=lambda m, param: ("phi_1", None),
         rigid=_i2_rigid,
         reflections=_i2_reflections,

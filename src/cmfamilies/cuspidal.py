@@ -66,8 +66,11 @@ class LeafPoset:
 
 
 def leaves_B(n: int, c1, kappa) -> LeafPoset:
-    """Leaf poset for B_n at (c1, kappa)."""
+    """Leaf poset for B_n at (c1, kappa) != 0.  At the zero parameter the
+    origin is a leaf of its own, which the kappa = 0 poset below lacks."""
     param = CherednikParameter.type_B(c1, kappa)
+    if param.is_zero():
+        raise ValueError("the type-B classification needs (c1, kappa) != 0")
     if param.kappa == 0:
         # degenerate: leaves L_lam of dimension 2*len(lam), labels S_lam,
         # ordered by Young-subgroup containment (refinement)

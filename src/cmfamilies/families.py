@@ -6,7 +6,6 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from . import coxeter
-from . import symbols as sym
 from .exact import CherednikParameter, Cyclotomic
 from .partitions import Bipartition, DLabel, d_label
 from .reps import i2_character_table, i2_classes, i2_induced_from_reflection, i2_two_dim_range
@@ -65,14 +64,15 @@ def irr_labels(type_tag: str, size: int) -> tuple:
 
 
 def _drive(path: str, size: int, param: CherednikParameter) -> FamilyPartition:
-    """The partition by one path: one family at param = 0, else the entry's groups."""
+    """The partition by one path: one family at param = 0, else the fibres of
+    the entry's key."""
     entry = coxeter.checked(size, param)
     labels = irr_labels(param.type_tag, size)
     meta = dict(size=size, param=param, method=path)
     if param.is_zero():
         return _canonical([labels], **meta)
-    groups = entry.cm_groups if path == "CM" else entry.lusztig_groups
-    return _canonical(groups(size, param, labels), **meta)
+    key = entry.cm_key if path == "CM" else entry.lusztig_key
+    return _canonical(_group_by(labels, key(size, param)), **meta)
 
 
 # ---------------------------------------------------------------------------
@@ -105,25 +105,6 @@ def lusztig_families(size: int, param: CherednikParameter) -> FamilyPartition:
             "twist by a linear character (tau) to reduce to this case"
         )
     return _drive("Lusztig", size, param)
-
-
-def _lusztig_b_groups(n: int, param: CherednikParameter, labels) -> list[list[Bipartition]]:
-    c1, kappa = param.c1, param.kappa
-    if kappa == 0:
-        # degenerate case: families by |lam1|
-        return _group_by(labels, lambda bp: sum(bp[1]))
-    m = param.b_integral_m()
-    if m is None:
-        # non-integral rational c1/kappa: singletons
-        return [[bp] for bp in labels]
-    # integral case: normalize to kappa=1, c1=m and classify by symbol content.
-    # Every m >= n lies in the chamber c1/kappa > n - 1 of singleton families,
-    # so m = n stands for all of them and the symbol rows stay short.
-    N = max(n, 1)
-    m = min(m, n)
-    return _group_by(
-        labels, lambda bp: sym.content_key(sym.symbol_of(bp, N, m, 1))
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -60,7 +60,7 @@ GOLDEN = [
     ("families --type B --n 5 --c1 9/2 --kappa 3/2 --method both", 0, "fa4cf539efc7c39b6d750feccacdcec737fd0cd73ec9219051c23dd53880a020"),
     ("families --type B --n 3 --c1 1000000 --kappa 1 --method both", 0, "2733b90c0b09fbccee323fefc5904015900437323e2d3461219c3e4f2bd39dc9"),
     ("families --type D --n 6 --kappa 2/3 --method both", 0, "6beab17dca5f7dbbde6cffd78f11cb726d40203151b1a3f25255fd4ea1b66b3d"),
-    # the largest outputs: every B14 label in two partitions, and D14 by Clifford descent
+    # the largest outputs: every B14 label in two partitions, and D14 by the B keys at c1 = 0
     ("families --type B --n 14 --c1 6 --kappa 1 --method both", 0, "4a3c8b48503d887e39d0fd30c5643e92491272f053628fcdeb365866cdc4250b"),
     ("families --type D --n 14 --kappa 1/2 --method both", 0, "07e73ea06dbb135a2ac09ddfd6f25e9797c4255841c83a46e57a8a1a8f860a6e"),
     ("verify --suite 5", 0, "b7947464da2dc4fa7fca484937a4eaff69d988c200aaf08e90c600fc23351941"),
@@ -83,6 +83,7 @@ GOLDEN = [
     ("rigid --type B --n 7 --c1 1 --kappa 1 --mode oracle", 2, EMPTY),
     ("leaves --type A --n 3 --c 1", 2, EMPTY),
     ("leaves --type D --n 4 --kappa 0", 2, EMPTY),
+    ("leaves --type B --n 2 --c1 0 --kappa 0", 2, EMPTY),
     ("symbols --type D --kappa 1 --bp [1|1]", 2, EMPTY),
     ("symbols --type B --c1 1 --kappa 1 --bp 2,1", 2, EMPTY),
     ("symbols --type B --c1 1e400 --kappa 1 --bp [1|]", 2, EMPTY),
@@ -108,6 +109,7 @@ ERRORS = {
     "rigid --type B --n 7 --c1 1 --kappa 1 --mode oracle": "error: oracle mode for type B is bounded by n <= 6\n",
     "leaves --type A --n 3 --c 1": "error: no leaf poset is computed for type A\n",
     "leaves --type D --n 4 --kappa 0": "error: the type-D classification needs kappa != 0\n",
+    "leaves --type B --n 2 --c1 0 --kappa 0": "error: the type-B classification needs (c1, kappa) != 0\n",
     "symbols --type D --kappa 1 --bp [1|1]": "error: symbols are computed for type B\n",
     "symbols --type B --c1 1 --kappa 1 --bp 2,1": "error: not a bipartition: '2,1'\n",
     "symbols --type B --c1 1e400 --kappa 1 --bp [1|]": "error: N + m exceeds the symbol row bound 100000\n",

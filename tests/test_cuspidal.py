@@ -52,6 +52,10 @@ def test_leaves_degenerate():
     lp = leaves_B(4, 1, 0)
     assert all(l.dimension == 2 * len(l.index) for l in lp.leaves)
     assert lp.is_antisymmetric() and parabolic_order_refined(lp)
+    # at c = 0 the origin is a leaf of its own, which the kappa = 0 poset lacks
+    for n in (1, 2, 5):
+        with pytest.raises(ValueError):
+            leaves_B(n, 0, 0)
 
 
 def test_leaves_d4():

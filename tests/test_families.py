@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cmfamilies import exact
+from cmfamilies import exact, symbols
 from cmfamilies import fixtures as fx
 from cmfamilies.exact import CherednikParameter
 from cmfamilies.families import (
@@ -65,11 +65,30 @@ def test_d4_cuspidal_class():
 
 
 def test_d_split_labels_are_singletons():
-    fp = cm_families(2, CherednikParameter.type_D(1))
-    for f in fp.families:
-        for lab in f.members:
-            if lab[2] is not None:
-                assert f.is_singleton
+    # a split label {lam}_i keys as itself on both paths
+    for n in range(2, 11):
+        fps = [cm_families(n, CherednikParameter.type_D(k)) for k in (1, -1, Fraction(1, 2))]
+        fps += [lusztig_families(n, CherednikParameter.type_D(k)) for k in (1, Fraction(1, 2))]
+        for fp in fps:
+            for f in fp.families:
+                if any(lab[2] is not None for lab in f.members):
+                    assert f.is_singleton, (n, fp.method, f)
+
+
+def test_paths_stay_independent(monkeypatch):
+    """The CM key never builds a symbol and the Lusztig key never a residue."""
+    def forbidden(*args):
+        raise AssertionError("the other path's key was called")
+
+    points = [(n, CherednikParameter.type_B(m, 1)) for n in range(1, 6) for m in range(4)]
+    points += [(n, CherednikParameter.type_D(k)) for n in range(2, 7) for k in (1, Fraction(1, 2))]
+    with monkeypatch.context() as mp:
+        mp.setattr(symbols, "symbol_of", forbidden)
+        mp.setattr(symbols, "content_key", forbidden)
+        cm = [cm_families(n, p).as_sets() for n, p in points]
+    with monkeypatch.context() as mp:
+        mp.setattr(exact, "charged_residue", forbidden)
+        assert [lusztig_families(n, p).as_sets() for n, p in points] == cm
 
 
 I2_EQUAL = [(1, 1), (Fraction(7, 3), Fraction(7, 3))]
@@ -138,6 +157,12 @@ def test_clifford_descent_swap_stability():
         assert {swap_bipartition(bp) for bp in mem} == mem
     down = clifford_descent(fp)
     assert down.param.type_tag == "D"
+    # the D Lusztig key is the Clifford descent of the B Lusztig families
+    for n in range(2, 13):
+        for kappa in (1, Fraction(1, 2), 3):
+            by_key = lusztig_families(n, CherednikParameter.type_D(kappa)).as_sets()
+            down = clifford_descent(lusztig_families(n, CherednikParameter.type_B(0, kappa)))
+            assert by_key == down.as_sets(), (n, kappa)
 
 
 def test_dihedral_a_function_sample():
