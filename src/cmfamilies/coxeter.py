@@ -249,7 +249,7 @@ TYPES: dict[str, CoxeterType] = {
         anchor=_b_anchor,
         rigid=_b_rigid,
         reflections=_b_reflections,
-        oracle_max=6,
+        oracle_max=7,
         leaves=lambda n, param: cuspidal.leaves_B(n, param.c1, param.kappa),
     ),
     "D": CoxeterType(
@@ -265,7 +265,7 @@ TYPES: dict[str, CoxeterType] = {
         anchor=_d_anchor,
         rigid=_anchor_alone,
         reflections=_d_reflections,
-        oracle_max=6,
+        oracle_max=7,
         leaves=lambda n, param: cuspidal.leaves_D(n, param.kappa),
         module=lambda lab: lab[:2],
     ),

@@ -6,7 +6,9 @@ rigid when T(y, x) = sum_s c(s)(y, alpha_s)(alpha_s^v, x) pi(s) = 0 for all y in
 h and x in h*.  T is W-equivariant, pi(w) T(y, x) pi(w)^-1 = T(wy, wx), and the
 W-orbit of y = e_1 spans h, so the one row T(e_1, x) = 0 is the whole
 equation; it sums over the reflections with (e_1, alpha_s) != 0, which are the
-ones the type's table entry lists."""
+ones the type's table entry lists.  In types A, B and D, Stab_W(e_1) permutes
+the coordinates 2..n and pi(w) T(e_1, x_2) pi(w)^-1 = T(e_1, w x_2), so the
+conditions x_1 and x_2 are the whole row; for I2, h has only those two."""
 from __future__ import annotations
 
 import math
@@ -192,7 +194,8 @@ def _rigid_oracle(size: int, param: CherednikParameter) -> list:
 @cache
 def _rigidity_sums(type_tag: str, module, size: int) -> tuple:
     """The rigidity sums on the named module on the row y = e_1, one condition
-    per coordinate x_l.
+    for each of x_1 and x_2: Stab_W(e_1) permutes the coordinates 2..n, so
+    each condition x_l with l >= 3 is conjugate to the one for x_2.
 
     A condition is a tuple of (class name, sum over the reflections s of the
     class of (e_1, alpha_s)(alpha_s^v, x_l) pi(s)); the entry lists exactly the
@@ -201,7 +204,7 @@ def _rigidity_sums(type_tag: str, module, size: int) -> tuple:
     are decided on it."""
     sums: dict = {}  # l -> {class name: matrix}
     for name, coroot, root, mat in coxeter.lookup(type_tag).reflections(module, size):
-        for l, x in enumerate(coroot):
+        for l, x in enumerate(coroot[:2]):
             if x == 0:
                 continue
             by_class = sums.setdefault(l, {})

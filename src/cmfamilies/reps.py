@@ -10,6 +10,11 @@ oracle to be checked against.
 A module is the tuple of the matrices of W's Coxeter generators:
 (s_1, ..., s_{n-1}) for S_n, (t, s_1, ..., s_{n-1}) with t = eps_1(-1) for
 B_n, and (s, t) for I2(m).
+
+A matrix is sparse rows: one dict {column: entry} per row, holding only the
+nonzero entries (Fraction or Cyclotomic), so a product costs about the number
+of nonzero pairs and two matrices are equal exactly when their rows are.  No
+function here mutates a row it is given: the cached builders share their rows.
 """
 from __future__ import annotations
 
@@ -27,48 +32,51 @@ from .partitions import (
     partitions,
 )
 
-Matrix = tuple[tuple, ...]
+# Row r is {c: entry (r, c)} over the nonzero entries only, so a zero row is {}.
+Matrix = tuple[dict, ...]
 
 
 # ---------------------------------------------------------------------------
-# Matrix helpers (entries: Fraction or Cyclotomic)
+# The sparse-row kernel (entries: Fraction or Cyclotomic)
 # ---------------------------------------------------------------------------
 
-def mat_identity(d: int, one=Fraction(1), zero=Fraction(0)) -> Matrix:
-    return tuple(tuple(one if i == j else zero for j in range(d)) for i in range(d))
+def mat_identity(d: int, one=Fraction(1)) -> Matrix:
+    return tuple({i: one} for i in range(d))
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    """a b, multiplying each nonzero entry of a only with the nonzero entries
-    of the matching row of b.  A zero entry of the product is the zero of the
-    entries' ring (Fraction(0) or Cyclotomic.zero(m)), never the int 0."""
-    zero = a[0][0] * b[0][0] * 0
-    width = len(b[0])
-    b_rows = [[(j, y) for j, y in enumerate(row) if y] for row in b]
+    """a b, each nonzero entry of a times the nonzero entries of the matching
+    row of b; an entry that cancels to zero is dropped."""
     out = []
     for row in a:
         acc: dict = {}
-        for t, x in enumerate(row):
-            if x:
-                for j, y in b_rows[t]:
-                    acc[j] = acc[j] + x * y if j in acc else x * y
-        out.append(tuple(acc.get(j, zero) for j in range(width)))
+        for t, x in row.items():
+            for j, y in b[t].items():
+                acc[j] = acc[j] + x * y if j in acc else x * y
+        out.append({j: v for j, v in acc.items() if v})
     return tuple(out)
 
 def mat_add(a: Matrix, b: Matrix) -> Matrix:
-    return tuple(
-        tuple((x + y if y else x) if x else y for x, y in zip(ra, rb)) for ra, rb in zip(a, b)
-    )
+    out = []
+    for ra, rb in zip(a, b):
+        row = dict(ra)
+        for j, y in rb.items():
+            v = row[j] + y if j in row else y
+            if v:
+                row[j] = v
+            else:
+                del row[j]
+        out.append(row)
+    return tuple(out)
 
 def mat_scale(c, a: Matrix) -> Matrix:
-    if c == 1:  # a Matrix is immutable, so a itself is 1 * a
+    if c == 1:  # a Matrix is never mutated, so a itself is 1 * a
         return a
     if not c:
-        zero = c * a[0][0]
-        return tuple((zero,) * len(row) for row in a)
-    return tuple(tuple(c * x if x else x for x in row) for row in a)
+        return tuple({} for _ in a)
+    return tuple({j: c * x for j, x in row.items()} for row in a)
 
 def mat_is_zero(a: Matrix) -> bool:
-    return not any(map(any, a))
+    return not any(a)
 
 def _as_int(q: Fraction) -> int:
     """q as an int; ArithmeticError if it is not one (an assert would vanish under -O)."""
@@ -123,23 +131,22 @@ def symmetric_generator_matrices(lam: Partition) -> tuple[Matrix, ...]:
     d = len(tabs)
     mats = []
     for a in range(1, n):
-        cols = [[Fraction(0)] * d for _ in range(d)]  # cols[j][i]
-        for j, t in enumerate(tabs):
+        rows = [{} for _ in range(d)]
+        for j, t in enumerate(tabs):  # column j: the image of tableau t
             pos = _tableau_positions(t)
             (ra, ca), (rb, cb) = pos[a], pos[a + 1]
             if ra == rb:
-                cols[j][j] = Fraction(1)
+                rows[j][j] = Fraction(1)
             elif ca == cb:
-                cols[j][j] = Fraction(-1)
+                rows[j][j] = Fraction(-1)
             else:
-                dist = (cb - rb) - (ca - ra)  # content(a+1) - content(a)
+                dist = (cb - rb) - (ca - ra)  # content(a+1) - content(a), |dist| >= 2
                 swapped = tuple(
                     tuple(a + 1 if v == a else a if v == a + 1 else v for v in row) for row in t
                 )
-                partner = index[swapped]
-                cols[j][j] = Fraction(1, dist)
-                cols[j][partner] = Fraction(1) if dist > 0 else Fraction(1) - Fraction(1, dist * dist)
-        mats.append(tuple(tuple(cols[j][i] for j in range(d)) for i in range(d)))
+                rows[j][j] = Fraction(1, dist)
+                rows[index[swapped]][j] = Fraction(1) if dist > 0 else 1 - Fraction(1, dist * dist)
+        mats.append(tuple(rows))
     return tuple(mats)
 
 
@@ -172,7 +179,7 @@ def jucys_murphy_eigenvalue(lam: Partition):
     for j in range(1, n):
         m = sn_transposition_matrix(lam, j, n)
         total = m if total is None else mat_add(total, m)
-    diag = total[0][0]
+    diag = total[0].get(0, Fraction(0))  # a zero eigenvalue leaves row 0 empty
     if total == mat_scale(diag, mat_identity(d)):
         return _as_int(diag)
     return "non-scalar"
@@ -373,38 +380,26 @@ def build_B_rep(bp: Bipartition) -> tuple[Matrix, ...]:
         raise ValueError("need n >= 1")
     basis = b_rep_basis(bp)
     index = {b: k for k, b in enumerate(basis)}
-    d = len(basis)
     gens0 = symmetric_generator_matrices(lam0)
     gens1 = symmetric_generator_matrices(lam1)
 
-    one, zero = Fraction(1), Fraction(0)
-    t = tuple(
-        tuple(((one if 1 in basis[i][0] else -one) if i == j else zero) for j in range(d))
-        for i in range(d)
-    )
-    generators = [t]
+    one = Fraction(1)
+    generators = [tuple({r: one if 1 in A else -one} for r, (A, _, _) in enumerate(basis))]
     for a in range(1, n):
-        cols = [[Fraction(0)] * d for _ in range(d)]
-        for col, (A, i, j) in enumerate(basis):
+        rows = []  # row (A, i, j) of s_a
+        for A, i, j in basis:
             inA = a in A
             in1A = (a + 1) in A
-            if inA and in1A:
-                p = A.index(a)  # a+1 sits at p+1
-                m = gens0[p]
-                for i2 in range(len(m)):
-                    if m[i2][i]:
-                        cols[col][index[(A, i2, j)]] += m[i2][i]
+            if inA and in1A:  # a+1 sits at A.index(a) + 1
+                m = gens0[A.index(a)]
+                rows.append({index[(A, i2, j)]: x for i2, x in m[i].items()})
             elif not inA and not in1A:
                 comp = tuple(x for x in range(1, n + 1) if x not in A)
-                q = comp.index(a)
-                m = gens1[q]
-                for j2 in range(len(m)):
-                    if m[j2][j]:
-                        cols[col][index[(A, i, j2)]] += m[j2][j]
+                m = gens1[comp.index(a)]
+                rows.append({index[(A, i, j2)]: x for j2, x in m[j].items()})
             else:
-                newA = tuple(sorted(set(A) ^ {a, a + 1}))
-                cols[col][index[(newA, i, j)]] += Fraction(1)
-        generators.append(tuple(tuple(cols[j2][i2] for j2 in range(d)) for i2 in range(d)))
+                rows.append({index[(tuple(sorted(set(A) ^ {a, a + 1})), i, j)]: one})
+        generators.append(tuple(rows))
     return tuple(generators)
 
 
@@ -418,9 +413,9 @@ def bn_neg_transposition_matrix(e: Matrix, s_jk: Matrix) -> Matrix:
 
     e is diagonal with entries +-1, so the conjugation negates entry (r, c)
     exactly where those two diagonal entries differ."""
-    signs = [e[r][r] > 0 for r in range(len(e))]
+    signs = [row[r] > 0 for r, row in enumerate(e)]
     return tuple(
-        tuple(-x if x and sr != sc else x for x, sc in zip(row, signs))
+        {c: -x if sr != signs[c] else x for c, x in row.items()}
         for row, sr in zip(s_jk, signs)
     )
 
@@ -506,10 +501,9 @@ def build_dihedral_rep(label: str, m: int) -> tuple[Matrix, Matrix]:
     if label.startswith("phi"):
         i = int(label.split("_")[1])
         z = Cyclotomic.zeta
-        s = ((rat(0), rat(1)), (rat(1), rat(0)))
-        return s, ((rat(0), z(m, -i)), (z(m, i), rat(0)))
+        return ({1: rat(1)}, {0: rat(1)}), ({1: z(m, -i)}, {0: z(m, i)})
     vals = {"1": (1, 1), "eps": (-1, -1), "eps1": (1, -1), "eps2": (-1, 1)}[label]
-    return ((rat(vals[0]),),), ((rat(vals[1]),),)
+    return ({0: rat(vals[0])},), ({0: rat(vals[1])},)
 
 
 def i2_reflection_matrix(gens: tuple[Matrix, Matrix], m: int) -> tuple[Matrix, ...]:

@@ -112,7 +112,7 @@ def test_validation_exit_2(capsys):
     code, _, err = run(capsys, "families", "--type", "I2", "--a", "1", "--b", "1")
     assert code == 2 and "--m" in err
     code, _, err = run(
-        capsys, "rigid", "--type", "D", "--n", "7", "--kappa", "1", "--mode", "oracle"
+        capsys, "rigid", "--type", "D", "--n", "8", "--kappa", "1", "--mode", "oracle"
     )
     assert code == 2
     code, _, err = run(

@@ -78,9 +78,12 @@ GOLDEN = [
     ("symbols --type B --c1 1 --kappa 1 --bp [1|] --n 7", 2, EMPTY),
     ("rigid --type D --n 4 --kappa 1 --mode oracle", 0, "089c6e7e885024ce6ce0cd6f547b005a401ba4d98419436501957d872218752a"),
     ("rigid --type D --n 6 --kappa 1 --mode oracle", 0, "9d7319d1ca329ce31c581024b3643716e086338d9b64151e88be5c6522d58175"),
-    ("rigid --type D --n 7 --kappa 1 --mode oracle", 2, EMPTY),
+    ("rigid --type D --n 7 --kappa 1 --mode oracle", 0, "4ed9d0c11ee944f1524dedc47b8c7e7072ca4121eac2464427f27e824ddd4f0f"),
+    ("rigid --type D --n 8 --kappa 1 --mode oracle", 2, EMPTY),
     ("rigid --type B --n 6 --c1 1 --kappa 1 --mode oracle", 0, "a81374474d37dea2c734ace152f701e1272ba136c5ca3c346a4e8a844b72527a"),
-    ("rigid --type B --n 7 --c1 1 --kappa 1 --mode oracle", 2, EMPTY),
+    ("rigid --type B --n 7 --c1 1 --kappa 1 --mode oracle", 0, "4e601ac64657507da1c6077d9f5061159e44637429b87811dc85dccf0c93609b"),
+    ("rigid --type B --n 7 --c1 6 --kappa 1 --mode oracle", 0, "5bf2fdcf83951eb921177a7ad0cdcdee01b2dbb6e46a3937007187186c2d4abd"),
+    ("rigid --type B --n 8 --c1 1 --kappa 1 --mode oracle", 2, EMPTY),
     ("leaves --type A --n 3 --c 1", 2, EMPTY),
     ("leaves --type D --n 4 --kappa 0", 2, EMPTY),
     ("leaves --type B --n 2 --c1 0 --kappa 0", 2, EMPTY),
@@ -105,8 +108,8 @@ ERRORS = {
     "families --type B --n 2 --c1 1 --kappa 1 --a 5 --m 9": "error: families --type B takes no --m, --a\n",
     "rigid --type A --n 2 --c 1 --kappa 3": "error: rigid --type A takes no --kappa\n",
     "symbols --type B --c1 1 --kappa 1 --bp [1|] --n 7": "error: symbols --type B takes no --n\n",
-    "rigid --type D --n 7 --kappa 1 --mode oracle": "error: oracle mode for type D is bounded by n <= 6\n",
-    "rigid --type B --n 7 --c1 1 --kappa 1 --mode oracle": "error: oracle mode for type B is bounded by n <= 6\n",
+    "rigid --type D --n 8 --kappa 1 --mode oracle": "error: oracle mode for type D is bounded by n <= 7\n",
+    "rigid --type B --n 8 --c1 1 --kappa 1 --mode oracle": "error: oracle mode for type B is bounded by n <= 7\n",
     "leaves --type A --n 3 --c 1": "error: no leaf poset is computed for type A\n",
     "leaves --type D --n 4 --kappa 0": "error: the type-D classification needs kappa != 0\n",
     "leaves --type B --n 2 --c1 0 --kappa 0": "error: the type-B classification needs (c1, kappa) != 0\n",
@@ -150,6 +153,13 @@ def _rigid_by_mode(capsys, query):
 def test_b6_oracle_row_matches_closed_form(capsys):
     """The B6 oracle row answers with the closed form's labels."""
     rigid = _rigid_by_mode(capsys, "rigid --type B --n 6 --c1 1 --kappa 1")
+    assert rigid["oracle"] == rigid["closed"] != []
+
+
+def test_b7_oracle_row_matches_closed_form(capsys):
+    """The B7 oracle row at c1/kappa = 6, where 7 = 1 * (1 + 6) makes the
+    box (1^7) and its sign twist rigid, answers with the closed form's labels."""
+    rigid = _rigid_by_mode(capsys, "rigid --type B --n 7 --c1 6 --kappa 1")
     assert rigid["oracle"] == rigid["closed"] != []
 
 

@@ -220,9 +220,7 @@ def _all_reflections(type_tag, label, size):
 
         def eps(j):
             """eps_j(-1): diagonal, +1 on the basis vectors (A, i, k) with j in A."""
-            d = len(basis)
-            return tuple(tuple(Fraction(0 if r != c else 1 if j in basis[r][0] else -1)
-                               for c in range(d)) for r in range(d))
+            return tuple({r: Fraction(1 if j in A else -1)} for r, (A, _, _) in enumerate(basis))
 
         for j in range(1, size + 1):
             yield "c1", vector({j: 2}), vector({j: 1}), eps(j)
@@ -233,9 +231,9 @@ def _all_reflections(type_tag, label, size):
             yield "kappa", plus, plus, reps.bn_neg_transposition_matrix(eps(i), s_ij)
 
 
-def _rigid_every_pair(type_tag, size, param):
+def _rigid_every_pair(type_tag, size, param, pairs=None):
     """The rigid labels by sum_s c(s)(y_k, alpha_s)(alpha_s^v, x_l) pi(s) = 0
-    for every basis pair (k, l)."""
+    for every basis pair (k, l), or for the pairs given."""
     out = []
     for label in coxeter.TYPES[type_tag].labels(size):
         sums = {}
@@ -243,7 +241,7 @@ def _rigid_every_pair(type_tag, size, param):
             c = getattr(param, name)
             for k, y in enumerate(root):
                 for l, x in enumerate(coroot):
-                    if c * y * x != 0:
+                    if c * y * x != 0 and (pairs is None or (k, l) in pairs):
                         term = reps.mat_scale(c * y * x, mat)
                         sums[k, l] = reps.mat_add(sums[k, l], term) if (k, l) in sums else term
         if all(reps.mat_is_zero(s) for s in sums.values()):
@@ -273,11 +271,24 @@ def test_one_row_oracle_matches_every_pair(type_tag, size, values):
     assert rigid_modules(size, param, "equation_oracle") == _rigid_every_pair(type_tag, size, param)
 
 
+@pytest.mark.parametrize("type_tag,size,values,label", [
+    ("A", 4, (1,), (2, 2)),
+    ("B", 2, (0, 1), ((1,), (1,))),
+])
+def test_first_condition_alone_is_not_enough(type_tag, size, values, label):
+    """The condition x_1 of the row y = e_1 alone accepts a label that the
+    whole equation rejects, so the oracle's second condition x_2 carries weight."""
+    param = coxeter.TYPES[type_tag].parameter(values, size)
+    assert label in _rigid_every_pair(type_tag, size, param, pairs={(0, 0)})
+    assert label not in _rigid_every_pair(type_tag, size, param)
+    assert label not in rigid_modules(size, param, "equation_oracle")
+
+
 def test_rigid_oracle_rejects_out_of_scale():
     with pytest.raises(ValueError):
-        rigid_modules(7, CherednikParameter.type_B(1, 1), "equation_oracle")
+        rigid_modules(8, CherednikParameter.type_B(1, 1), "equation_oracle")
     with pytest.raises(ValueError):
-        rigid_modules(7, CherednikParameter.type_D(1), "equation_oracle")
+        rigid_modules(8, CherednikParameter.type_D(1), "equation_oracle")
     with pytest.raises(ValueError):
         rigid_modules(18, CherednikParameter.type_I2(1, 1), "equation_oracle")
     # odd m forces a = b

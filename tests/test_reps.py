@@ -58,18 +58,13 @@ def bn_dim(bp):
 
 
 def mat_trace(a):
-    return sum((a[i][i] for i in range(1, len(a))), a[0][0])
+    return sum((row[i] for i, row in enumerate(a) if i in row), Fraction(0))
 
 
 def eps_matrix(bp, j):
     """eps_j(-1) on the module of bp: diagonal, +1 on the basis vectors (A, i, k)
     whose subset A holds j and -1 on the others."""
-    basis = b_rep_basis(bp)
-    one, zero = Fraction(1), Fraction(0)
-    return tuple(
-        tuple((one if j in basis[r][0] else -one) if r == c else zero for c in range(len(basis)))
-        for r in range(len(basis))
-    )
+    return tuple({r: Fraction(1 if j in A else -1)} for r, (A, _, _) in enumerate(b_rep_basis(bp)))
 
 
 def bn_class_matrix(bp, cls):
@@ -91,7 +86,7 @@ def i2_class_matrix(gens, cls, m):
     if cls in ("s", "t"):
         return s if cls == "s" else t
     r = mat_mul(s, t)
-    out = mat_identity(len(s), Cyclotomic.from_rational(m, 1), Cyclotomic.zero(m))
+    out = mat_identity(len(s), Cyclotomic.from_rational(m, 1))
     for _ in range(0 if cls == "e" else int(cls[1:])):
         out = mat_mul(r, out)
     return out
@@ -174,9 +169,8 @@ def test_i2_relations():
 
 def _perturbed(gens, g, r, c):
     """gens with entry (r, c) of gens[g] increased by 1."""
-    mat = [list(row) for row in gens[g]]
-    mat[r][c] += 1
-    return gens[:g] + (tuple(map(tuple, mat)),) + gens[g + 1:]
+    unit = tuple({c: Fraction(1)} if i == r else {} for i in range(len(gens[g])))
+    return gens[:g] + (mat_add(gens[g], unit),) + gens[g + 1:]
 
 
 def test_coxeter_relations_reject_planted_defects():
@@ -318,7 +312,13 @@ def test_d_restriction_norms():
             assert norm == (2 if bp[0] == bp[1] else 1)
 
 
-# -- the zero-skipping matrix kernel against dense references ---------------
+# -- the sparse-row matrix kernel against dense references -----------------
+
+def dense(a, width):
+    """The sparse-row matrix a as dense rows of the given width, 0 where a
+    stores nothing."""
+    return tuple(tuple(row.get(j, 0) for j in range(width)) for row in a)
+
 
 def _dense_mul(a, b):
     out = []
@@ -334,7 +334,7 @@ def _dense_mul(a, b):
 
 
 def _kernel_cases():
-    """Lists of same-shape matrices; every ordered pair of a list is a case."""
+    """Lists of same-shape square matrices; every ordered pair of a list is a case."""
     for n in range(1, 4):
         for bp in bipartitions(n):
             yield [*build_B_rep(bp), *(eps_matrix(bp, j) for j in range(2, n + 1))]
@@ -345,16 +345,26 @@ def _kernel_cases():
         for lab in i2_labels(m):
             yield list(build_dihedral_rep(lab, m))
     q = Fraction
-    yield [((q(0), q(0)), (q(0), q(0))), ((q(1), q(-2)), (q(0), q(3, 4)))]
-    yield [((q(-5, 3),),), ((q(0),),)]
+    yield [({}, {}), ({0: q(1), 1: q(-2)}, {1: q(3, 4)})]
+    yield [({0: q(-5, 3)},), ({},)]
 
 
-def _assert_entries(got, want, entry_type):
+def _assert_sparse(a, width, entry_type):
+    """The kernel's invariant: rows store only nonzero entries of the one
+    entry ring, never an int, at columns inside the width."""
+    for row in a:
+        for j, x in row.items():
+            assert 0 <= j < width
+            assert type(x) is entry_type
+            assert x
+
+
+def _assert_entries(got, want, width, entry_type):
+    _assert_sparse(got, width, entry_type)
     assert len(got) == len(want)
-    for row, ref in zip(got, want):
+    for row, ref in zip(dense(got, width), want):
         assert len(row) == len(ref)
         for x, y in zip(row, ref):
-            assert type(x) is entry_type
             assert x == y
 
 
@@ -367,27 +377,59 @@ def _scalars(entry):
 
 def test_matrix_kernel_matches_dense_reference():
     for mats in _kernel_cases():
-        entry_type = type(mats[0][0][0])
+        sample = next(x for a in mats for row in a for x in row.values())
+        entry_type = type(sample)
+        width = len(mats[0])
+        before = [tuple(dict(row) for row in a) for a in mats]
         for a in mats:
+            _assert_sparse(a, width, entry_type)
+            da = dense(a, width)
             for b in mats:
-                _assert_entries(mat_mul(a, b), _dense_mul(a, b), entry_type)
+                db = dense(b, width)
+                _assert_entries(mat_mul(a, b), _dense_mul(da, db), width, entry_type)
                 _assert_entries(
                     mat_add(a, b),
-                    tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b)),
+                    tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(da, db)),
+                    width,
                     entry_type,
                 )
-            for c in _scalars(a[0][0]):
-                want = tuple(tuple(c * x for x in row) for row in a)
-                _assert_entries(mat_scale(c, a), want, entry_type)
+            for c in _scalars(sample):
+                want = tuple(tuple(c * x for x in row) for row in da)
+                _assert_entries(mat_scale(c, a), want, width, entry_type)
+        # no kernel function mutates a row it is given
+        assert [tuple(dict(row) for row in a) for a in mats] == before
 
 
 def test_matrix_kernel_non_square_product():
     q = Fraction
-    a = ((q(1), q(0), q(2)), (q(0), q(0), q(0)))
-    b = ((q(0),), (q(5),), (q(-1, 2),))
+    a = ({0: q(1), 2: q(2)}, {})
+    b = ({}, {0: q(5)}, {0: q(-1, 2)})
     got = mat_mul(a, b)
-    _assert_entries(got, _dense_mul(a, b), Fraction)
-    assert got == ((q(-1),), (q(0),))
+    _assert_entries(got, _dense_mul(dense(a, 3), dense(b, 1)), 1, Fraction)
+    assert got == ({0: q(-1)}, {})
+
+
+def _generator_cases():
+    """Coxeter generators (involutions) with the one of their entry ring."""
+    for n in range(1, 4):
+        for bp in bipartitions(n):
+            yield build_B_rep(bp), Fraction(1)
+    for n in range(2, 6):
+        for lam in partitions(n):
+            yield symmetric_generator_matrices(lam), Fraction(1)
+    for m in range(5, 9):
+        for lab in i2_labels(m):
+            yield build_dihedral_rep(lab, m), Cyclotomic.from_rational(m, 1)
+
+
+def test_matrix_kernel_drops_cancelled_entries():
+    """Sums and products that cancel leave empty rows, on both entry rings."""
+    for gens, one in _generator_cases():
+        for g in gens:
+            empty = tuple({} for _ in g)
+            assert mat_add(g, mat_scale(-1, g)) == empty
+            assert mat_add(mat_mul(g, g), mat_scale(-1, mat_identity(len(g), one))) == empty
+            assert mat_is_zero(empty) and not mat_is_zero(g)
 
 
 def test_neg_transposition_is_eps_conjugate():
@@ -403,10 +445,11 @@ def test_neg_transposition_is_eps_conjugate():
 
 def test_mat_is_zero_on_both_entry_rings():
     q, c = Fraction, Cyclotomic
-    assert mat_is_zero(((q(0), q(0)), (q(0), q(0))))
-    assert not mat_is_zero(((q(0), q(0)), (q(0), q(-1, 3))))
-    assert mat_is_zero(((c.zero(8), c.zero(8)),))
-    assert not mat_is_zero(((c.zero(8), c.zeta(8) - c.zeta(8, 9) + c.from_rational(8, 1)),))
+    assert mat_is_zero(({}, {}))
+    assert not mat_is_zero(({}, {1: q(-1, 3)}))
+    # zeta^9 = zeta in Q(zeta_8): the first sum cancels, the second leaves 1
+    assert mat_is_zero(mat_add(({0: c.zeta(8)},), ({0: -c.zeta(8, 9)},)))
+    assert not mat_is_zero(mat_add(({0: c.zeta(8)},), ({0: c.from_rational(8, 1) - c.zeta(8, 9)},)))
 
 
 INTEGRALITY_CHECK = """
