@@ -15,7 +15,7 @@ from functools import cache
 from json.encoder import encode_basestring_ascii
 
 from . import coxeter
-from .cuspidal import annotated_families, rigid_modules
+from .cuspidal import annotated_families, cuspidal_families, rigid_modules
 from .exact import CherednikParameter
 from .families import FamilyPartition
 from .partitions import parse_bipartition
@@ -161,7 +161,7 @@ def cmd_cuspidal(args) -> int:
     out = []
     for method in methods:
         fp = annotated_families(size, param, method)
-        out.append(replace(fp, families=tuple(f for f in fp.families if f.cuspidal)))
+        out.append(replace(fp, families=tuple(cuspidal_families(fp))))
     if args.format == "json":
         payload = [_partition_json(fp) for fp in out]
         _emit(args, payload[0] if len(payload) == 1 else payload, "")

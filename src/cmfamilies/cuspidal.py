@@ -132,9 +132,9 @@ def parabolic_order_refined(poset: LeafPoset) -> bool:
 # Cuspidal families
 # ---------------------------------------------------------------------------
 
-def cuspidal_families(size: int, param: CherednikParameter, method: str = "CM") -> list[Family]:
-    """The cuspidal families of the given partition method, with leaf labels."""
-    fp = annotated_families(size, param, method)
+def cuspidal_families(fp: FamilyPartition) -> list[Family]:
+    """The cuspidal families, with leaf labels, of a partition that
+    annotated_families returned."""
     return [f for f in fp.families if f.cuspidal]
 
 
@@ -229,10 +229,8 @@ def _label_rigid(label, size: int, param: CherednikParameter) -> bool:
 # Theorem-level checks
 # ---------------------------------------------------------------------------
 
-def rigid_implies_cuspidal_check(size: int, param: CherednikParameter) -> bool:
-    """Every rigid label's CM family is cuspidal."""
-    rigids = rigid_modules(size, param, mode="closed_form")
-    if not rigids:
-        return True
-    fp = annotated_families(size, param, method="CM")
+def rigid_implies_cuspidal_check(fp: FamilyPartition) -> bool:
+    """Every closed-form rigid label at (fp.size, fp.param) lies in a cuspidal
+    family of fp, a partition that annotated_families returned."""
+    rigids = rigid_modules(fp.size, fp.param, mode="closed_form")
     return all(fp.family_of(lab).cuspidal for lab in rigids)

@@ -11,7 +11,7 @@ from .partitions import Bipartition, DLabel, d_label
 from .reps import i2_character_table, i2_classes, i2_induced_from_reflection, i2_two_dim_range
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Family:
     members: tuple
     leaf_label: str | None = None

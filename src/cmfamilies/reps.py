@@ -189,6 +189,7 @@ def jucys_murphy_eigenvalue(lam: Partition):
 # S_n characters (Murnaghan-Nakayama) and classes
 # ---------------------------------------------------------------------------
 
+@cache
 def zee(mu: Partition) -> int:
     """Centralizer order of the class mu in S_n."""
     out = 1

@@ -5,10 +5,10 @@ from __future__ import annotations
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import wraps
+from functools import cache, wraps
 from math import comb
 
-from . import coxeter
+from . import coxeter, cuspidal
 from . import fixtures as fx
 from .cuspidal import (
     cuspidal_families,
@@ -19,12 +19,7 @@ from .cuspidal import (
     rigid_modules,
 )
 from .exact import CherednikParameter, Cyclotomic
-from .families import (
-    cm_families,
-    dihedral_j_induction,
-    lusztig_families,
-    tau_twist,
-)
+from .families import FamilyPartition, dihedral_j_induction, tau_twist
 from .partitions import bipartitions, dagger, partitions, subpartitions_of_box
 from .reps import (
     bn_character_dict,
@@ -108,6 +103,21 @@ def _full_grid(max_n: int = GRID_N):
     return grid
 
 
+@cache
+def _families(size: int, param: CherednikParameter, method: str = "CM") -> FamilyPartition:
+    """annotated_families(size, param, method), built once per process for
+    every suite that reads it.  Call it as _families(size, param) for CM and
+    _families(size, param, "Lusztig"), so that each partition has one key.
+
+    Only the suites read this memo; the CLI and the library functions build
+    each partition afresh.  A test that plants a defect into a family key
+    must call _families.cache_clear() before and after it, so that no
+    partition built with or without the defect stands in for the other.
+    annotated_families is read from its module at call time, so that a
+    function rebound there is the one called."""
+    return cuspidal.annotated_families(size, param, method)
+
+
 # ---------------------------------------------------------------------------
 # Suites (numbered to match the reported criteria)
 # ---------------------------------------------------------------------------
@@ -116,8 +126,8 @@ def _full_grid(max_n: int = GRID_N):
 def suite_1_families_equality():
     """CM partition equals Lusztig partition on the full grid."""
     for size, param in _full_grid():
-        cm = cm_families(size, param).as_sets()
-        lu = lusztig_families(size, param).as_sets()
+        cm = _families(size, param).as_sets()
+        lu = _families(size, param, "Lusztig").as_sets()
         yield cm == lu, f"{param.type_tag} {size} {param.to_json()}"
 
 
@@ -148,8 +158,8 @@ def _fcusp_failure(size: int, param: CherednikParameter, cm: set) -> str | None:
 def suite_2_cuspidal_equality():
     """Cuspidal families agree between methods; type-B existence/shape/size."""
     for size, param in _full_grid():
-        cm = {frozenset(f.members) for f in cuspidal_families(size, param, "CM")}
-        lu = {frozenset(f.members) for f in cuspidal_families(size, param, "Lusztig")}
+        cm = {frozenset(f.members) for f in cuspidal_families(_families(size, param))}
+        lu = {frozenset(f.members) for f in cuspidal_families(_families(size, param, "Lusztig"))}
         if cm != lu:
             msg = f"methods differ: {param.type_tag} {size} {param.to_json()}"
         else:
@@ -157,7 +167,7 @@ def suite_2_cuspidal_equality():
         yield msg is None, msg
     # the two displayed instances
     for n, m, want in ((6, 1, 10), (3, 2, 4)):
-        fams = cuspidal_families(n, CherednikParameter.type_B(m, 1), "CM")
+        fams = cuspidal_families(_families(n, CherednikParameter.type_B(m, 1)))
         yield len(fams) == 1 and len(fams[0].members) == want, f"display size: B {n} m={m}"
 
 
@@ -191,10 +201,10 @@ def suite_4_dihedral_table1():
             if rigid_modules(m, param, mode="equation_oracle") != fx.table1_rigid(m, a, b):
                 failed.append("rigid")
             if a >= 0 and b >= 0 and (a, b) != (0, 0):
-                if cm_families(m, param).as_sets() != fx.table2_families(m, a, b):
+                if _families(m, param).as_sets() != fx.table2_families(m, a, b):
                     failed.append("families")
-                cusp = cuspidal_families(m, param, "CM")
-                want = cuspidal_families(m, param, "Lusztig")
+                cusp = cuspidal_families(_families(m, param))
+                want = cuspidal_families(_families(m, param, "Lusztig"))
                 if [set(f.members) for f in cusp] != [set(f.members) for f in want]:
                     failed.append("cuspidal")
             yield not failed, f"{'/'.join(failed)} m={m} a={a} b={b}"
@@ -233,14 +243,14 @@ def suite_6_leaves():
             continue
         lp = leaves(size, param)
         has_zero = bool(lp.zero_dimensional())
-        has_cusp = bool(cuspidal_families(size, param, "CM"))
+        has_cusp = bool(cuspidal_families(_families(size, param)))
         yield has_zero == has_cusp, f"leaf iff family: {param.type_tag} {size} {param.to_json()}"
 
 
 @_suite("7 rigid => cuspidal")
 def suite_7_rigid_implies_cuspidal():
     for size, param in _full_grid():
-        ok = rigid_implies_cuspidal_check(size, param)
+        ok = rigid_implies_cuspidal_check(_families(size, param))
         yield ok, f"{param.type_tag} {size} {param.to_json()}"
 
 
@@ -337,8 +347,8 @@ def suite_9_symmetries():
     for n in range(1, 7):
         for m in range(4):
             for kappa in (1, Fraction(1, 2)):
-                pos = cm_families(n, CherednikParameter.type_B(m * kappa, kappa))
-                neg = cm_families(n, CherednikParameter.type_B(-m * kappa, kappa))
+                pos = _families(n, CherednikParameter.type_B(m * kappa, kappa))
+                neg = _families(n, CherednikParameter.type_B(-m * kappa, kappa))
                 yield tau_twist(pos).as_sets() == neg.as_sets(), f"tau B {n} m={m} k={kappa}"
     scalars = (Fraction(2), Fraction(1, 3))
     points = [
@@ -351,13 +361,13 @@ def suite_9_symmetries():
         (7, CherednikParameter.type_I2(1, 1)),
     ]
     for size, param in points:
-        base_cm = cm_families(size, param).as_sets()
-        base_lu = lusztig_families(size, param).as_sets()
+        base_cm = _families(size, param).as_sets()
+        base_lu = _families(size, param, "Lusztig").as_sets()
         for alpha in scalars:
             scaled = CherednikParameter(param.type_tag, tuple(alpha * v for v in param.values))
-            yield (cm_families(size, scaled).as_sets() == base_cm,
+            yield (_families(size, scaled).as_sets() == base_cm,
                    f"CM rescale {param.type_tag} {size} x{alpha}")
-            yield (lusztig_families(size, scaled).as_sets() == base_lu,
+            yield (_families(size, scaled, "Lusztig").as_sets() == base_lu,
                    f"Lusztig rescale {param.type_tag} {size} x{alpha}")
 
 

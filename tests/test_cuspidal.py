@@ -101,7 +101,7 @@ def test_leaves_json_shape():
 
 
 def test_cuspidal_b61_display():
-    fams = cuspidal_families(6, CherednikParameter.type_B(1, 1), "CM")
+    fams = cuspidal_families(annotated_families(6, CherednikParameter.type_B(1, 1), "CM"))
     assert len(fams) == 1
     want = {(lam, dagger(lam, 2, 1)) for lam in subpartitions_of_box(2, 1)}
     assert set(fams[0].members) == want
@@ -110,31 +110,31 @@ def test_cuspidal_b61_display():
 
 
 def test_cuspidal_b32_display():
-    fams = cuspidal_families(3, CherednikParameter.type_B(2, 1), "Lusztig")
+    fams = cuspidal_families(annotated_families(3, CherednikParameter.type_B(2, 1), "Lusztig"))
     assert len(fams) == 1 and len(fams[0].members) == 4
     data = json.loads((Path(__file__).resolve().parent / "data" / "fcusp_1_2.json").read_text())
     assert set(fams[0].members) == {(tuple(p0), tuple(p1)) for p0, p1 in data["members"]}
 
 
 def test_cuspidal_none_when_no_rectangle():
-    assert cuspidal_families(5, CherednikParameter.type_B(0, 1), "CM") == []
-    assert cuspidal_families(4, CherednikParameter.type_A(1), "CM") == []
-    assert cuspidal_families(4, CherednikParameter.type_B(1, 0), "CM") == []
+    assert cuspidal_families(annotated_families(5, CherednikParameter.type_B(0, 1), "CM")) == []
+    assert cuspidal_families(annotated_families(4, CherednikParameter.type_A(1), "CM")) == []
+    assert cuspidal_families(annotated_families(4, CherednikParameter.type_B(1, 0), "CM")) == []
 
 
 def test_cuspidal_zero_parameter():
-    fams = cuspidal_families(3, CherednikParameter.type_B(0, 0), "CM")
+    fams = cuspidal_families(annotated_families(3, CherednikParameter.type_B(0, 0), "CM"))
     assert len(fams) == 1 and len(fams[0].members) == 10  # all of Irr B_3
 
 
 def test_cuspidal_i2_odd_convention():
-    fams = cuspidal_families(7, CherednikParameter.type_I2(1, 1), "Lusztig")
+    fams = cuspidal_families(annotated_families(7, CherednikParameter.type_I2(1, 1), "Lusztig"))
     assert len(fams) == 1
     assert set(fams[0].members) == {"phi_1", "phi_2", "phi_3"}
 
 
 def test_cuspidal_d4():
-    fams = cuspidal_families(4, CherednikParameter.type_D(1), "CM")
+    fams = cuspidal_families(annotated_families(4, CherednikParameter.type_D(1), "CM"))
     assert len(fams) == 1 and fams[0].leaf_label == "D4"
 
 
@@ -305,10 +305,14 @@ def test_rigid_labels_lie_in_cuspidal_family():
 
 
 def test_rigid_implies_cuspidal_samples():
-    assert rigid_implies_cuspidal_check(6, CherednikParameter.type_B(1, 1))
-    assert rigid_implies_cuspidal_check(8, CherednikParameter.type_I2(1, 1))
-    assert rigid_implies_cuspidal_check(5, CherednikParameter.type_D(1))
-    assert rigid_implies_cuspidal_check(5, CherednikParameter.type_B(Fraction(1, 2), 1))
+    points = [
+        (6, CherednikParameter.type_B(1, 1)),
+        (8, CherednikParameter.type_I2(1, 1)),
+        (5, CherednikParameter.type_D(1)),
+        (5, CherednikParameter.type_B(Fraction(1, 2), 1)),
+    ]
+    for size, param in points:
+        assert rigid_implies_cuspidal_check(annotated_families(size, param, "CM"))
 
 
 def test_singleton_families_never_cuspidal():

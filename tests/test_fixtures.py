@@ -5,7 +5,7 @@ import pytest
 from test_symbols import symbol_from_json
 
 from cmfamilies import fixtures as fx
-from cmfamilies.cuspidal import cuspidal_families
+from cmfamilies.cuspidal import annotated_families, cuspidal_families
 from cmfamilies.exact import CherednikParameter
 from cmfamilies.partitions import is_partition
 
@@ -44,7 +44,7 @@ def test_fcusp_members_are_bipartitions():
             assert sum(lam0) + sum(lam1) == n
         assert len(set(mem)) == len(mem)
         # and they are the one cuspidal family of B_n at c1 = m kappa
-        fams = cuspidal_families(n, CherednikParameter.type_B(m, 1), "CM")
+        fams = cuspidal_families(annotated_families(n, CherednikParameter.type_B(m, 1), "CM"))
         assert [set(f.members) for f in fams] == [set(mem)]
 
 
