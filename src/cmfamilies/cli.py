@@ -221,10 +221,8 @@ def cmd_symbols(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    if args.jobs < 1:
-        raise ValueError("--jobs must be at least 1")
     keys = None if args.suite == "all" else [k.strip() for k in args.suite.split(",")]
-    results = run_suites(keys, jobs=args.jobs)
+    results = run_suites(keys)
     ok = True
     for r in results:
         print(f"[{'PASS' if r.passed else 'FAIL'}] {r.name}: {r.detail}")
@@ -286,7 +284,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run the theorem-verification suites")
     p.add_argument("--suite", default="all",
                    help='"all" or comma-separated suite numbers, e.g. "1,7"')
-    p.add_argument("--jobs", type=int, default=1, help="parallel suite workers")
     p.set_defaults(func=cmd_verify)
     return ap
 

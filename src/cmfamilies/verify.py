@@ -2,7 +2,6 @@
 CLI `verify` subcommand and the test suite."""
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, wraps
@@ -135,7 +134,7 @@ def _fcusp_failure(size: int, param: CherednikParameter, cm: set) -> str | None:
     """Why the cuspidal families cm of B_size break the box classification:
     at integral c1/kappa = m one family, Fcusp, of size C(2k + |m|, k) when
     size = k(k + |m|), and none otherwise.  None if they do not."""
-    m = None if param.is_zero() or param.kappa == 0 else param.b_integral_m()
+    m = param.b_integral_m()
     if m is None:
         return None
     ks = [k for k in range(1, size + 1) if k * (k + abs(m)) == size]
@@ -232,10 +231,10 @@ def suite_6_leaves():
         lpd = leaves_B(n, 1, 0)
         yield all(l.dimension == 2 * len(l.index) for l in lpd.leaves), f"degenerate dims n={n}"
         yield lpd.is_antisymmetric() and parabolic_order_refined(lpd), f"degenerate poset n={n}"
-    posets = [leaves_B(n, m, 1) for n in range(1, GRID_N + 1) for m in range(4)]
-    posets += [leaves_D(n, 1) for n in range(2, GRID_N + 1)]
-    for lp in posets:
-        yield lp.is_antisymmetric() and parabolic_order_refined(lp), "poset sanity"
+    posets = [(f"B n={n} m={m}", leaves_B(n, m, 1)) for n in range(1, GRID_N + 1) for m in range(4)]
+    posets += [(f"D n={n}", leaves_D(n, 1)) for n in range(2, GRID_N + 1)]
+    for name, lp in posets:
+        yield lp.is_antisymmetric() and parabolic_order_refined(lp), f"poset sanity {name}"
     # cuspidal leaf exists iff the cuspidal family does (nonzero parameters)
     for size, param in _full_grid():
         leaves = coxeter.lookup(param.type_tag).leaves
@@ -384,16 +383,14 @@ SUITES = {
 }
 
 
-def _run_one(key: str) -> SuiteResult:
-    return SUITES[key]()
-
-
 def run_suites(keys=None, jobs: int = 1) -> list[SuiteResult]:
-    keys = list(SUITES) if keys in (None, "all") else list(dict.fromkeys(keys))
+    """Run the suites named by keys (all of them for None) in turn, in this
+    process, so that they share the one _families memo.  jobs is kept only
+    because the benchmark session passes jobs=1; any other value raises."""
+    if jobs != 1:
+        raise ValueError("the suites run in one process")
+    keys = list(SUITES) if keys is None else list(dict.fromkeys(keys))
     for k in keys:
         if k not in SUITES:
             raise ValueError(f"unknown suite {k!r}")
-    if jobs > 1 and len(keys) > 1:
-        with ProcessPoolExecutor(max_workers=min(jobs, len(keys))) as pool:
-            return list(pool.map(_run_one, keys))
     return [SUITES[k]() for k in keys]

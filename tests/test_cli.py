@@ -212,11 +212,21 @@ def test_families_generic_is_the_generic_point(capsys, size, param, point, cuspi
         assert sorted(len(f["members"]) for f in part["families"] if f["cuspidal"]) == cuspidal
 
 
-def test_verify_jobs_same_lines(capsys):
-    code1, out1, _ = run(capsys, "verify", "--suite", "5,9", "--jobs", "1")
-    code2, out2, _ = run(capsys, "verify", "--suite", "5,9", "--jobs", "2")
-    assert code1 == code2 == 0
-    assert out1 == out2 and len(out1.splitlines()) == 2
+def test_verify_takes_no_jobs_flag(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--suite", "5", "--jobs", "2"])
+    assert exc.value.code == 2
+    assert "--jobs" in capsys.readouterr().err
+
+
+def test_cli_import_loads_no_process_pool():
+    src = str(Path(cmfamilies.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    code = ("import sys, cmfamilies.cli; "
+            "print(sorted({'concurrent.futures', 'multiprocessing'} & set(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout == "[]\n"
 
 
 def test_closed_stdout_ends_without_traceback():

@@ -92,7 +92,6 @@ GOLDEN = [
     ("symbols --type B --c1 1e400 --kappa 1 --bp [1|]", 2, EMPTY),
     ("symbols --type B --c1 1 --kappa 1 --bp [1|] --bar 1000000000", 2, EMPTY),
     ("verify --suite nope", 2, EMPTY),
-    ("verify --suite 5 --jobs 0", 2, EMPTY),
 ]
 
 # the stderr of each exit-2 query in GOLDEN
@@ -118,7 +117,6 @@ ERRORS = {
     "symbols --type B --c1 1e400 --kappa 1 --bp [1|]": "error: N + m exceeds the symbol row bound 100000\n",
     "symbols --type B --c1 1 --kappa 1 --bp [1|] --bar 1000000000": "error: t + 1 exceeds the symbol row bound 100000\n",
     "verify --suite nope": "error: unknown suite 'nope'\n",
-    "verify --suite 5 --jobs 0": "error: --jobs must be at least 1\n",
 }
 
 

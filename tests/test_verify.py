@@ -1,12 +1,13 @@
-"""The verify suites' family memo: which suites share it, what stays out of
-it, and that a defect planted in a family key still fails a suite."""
+"""The verify suites: which suites share the family memo, what stays out of
+it, that they run in one process, and that a planted defect fails a suite
+with a message that names where it is."""
 import ast
 from itertools import count
 from pathlib import Path
 
 import pytest
 
-from cmfamilies import symbols
+from cmfamilies import symbols, verify
 from cmfamilies.cli import main
 from cmfamilies.exact import CherednikParameter
 from cmfamilies.verify import SUITES, _families, run_suites
@@ -67,3 +68,20 @@ def test_planted_lusztig_defect_fails_suite_1(fresh_memo, monkeypatch):
     result = SUITES["1"]()
     assert not result.passed
     assert "B 6 " in result.detail
+
+
+def test_run_suites_runs_in_one_process():
+    with pytest.raises(ValueError, match="one process"):
+        run_suites(["5"], jobs=2)
+    # the benchmark session's call
+    (result,) = run_suites(["5"], jobs=1)
+    assert result.passed and result.name.startswith("5 ")
+
+
+def test_planted_poset_defect_names_the_poset(fresh_memo, monkeypatch):
+    real = verify.parabolic_order_refined
+    bad = verify.leaves_B(3, 2, 1)
+    monkeypatch.setattr(verify, "parabolic_order_refined", lambda lp: lp != bad and real(lp))
+    result = SUITES["6"]()
+    assert not result.passed
+    assert result.detail == "1 failure(s): poset sanity B n=3 m=2"
