@@ -1,5 +1,5 @@
-"""Calogero-Moser and Lusztig family partitions of Irr W for types A, B, D
-and I2(m), with the tau-twist symmetry and Clifford descent to type D."""
+"""Calogero-Moser and Lusztig family partitions of Irr W for types A, B, D and
+I2(m), the tau twist, and clifford_descent: the test reference for D keys."""
 from __future__ import annotations
 
 from dataclasses import dataclass, replace

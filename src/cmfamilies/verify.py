@@ -73,14 +73,14 @@ def _suite(name: str):
 GRID_N = 8  # largest n of the full grid and of the suite-6 leaf posets
 
 
-def _b_grid(max_n: int):
+def _b_grid():
     params = [CherednikParameter.type_B(m, 1) for m in range(8)]
     params += [
         CherednikParameter.type_B(1, 0),
         CherednikParameter.type_B(Fraction(1, 2), 1),
         CherednikParameter.type_B(3, 2),
     ]
-    return [(n, p) for n in range(1, max_n + 1) for p in params]
+    return [(n, p) for n in range(1, GRID_N + 1) for p in params]
 
 
 def _i2_grid():
@@ -94,11 +94,11 @@ def _i2_grid():
     return out
 
 
-def _full_grid(max_n: int = GRID_N):
-    grid = _b_grid(max_n)
-    grid += [(n, CherednikParameter.type_D(1)) for n in range(2, max_n + 1)]
+def _full_grid():
+    grid = _b_grid()
+    grid += [(n, CherednikParameter.type_D(1)) for n in range(2, GRID_N + 1)]
     grid += _i2_grid()
-    grid += [(n, CherednikParameter.type_A(c)) for n in range(1, max_n + 1) for c in (0, 1)]
+    grid += [(n, CherednikParameter.type_A(c)) for n in range(1, GRID_N + 1) for c in (0, 1)]
     return grid
 
 

@@ -140,28 +140,18 @@ def test_every_pinned_message_is_an_exit_2_query():
     assert sorted(ERRORS) == sorted(EXIT_2)
 
 
-def _rigid_by_mode(capsys, query):
-    rigid = {}
-    for mode in ("oracle", "closed"):
-        assert main(f"{query} --mode {mode}".split()) == 0
-        rigid[mode] = json.loads(capsys.readouterr().out)["rigid"]
-    return rigid
+ORACLE_ROWS = [q for q, code, _ in GOLDEN if code == 0 and " --mode " in q and "oracle" in q]
 
 
-def test_b6_oracle_row_matches_closed_form(capsys):
-    """The B6 oracle row answers with the closed form's labels."""
-    rigid = _rigid_by_mode(capsys, "rigid --type B --n 6 --c1 1 --kappa 1")
-    assert rigid["oracle"] == rigid["closed"] != []
-
-
-def test_b7_oracle_row_matches_closed_form(capsys):
-    """The B7 oracle row at c1/kappa = 6, where 7 = 1 * (1 + 6) makes the
-    box (1^7) and its sign twist rigid, answers with the closed form's labels."""
-    rigid = _rigid_by_mode(capsys, "rigid --type B --n 7 --c1 6 --kappa 1")
-    assert rigid["oracle"] == rigid["closed"] != []
-
-
-def test_d4_oracle_row_matches_closed_form(capsys):
-    """The D4 oracle row answers with the closed form's labels."""
-    rigid = _rigid_by_mode(capsys, "rigid --type D --n 4 --kappa 1")
-    assert rigid["oracle"] == rigid["closed"] != []
+@pytest.mark.parametrize("query", ORACLE_ROWS)
+def test_oracle_row_matches_closed_form(capsys, query):
+    """Each oracle row prints the rigid labels that the same query prints
+    with --mode closed: the labels of the JSON, or all of the text."""
+    mode = query.split("--mode ")[1].split()[0]
+    out = []
+    for q in (query, query.replace(f"--mode {mode}", "--mode closed")):
+        assert main(q.split()) == 0
+        out.append(capsys.readouterr().out)
+    if "--format text" not in query:
+        out = [json.loads(o)["rigid"] for o in out]
+    assert out[0] == out[1]

@@ -164,33 +164,31 @@ def test_rigid_zero_parameter_all():
     assert len(labels) == 5
 
 
-def test_rigid_oracle_matches_small():
-    for n in (1, 2, 3):
-        for m in range(-(n - 1), n):
-            p = CherednikParameter.type_B(m, 1)
-            assert rigid_modules(n, p, "closed_form") == rigid_modules(n, p, "equation_oracle")
-    for m in (5, 6, 8):
-        params = [(1, 1)] if m % 2 else [(1, 1), (-1, 1), (1, 2)]
-        for a, b in params:
-            p = CherednikParameter.type_I2(a, b)
-            assert rigid_modules(m, p, "closed_form") == rigid_modules(m, p, "equation_oracle")
-    for c in (0, 1):
-        p = CherednikParameter.type_A(c)
-        assert rigid_modules(4, p, "closed_form") == rigid_modules(4, p, "equation_oracle")
+ORACLE_POINTS = {
+    "A": lambda n: [(0,), (1,), (-2,)],
+    # every integral m = c1/kappa on a wall |m| < n, a smooth point and kappa = 0
+    "B": lambda n: [(m, 1) for m in range(1 - n, n)] + [(Fraction(1, 2), 1), (1, 0)],
+    "D": lambda n: [(1,), (-1,), (Fraction(1, 2),), (Fraction(-7, 3),)],
+    # odd m forces a = b
+    "I2": lambda m: ([(1, 1), (-1, -1)] if m % 2 else
+                     [(1, 1), (-1, 1), (1, 2), (2, 1), (0, 1), (1, 0)]),
+}
+ORACLE_CASES = [(tag, size) for tag, entry in coxeter.TYPES.items()
+                for size in range(entry.min_size, entry.oracle_max + 1)]
 
 
-def test_b6_oracle_matches_closed_form():
-    points = [(m, 1) for m in range(-5, 6)] + [(Fraction(1, 2), 1)]
-    for c1, kappa in points:
-        p = CherednikParameter.type_B(c1, kappa)
-        assert rigid_modules(6, p, "closed_form") == rigid_modules(6, p, "equation_oracle")
-
-
-@pytest.mark.parametrize("n", range(2, 7))
-def test_d_oracle_matches_closed_form(n):
-    for kappa in (1, -1, Fraction(1, 2), Fraction(-7, 3)):
-        p = CherednikParameter.type_D(kappa)
-        assert rigid_modules(n, p, "closed_form") == rigid_modules(n, p, "equation_oracle")
+@pytest.mark.parametrize("type_tag,size", ORACLE_CASES)
+def test_rigid_closed_form_matches_oracle(type_tag, size):
+    """At every size from the type's min_size to its oracle_max, the closed
+    form and the rigidity-equation oracle find the same rigid labels at each
+    of the type's points."""
+    entry = coxeter.TYPES[type_tag]
+    mismatched = []
+    for values in ORACLE_POINTS[type_tag](size):
+        p = entry.parameter(values, size)
+        if rigid_modules(size, p, "closed_form") != rigid_modules(size, p, "equation_oracle"):
+            mismatched.append(values)
+    assert not mismatched
 
 
 def test_split_d_halves_share_one_sums_entry():

@@ -1,9 +1,9 @@
 """Every top-level function and class in src/cmfamilies is reached from a
 program entry point, and so is every name in an __all__.
 
-The entry points are cli.main, the package names that scripts/*.py and the
-benchmark's session and workloads use, and the names in the benchmark
-tracer's TARGETS and CYCLOTOMIC_METHODS.  From there the walk follows name
+The entry points are cli.main, the package names that the benchmark's
+session and workloads use, and the names in the benchmark tracer's TARGETS
+and CYCLOTOMIC_METHODS.  From there the walk follows name
 references through the source, read with the stdlib ast module: bare names,
 names imported from a package module, and attributes of an imported package
 module.  A definition that no entry point reaches is dead: delete it, or move
@@ -12,16 +12,15 @@ it into the test that uses it as a reference.
 The walk sees a class as one node.  Its members (methods, properties and
 dataclass fields) are checked by name instead: a member is reached when its
 name appears in a program file as an attribute, a keyword or a string
-constant.  The program files are the package, the scripts and the
-benchmark's session, workloads and tracer.
+constant.  The program files are the package and the benchmark's session,
+workloads and tracer.
 """
 import ast
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = "cmfamilies"
-USERS = [*sorted((ROOT / "scripts").glob("*.py")),
-         ROOT / "perfbench" / "session.py", ROOT / "perfbench" / "workloads.py"]
+USERS = [ROOT / "perfbench" / "session.py", ROOT / "perfbench" / "workloads.py"]
 TRACER = ROOT / "perfbench" / "tracer.py"
 DEFINITION = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
