@@ -36,8 +36,17 @@ def _build_param(args, sized: bool = True) -> CherednikParameter:
     if any(getattr(args, name) is None for name in t.params):
         flags = " and ".join(f"--{name}" for name in t.params)
         raise ValueError(f"type {args.type} needs {flags}")
-    values = [Fraction(getattr(args, name)) for name in t.params]
+    values = [_rational(name, getattr(args, name)) for name in t.params]
     return t.parameter(values, getattr(args, t.size_flag))
+
+
+def _rational(flag: str, text: str) -> Fraction:
+    """The value of --flag as a Fraction; a ValueError that names the flag if
+    text is not one (a zero denominator included)."""
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(f"--{flag}: {text!r} is not a rational p/q") from None
 
 
 def _size(args) -> int:

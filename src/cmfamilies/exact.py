@@ -84,14 +84,18 @@ class Cyclotomic:
 
     @classmethod
     def _new(cls, m: int, nums: list[int], den: int) -> "Cyclotomic":
-        """sum_i nums[i] x^i / den, reduced mod Phi_m (monic, so in ints) and to lowest terms."""
+        """sum_i nums[i] x^i / den, reduced mod Phi_m (monic, so in ints) and to lowest terms.
+        nums is a fresh list: the reduction may write to it."""
         deg, tail = _phi_tail(m)
-        for i in range(len(nums) - 1, deg - 1, -1):
-            c = nums[i]
-            if c:
-                for j, p in tail:
-                    nums[i - deg + j] -= c * p
-        nums = nums[:deg] + [0] * (deg - len(nums))
+        if len(nums) > deg:
+            for i in range(len(nums) - 1, deg - 1, -1):
+                c = nums[i]
+                if c:
+                    for j, p in tail:
+                        nums[i - deg + j] -= c * p
+            del nums[deg:]
+        elif len(nums) < deg:
+            nums += [0] * (deg - len(nums))
         if den != 1 and (g := gcd(den, *nums)) != 1:
             nums = [c // g for c in nums]
             den //= g
@@ -117,6 +121,8 @@ class Cyclotomic:
             if self.m != other.m:
                 raise ValueError("mixed conductors")
             b, db = other.coeffs, other.den
+            if da == db:
+                return Cyclotomic._new(self.m, [x + y for x, y in zip(a, b)], da)
             return Cyclotomic._new(self.m, [x * db + y * da for x, y in zip(a, b)], da * db)
         if not isinstance(other, (int, Fraction)):
             return NotImplemented
@@ -136,16 +142,26 @@ class Cyclotomic:
         return -self + other
 
     def __mul__(self, other):
+        """A rational factor scales the other; else each nonzero coefficient of
+        self times each nonzero one of other, then one reduction."""
         a = self.coeffs
         if isinstance(other, Cyclotomic):
             if self.m != other.m:
                 raise ValueError("mixed conductors")
+            b, den = other.coeffs, self.den * other.den
+            if not any(b[1:]):
+                y = b[0]
+                return Cyclotomic._new(self.m, [x * y for x in a], den)
+            if not any(a[1:]):
+                x = a[0]
+                return Cyclotomic._new(self.m, [x * y for y in b], den)
+            nb = [(j, y) for j, y in enumerate(b) if y]
             out = [0] * (2 * len(a) - 1)
             for i, x in enumerate(a):
                 if x:
-                    for j, y in enumerate(other.coeffs, i):
-                        out[j] += x * y
-            return Cyclotomic._new(self.m, out, self.den * other.den)
+                    for j, y in nb:
+                        out[i + j] += x * y
+            return Cyclotomic._new(self.m, out, den)
         if not isinstance(other, (int, Fraction)):
             return NotImplemented
         p, q = other.numerator, other.denominator

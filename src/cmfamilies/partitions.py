@@ -217,7 +217,11 @@ def parse_bipartition(text: str) -> Bipartition:
         s = s.strip()
         if not s:
             return ()
-        return check_partition(tuple(int(x) for x in s.split(",")))
+        try:
+            parts = tuple(int(x) for x in s.split(","))
+        except ValueError:
+            raise ValueError(f"not a bipartition: {text!r}") from None
+        return check_partition(parts)
 
     return (side(left), side(right))
 

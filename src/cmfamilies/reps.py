@@ -84,6 +84,13 @@ def _as_int(q: Fraction) -> int:
         raise ArithmeticError(f"expected an integer, got {q}")
     return int(q)
 
+def _exact_div(a: int, b: int) -> int:
+    """a / b for ints; ArithmeticError if b does not divide a.  The class sums
+    divide a centralizer order in W by one in a subgroup, which divides it."""
+    q, r = divmod(a, b)
+    if r:
+        raise ArithmeticError(f"{b} does not divide {a}")
+    return q
 
 
 # ---------------------------------------------------------------------------
@@ -246,7 +253,8 @@ def bn_centralizer_order(cls: BnClass) -> int:
     return (2 ** len(a)) * zee(a) * (2 ** len(b)) * zee(b)
 
 
-def _submultisets(mu: Partition):
+@cache
+def _submultisets(mu: Partition) -> tuple[tuple[Partition, Partition], ...]:
     """Distinct sub-multisets of a partition, as (sub, complement) pairs."""
     parts = sorted(set(mu))
     mults = [mu.count(p) for p in parts]
@@ -260,8 +268,8 @@ def _submultisets(mu: Partition):
             for sub, comp in rec(i + 1):
                 yield (p,) * take + sub, (p,) * (m - take) + comp
 
-    for sub, comp in rec(0):
-        yield tuple(sorted(sub, reverse=True)), tuple(sorted(comp, reverse=True))
+    return tuple((tuple(sorted(sub, reverse=True)), tuple(sorted(comp, reverse=True)))
+                 for sub, comp in rec(0))
 
 
 @cache
@@ -275,25 +283,26 @@ def bn_character(bp: Bipartition, cls: BnClass) -> int:
     lam0, lam1 = bp
     r = sum(lam0)
     alpha, beta = cls
-    n = sum(alpha) + sum(beta)
-    total = Fraction(0)
+    z = bn_centralizer_order(cls)
+    total = 0
     for a1, a2 in _submultisets(alpha):
         for b1, b2 in _submultisets(beta):
             if sum(a1) + sum(b1) != r:
                 continue
             v1 = sn_character(lam0, _merge(a1, b1))
             v2 = sn_character(lam1, _merge(a2, b2)) * (-1) ** len(b2)
-            z1 = bn_centralizer_order((a1, b1))
-            z2 = bn_centralizer_order((a2, b2))
-            total += Fraction(v1 * v2, z1 * z2)
-    return _as_int(bn_centralizer_order(cls) * total)
+            z12 = bn_centralizer_order((a1, b1)) * bn_centralizer_order((a2, b2))
+            total += v1 * v2 * _exact_div(z, z12)
+    return total
 
 
 def bn_inner_product(n: int, phi: dict, psi: dict) -> Fraction:
-    """<phi, psi> over B_n for real-valued class functions (dicts class->value)."""
-    return sum(
-        (Fraction(phi[c] * psi[c], bn_centralizer_order(c)) for c in bipartitions(n)),
-        Fraction(0),
+    """<phi, psi> over B_n for real-valued class functions (dicts class->value):
+    the sum over classes of phi psi |class|, over |B_n|."""
+    order = 2**n * factorial(n)
+    return Fraction(
+        sum(phi[c] * psi[c] * _exact_div(order, bn_centralizer_order(c)) for c in bipartitions(n)),
+        order,
     )
 
 
@@ -316,16 +325,15 @@ def induced_from_sj_bnj(nu: Partition, bp: Bipartition, n: int) -> dict:
     out = {}
     for cls in bipartitions(n):
         alpha, beta = cls
-        total = Fraction(0)
+        z = bn_centralizer_order(cls)
+        total = 0
         for mu, a_rest in _submultisets(alpha):
             if sum(mu) != j:
                 continue
             sub_cls = (a_rest, beta)
-            total += Fraction(
-                sn_character(nu, mu) * bn_character(bp, sub_cls),
-                zee(mu) * bn_centralizer_order(sub_cls),
-            )
-        out[cls] = _as_int(bn_centralizer_order(cls) * total)
+            total += (sn_character(nu, mu) * bn_character(bp, sub_cls)
+                      * _exact_div(z, zee(mu) * bn_centralizer_order(sub_cls)))
+        out[cls] = total
     return out
 
 
@@ -333,19 +341,24 @@ def induced_from_young(nu1: Partition, nu2: Partition, n: int) -> dict:
     """Character of Ind from S_j x S_{n-j} of chi_nu1 x chi_nu2 (inside S_n)."""
     if sum(nu1) + sum(nu2) != n:
         raise ValueError("sizes must add to n")
+    j = sum(nu1)
     out = {}
     for mu in partitions(n):
-        total = Fraction(0)
+        z = zee(mu)
+        total = 0
         for m1, m2 in _submultisets(mu):
-            if sum(m1) != sum(nu1):
+            if sum(m1) != j:
                 continue
-            total += Fraction(sn_character(nu1, m1) * sn_character(nu2, m2), zee(m1) * zee(m2))
-        out[mu] = _as_int(zee(mu) * total)
+            total += (sn_character(nu1, m1) * sn_character(nu2, m2)
+                      * _exact_div(z, zee(m1) * zee(m2)))
+        out[mu] = total
     return out
 
 
 def sn_norm(n: int, phi: dict) -> Fraction:
-    return sum((Fraction(phi[mu] ** 2, zee(mu)) for mu in partitions(n)), Fraction(0))
+    """<phi, phi> over S_n: the sum over classes of phi^2 |class|, over n!."""
+    order = factorial(n)
+    return Fraction(sum(phi[mu] ** 2 * _exact_div(order, zee(mu)) for mu in partitions(n)), order)
 
 
 # ---------------------------------------------------------------------------
@@ -532,7 +545,8 @@ def i2_induced_from_reflection(m: int, parabolic: int, chi: str) -> dict[str, in
     sign = 1 if chi == "1" else -1
     out = {}
     for lab, row in i2_character_table(m).items():
-        mult = _as_int((row["e"].rational_value() + sign * row[refl_cls].rational_value()) / 2)
+        dim, refl = (_as_int(row[c].rational_value()) for c in ("e", refl_cls))
+        mult = _exact_div(dim + sign * refl, 2)
         if mult:
             out[lab] = mult
     return out

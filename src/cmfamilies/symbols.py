@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from math import comb
 
 from .partitions import Bipartition, Partition
@@ -50,10 +51,20 @@ class BSymbol:
         }
 
 
+@cache
+def _betas(lam: Partition) -> tuple[int, ...]:
+    """p_i + i for p = lam reversed: the len(lam) beta-numbers of lam."""
+    return tuple([p + i for i, p in enumerate(reversed(lam))])
+
+
 def _row(lam: Partition, length: int, kappa: Rational, r: Rational) -> tuple:
     """kappa*(p_i + i) + r for i = 0 .. length-1, where p is lam reversed and
-    zero-padded in front to length: the beta-numbers of lam, scaled."""
-    parts = (0,) * (length - len(lam)) + lam[::-1]
+    zero-padded in front to length: the beta-numbers of lam, scaled.  At
+    kappa = 1, r = 0 that is 0 .. pad-1, then the cached _betas(lam) plus pad."""
+    pad = length - len(lam)
+    if kappa == 1 and r == 0:
+        return (*range(pad), *map(pad.__add__, _betas(lam)))
+    parts = (0,) * pad + lam[::-1]
     return tuple([kappa * (p + i) + r for i, p in enumerate(parts)])
 
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, wraps
-from math import comb
+from math import comb, factorial
 
 from . import coxeter, cuspidal
 from . import fixtures as fx
@@ -281,6 +281,12 @@ def _coxeter_relations_ok(gens, order) -> bool:
     return True
 
 
+def _i2_weighted_rows(m: int) -> dict[str, list[Cyclotomic]]:
+    """label -> [chi(cls) |cls| for each class of I2(m), in i2_classes order]."""
+    return {lab: [row[cls] * size for cls, size in i2_classes(m)]
+            for lab, row in i2_character_table(m).items()}
+
+
 @_suite("8 structural oracles")
 def suite_8_structural():
     # the Coxeter presentation of W on every module's generators
@@ -299,12 +305,11 @@ def suite_8_structural():
     # character orthonormality
     for n in range(1, 6):
         labs = partitions(n)
+        order = factorial(n)
         for i, lam in enumerate(labs):
             for nu in labs[i:]:
-                ip = sum(
-                    Fraction(sn_character(lam, mu) * sn_character(nu, mu), zee(mu))
-                    for mu in partitions(n)
-                )
+                ip = Fraction(sum(sn_character(lam, mu) * sn_character(nu, mu) * (order // zee(mu))
+                                  for mu in labs), order)
                 yield ip == (1 if lam == nu else 0), f"Sn orth {lam} {nu}"
     for n in range(1, 5):
         labs = bipartitions(n)
@@ -313,12 +318,13 @@ def suite_8_structural():
                 ip = bn_inner_product(n, bn_character_dict(bp1), bn_character_dict(bp2))
                 yield ip == (1 if bp1 == bp2 else 0), f"Bn orth {bp1} {bp2}"
     for m in range(5, 17):
-        table = i2_character_table(m)
+        weighted = _i2_weighted_rows(m)
+        conj = {lab: [row[cls].conjugate() for cls, _ in i2_classes(m)]
+                for lab, row in i2_character_table(m).items()}
         labs = i2_labels(m)
         for i, l1 in enumerate(labs):
             for l2 in labs[i:]:
-                total = sum((table[l1][cls] * table[l2][cls].conjugate() * size
-                             for cls, size in i2_classes(m)), Cyclotomic.zero(m))
+                total = sum(map(Cyclotomic.__mul__, weighted[l1], conj[l2]), Cyclotomic.zero(m))
                 yield total == (2 * m if l1 == l2 else 0), f"I2({m}) orth {l1} {l2}"
 
     # branching: every irreducible of a proper maximal parabolic, S_j x S_{n-j}

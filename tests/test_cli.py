@@ -128,6 +128,25 @@ def test_validation_exit_2(capsys):
     assert code == 2  # Lusztig method needs nonnegative parameters
 
 
+PARSE_ERRORS = [
+    (["families", "--type", "I2", "--m", "6", "--a", "1/0", "--b", "1"],
+     "error: --a: '1/0' is not a rational p/q\n"),
+    (["rigid", "--type", "A", "--n", "3", "--c", "1/2/3"],
+     "error: --c: '1/2/3' is not a rational p/q\n"),
+    (["leaves", "--type", "D", "--n", "4", "--kappa", ""],
+     "error: --kappa: '' is not a rational p/q\n"),
+    (["symbols", "--type", "B", "--c1", "1", "--kappa", "1", "--bp", "[a|]"],
+     "error: not a bipartition: '[a|]'\n"),
+    (["symbols", "--type", "B", "--c1", "1", "--kappa", "1", "--bp", "[1|2,,1]"],
+     "error: not a bipartition: '[1|2,,1]'\n"),
+]
+
+
+@pytest.mark.parametrize("argv,err", PARSE_ERRORS, ids=[" ".join(a) for a, _ in PARSE_ERRORS])
+def test_parse_errors_name_their_flag(capsys, argv, err):
+    assert run(capsys, *argv) == (2, "", err)
+
+
 def test_verify_single_suite(capsys):
     code, out, _ = run(capsys, "verify", "--suite", "5")
     assert code == 0

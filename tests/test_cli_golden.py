@@ -102,8 +102,8 @@ ERRORS = {
     "families --type D --n 1 --kappa 1": "error: need n >= 2\n",
     "families --type I2 --m 7 --a 1 --b 2": "error: odd m forces a = b (one reflection class)\n",
     "families --type B --n 3 --c1=-1 --kappa 1 --method Lusztig": "error: Lusztig families are defined for nonnegative parameters; twist by a linear character (tau) to reduce to this case\n",
-    "cuspidal --type B --n 3 --c1 1 --kappa 1/0": "error: Fraction(1, 0)\n",
-    "families --type B --n 3 --c1 x --kappa 1": "error: Invalid literal for Fraction: 'x'\n",
+    "cuspidal --type B --n 3 --c1 1 --kappa 1/0": "error: --kappa: '1/0' is not a rational p/q\n",
+    "families --type B --n 3 --c1 x --kappa 1": "error: --c1: 'x' is not a rational p/q\n",
     "families --type B --n 2 --c1 1 --kappa 1 --a 5 --m 9": "error: families --type B takes no --m, --a\n",
     "rigid --type A --n 2 --c 1 --kappa 3": "error: rigid --type A takes no --kappa\n",
     "symbols --type B --c1 1 --kappa 1 --bp [1|] --n 7": "error: symbols --type B takes no --n\n",

@@ -206,6 +206,57 @@ def test_cyclotomic_rejects_floats():
             op()
 
 
+def _schoolbook(a, b, m):
+    """The dense product of two length-m int lists mod x^m - 1, then reduced
+    mod Phi_m by long division: deg Phi_m ints."""
+    out = [0] * m
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[(i + j) % m] += x * y
+    phi = cyclotomic_poly(m)
+    deg = len(phi) - 1
+    for i in range(m - 1, deg - 1, -1):
+        c = out[i]
+        for j, p in enumerate(phi):
+            out[i - deg + j] -= c * p
+    return out[:deg]
+
+
+def _product_samples(m):
+    """(length-m int numerators, den): 0, 1, -1, 1/2, zeta^k and
+    zeta^k + zeta^-k for k in {1, m//2, m-1}, and one dense element."""
+    unit = lambda k: [int(i == k % m) for i in range(m)]
+    out = [([0] * m, 1), (unit(0), 1), ([-c for c in unit(0)], 1), (unit(0), 2)]
+    for k in sorted({1, m // 2, m - 1}):
+        out += [(unit(k), 1), ([x + y for x, y in zip(unit(k), unit(-k))], 1)]
+    return out + [([(3 * i * i - 2 * i + 1) % 7 - 3 for i in range(m)], 5)]
+
+
+def test_cyclotomic_products_match_dense_schoolbook():
+    # every pair of samples, both orders: the sparse path, and the scalar path
+    # when either factor is rational, agree with a dense product in coeffs,
+    # den and hash
+    def form(x):
+        return x.coeffs, x.den, hash(x)
+
+    for m in range(1, 25):
+        samples = _product_samples(m)
+        xs = [Cyclotomic(m, [Fraction(c, d) for c in a]) for a, d in samples]
+        for x, (a, da) in zip(xs, samples):
+            for y, (b, db) in zip(xs, samples):
+                want = Cyclotomic(m, [Fraction(c, da * db) for c in _schoolbook(a, b, m)])
+                assert form(x * y) == form(want)
+                _assert_canonical(x * y, m)
+            for q in (Fraction(0), Fraction(1), Fraction(-1), Fraction(1, 2)):
+                dense = _schoolbook(a, [q.numerator] + [0] * (m - 1), m)
+                want = Cyclotomic(m, [Fraction(c, da * q.denominator) for c in dense])
+                assert form(x * q) == form(q * x) == form(want)
+        with pytest.raises(TypeError):
+            xs[-1] * 0.5
+        with pytest.raises(TypeError):
+            0.5 * xs[-1]
+
+
 def test_parameter_shapes():
     p = CherednikParameter.type_B("1/2", 1)
     assert p.c1 == Fraction(1, 2) and p.kappa == 1

@@ -10,7 +10,10 @@ import pytest
 import cmfamilies
 from cmfamilies.exact import Cyclotomic
 from cmfamilies.partitions import bipartitions, hook_dimension, partitions
+from cmfamilies import reps
 from cmfamilies.reps import (
+    _merge,
+    _submultisets,
     b_rep_basis,
     bn_centralizer_order,
     bn_character,
@@ -470,3 +473,137 @@ def test_integrality_check_raises_under_optimize():
     proc = subprocess.run([sys.executable, "-O", "-c", INTEGRALITY_CHECK], env=env,
                           capture_output=True, text=True, timeout=60, check=True)
     assert proc.stdout.split("\n")[:-1] == ["int 2", "ArithmeticError"]
+
+
+# -- the Fraction class-fusion formulas, kept as references ---------------------
+# The package sums v * (z / z_sub) in ints, dividing exactly; these sum the
+# Fractions v / z_sub and scale by z, as the package did before.
+
+def ref_bn_character(bp, cls):
+    lam0, lam1 = bp
+    total = Fraction(0)
+    for a1, a2 in _submultisets(cls[0]):
+        for b1, b2 in _submultisets(cls[1]):
+            if sum(a1) + sum(b1) != sum(lam0):
+                continue
+            v1 = sn_character(lam0, _merge(a1, b1))
+            v2 = sn_character(lam1, _merge(a2, b2)) * (-1) ** len(b2)
+            total += Fraction(v1 * v2, bn_centralizer_order((a1, b1)) * bn_centralizer_order((a2, b2)))
+    return bn_centralizer_order(cls) * total
+
+
+def ref_induced_from_sj_bnj(nu, bp, n):
+    out = {}
+    for cls in bipartitions(n):
+        total = Fraction(0)
+        for mu, a_rest in _submultisets(cls[0]):
+            if sum(mu) == sum(nu):
+                sub = (a_rest, cls[1])
+                total += Fraction(sn_character(nu, mu) * ref_bn_character(bp, sub),
+                                  zee(mu) * bn_centralizer_order(sub))
+        out[cls] = bn_centralizer_order(cls) * total
+    return out
+
+
+def ref_induced_from_young(nu1, nu2, n):
+    out = {}
+    for mu in partitions(n):
+        total = sum((Fraction(sn_character(nu1, m1) * sn_character(nu2, m2), zee(m1) * zee(m2))
+                     for m1, m2 in _submultisets(mu) if sum(m1) == sum(nu1)), Fraction(0))
+        out[mu] = zee(mu) * total
+    return out
+
+
+def ref_bn_inner_product(n, phi, psi):
+    return sum((Fraction(phi[c] * psi[c], bn_centralizer_order(c)) for c in bipartitions(n)),
+               Fraction(0))
+
+
+def ref_sn_norm(n, phi):
+    return sum((Fraction(phi[mu] ** 2, zee(mu)) for mu in partitions(n)), Fraction(0))
+
+
+def _assert_int_dict(got, want):
+    assert got == want and all(type(v) is int for v in got.values())
+    assert all(v.denominator == 1 for v in want.values())
+
+
+def test_bn_character_matches_fraction_reference():
+    for n in range(1, 6):
+        for bp in bipartitions(n):
+            for cls in bipartitions(n):
+                v, want = bn_character(bp, cls), ref_bn_character(bp, cls)
+                assert type(v) is int and want.denominator == 1 and v == want
+
+
+def test_induced_characters_match_fraction_reference():
+    for n in range(1, 6):
+        for j in range(n + 1):
+            for nu1 in partitions(j):
+                for nu2 in partitions(n - j):
+                    _assert_int_dict(induced_from_young(nu1, nu2, n),
+                                     ref_induced_from_young(nu1, nu2, n))
+    for n in range(1, 5):
+        for j in range(n + 1):
+            for nu in partitions(j):
+                for bp in bipartitions(n - j):
+                    _assert_int_dict(induced_from_sj_bnj(nu, bp, n),
+                                     ref_induced_from_sj_bnj(nu, bp, n))
+
+
+def test_inner_products_match_fraction_reference():
+    for n in range(1, 5):
+        chars = [bn_character_dict(bp) for bp in bipartitions(n)]
+        chars += [induced_from_sj_bnj(nu, bp, n) for j in range(1, n + 1)
+                  for nu in partitions(j) for bp in bipartitions(n - j)]
+        for phi in chars:
+            for psi in chars[:8]:
+                got = bn_inner_product(n, phi, psi)
+                assert type(got) is Fraction and got == ref_bn_inner_product(n, phi, psi)
+    for n in range(1, 6):
+        for j in range(n + 1):
+            for nu1 in partitions(j):
+                for nu2 in partitions(n - j):
+                    phi = induced_from_young(nu1, nu2, n)
+                    got = sn_norm(n, phi)
+                    assert type(got) is Fraction and got == ref_sn_norm(n, phi)
+
+
+@pytest.fixture
+def fresh_characters():
+    """The character memos empty before and after the test, so that no value
+    computed under a planted defect reaches another test."""
+    reps.bn_character.cache_clear()
+    reps.bn_character_dict.cache_clear()
+    yield
+    reps.bn_character.cache_clear()
+    reps.bn_character_dict.cache_clear()
+
+
+def test_wrong_centralizer_order_raises(fresh_characters, monkeypatch):
+    # z(2,1) = 2 in S_3; read as 3, the sum over the subgroup S_2 x S_1 (or
+    # B_2 x B_1) no longer divides it: no call may floor that to an int
+    true = {(bp, cls): bn_character(bp, cls) for bp in bipartitions(3) for cls in bipartitions(3)}
+    young = {(a, b): induced_from_young(a, b, 3) for a in partitions(2) for b in partitions(1)}
+    reps.bn_character.cache_clear()
+    real = reps.zee
+    monkeypatch.setattr(reps, "zee", lambda mu: 3 if mu == (2, 1) else real(mu))
+    raised = 0
+    for (bp, cls), v in true.items():
+        try:
+            assert bn_character(bp, cls) == v
+        except ArithmeticError:
+            raised += 1
+    assert raised > 0
+    with pytest.raises(ArithmeticError):
+        bn_character(((2,), (1,)), ((2, 1), ()))
+    for (a, b), want in young.items():
+        with pytest.raises(ArithmeticError):
+            induced_from_young(a, b, 3)
+    monkeypatch.setattr(reps, "zee", real)
+    real_b = reps.bn_centralizer_order
+    monkeypatch.setattr(reps, "bn_centralizer_order",
+                        lambda c: real_b(c) + 1 if c == ((1, 1), (1,)) else real_b(c))
+    reps.bn_character.cache_clear()
+    with pytest.raises(ArithmeticError):
+        bn_character(((1,), (1, 1)), ((1, 1), (1,)))

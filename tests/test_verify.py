@@ -85,3 +85,21 @@ def test_planted_poset_defect_names_the_poset(fresh_memo, monkeypatch):
     result = SUITES["6"]()
     assert not result.passed
     assert result.detail == "1 failure(s): poset sanity B n=3 m=2"
+
+
+def test_planted_class_size_defect_fails_i2_orthogonality(monkeypatch):
+    # each weighted row reads |s| = 1: the inner products over I2(m) are off
+    real = verify._i2_weighted_rows
+
+    def dropped(m):
+        rows = real(m)
+        k = [cls for cls, _ in verify.i2_classes(m)].index("s")
+        table = verify.i2_character_table(m)
+        return {lab: row[:k] + [table[lab]["s"]] + row[k + 1:] for lab, row in rows.items()}
+
+    monkeypatch.setattr(verify, "_i2_weighted_rows", dropped)
+    result = SUITES["8"]()
+    assert not result.passed
+    failed = result.detail.split(": ", 1)[1].split("; ")
+    assert failed and all(msg.startswith("I2(") and " orth " in msg for msg in failed)
+    assert {msg.split()[0] for msg in failed} == {f"I2({m})" for m in range(5, 17)}
