@@ -208,15 +208,16 @@ def _i2_rigid(m, param, anchor) -> list:
 
 
 def _i2_reflections(label, m):
-    """s_l = r^l s for l < m, in the class of s (weight b) for even l and of t
-    (weight a) for odd l.  In the basis where s swaps the two coordinates,
-    s_l has root (1, -zeta^l) and coroot (1, -zeta^-l)."""
+    """s_l = r^l s for l < m, conjugate to s for even l and to t for odd l,
+    with that class's parameter (reps.I2_CLASS_PARAM).  In the basis where s
+    swaps the two coordinates, s_l has root (1, -zeta^l) and coroot
+    (1, -zeta^-l)."""
     gens = reps.build_dihedral_rep(label, m)
     one = exact.Cyclotomic.from_rational(m, 1)
     for l, s_l in enumerate(reps.i2_reflection_matrix(gens, m)):
         root = (one, -exact.Cyclotomic.zeta(m, l))
         coroot = (one, -exact.Cyclotomic.zeta(m, -l))
-        yield "b" if l % 2 == 0 else "a", coroot, root, s_l
+        yield reps.I2_CLASS_PARAM["st"[l % 2]], coroot, root, s_l
 
 
 TYPES: dict[str, CoxeterType] = {

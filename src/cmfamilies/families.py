@@ -4,11 +4,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import cache
 
 from . import coxeter
 from .exact import CherednikParameter, Cyclotomic
 from .partitions import Bipartition, DLabel, d_label
-from .reps import i2_character_table, i2_classes, i2_induced_from_reflection, i2_two_dim_range
+from .reps import (
+    I2_CLASS_PARAM,
+    i2_character_table,
+    i2_classes,
+    i2_induced_from_reflection,
+    i2_labels,
+)
 
 
 @dataclass(frozen=True, slots=True)
@@ -85,8 +92,8 @@ def cm_families(size: int, param: CherednikParameter) -> FamilyPartition:
 
 def _euler_key(m: int, param: CherednikParameter) -> dict[str, Cyclotomic]:
     """Every label's Euler pairing sum_C c(C)|C|chi(C) over the reflection
-    classes C of I2(m), in Q(zeta_m), with c(s) = b and c(t) = a."""
-    weight = {"s": param.b, "t": param.a}
+    classes C of I2(m), in Q(zeta_m), with c(C) the parameter I2_CLASS_PARAM names."""
+    weight = {cls: getattr(param, name) for cls, name in I2_CLASS_PARAM.items()}
     weights = [(cls, weight[cls] * size) for cls, size in i2_classes(m) if cls in weight]
     return {
         lab: sum((row[cls] * w for cls, w in weights), Cyclotomic.zero(m))
@@ -167,42 +174,27 @@ def clifford_descent(fp: FamilyPartition) -> FamilyPartition:
 # Dihedral a-function and j-induction
 # ---------------------------------------------------------------------------
 
+@cache
 def dihedral_a_function(m: int, a, b) -> dict[str, Fraction]:
-    """Lusztig a-values of Irr I2(m) at b = c(s), a = c(t) >= 0."""
+    """Lusztig a-values of Irr I2(m) at b = c(s), a = c(t) >= 0, one formula
+    for every m (stated in the reps docstring); built once per (m, a, b) and
+    shared, so callers only read it."""
     a, b = Fraction(a), Fraction(b)
     if a < 0 or b < 0 or (a == 0 and b == 0):
         raise ValueError("need a, b >= 0, not both zero")
-    out: dict[str, Fraction] = {"1": Fraction(0)}
-    if a == b:
-        for i in i2_two_dim_range(m):
-            out[f"phi_{i}"] = a
-        out["eps"] = m * a
-        out["eps1"] = a
-        out["eps2"] = a
-    elif b > a:
-        for i in i2_two_dim_range(m):
-            out[f"phi_{i}"] = b
-        out["eps"] = Fraction(m, 2) * (a + b)
-        out["eps1"] = a
-        out["eps2"] = Fraction(m, 2) * (b - a) + a
-    else:
-        for i in i2_two_dim_range(m):
-            out[f"phi_{i}"] = a
-        out["eps"] = Fraction(m, 2) * (a + b)
-        out["eps2"] = b
-        out["eps1"] = Fraction(m, 2) * (a - b) + b
-    if m % 2 == 1:
-        out.pop("eps1", None)
-        out.pop("eps2", None)
-    return out
+    half = Fraction(m, 2)
+    linear = {"1": Fraction(0), "eps": half * (a + b),
+              "eps1": a + max(0, (half - 1) * (a - b)), "eps2": b + max(0, (half - 1) * (b - a))}
+    return {lab: linear.get(lab, max(a, b)) for lab in i2_labels(m)}
 
 
 def dihedral_j_induction(m: int, a, b, parabolic: int, chi: str) -> dict[str, int]:
     """j-induction from P_1 = <s> or P_2 = <t>: the explicit induction
-    decomposition filtered by equality of a-values."""
+    decomposition filtered by equality of a-values.  The a-value of chi on
+    P is 0 for the trivial character and the class parameter for psi."""
     a, b = Fraction(a), Fraction(b)
     ind = i2_induced_from_reflection(m, parabolic, chi)
     a_w = dihedral_a_function(m, a, b)
-    sub_a = {(1, "1"): Fraction(0), (1, "psi"): b, (2, "1"): Fraction(0), (2, "psi"): a}
-    target = sub_a[(parabolic, chi)]
+    c = {"a": a, "b": b}[I2_CLASS_PARAM["st"[parabolic - 1]]]
+    target = {"1": Fraction(0), "psi": c}[chi]
     return {lab: int(mult) for lab, mult in ind.items() if a_w[lab] == target}

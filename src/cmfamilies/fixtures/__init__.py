@@ -9,7 +9,7 @@ from fractions import Fraction
 from functools import cache
 from importlib import resources
 
-from ..reps import i2_labels, i2_two_dim_range
+from ..reps import i2_labels
 
 
 @cache
@@ -28,7 +28,7 @@ def _expand_tokens(labels: list[str], m: int) -> list[str]:
     two-dimensional labels that are rigid at every nonzero parameter;
     "phi_(m-2)/2" for the label at the excluded even index.
     """
-    two_dim = [f"phi_{i}" for i in i2_two_dim_range(m)]
+    two_dim = [lab for lab in i2_labels(m) if lab.startswith("phi_")]
     out: list[str] = []
     for lab in labels:
         if lab in ("F", "Chi"):

@@ -8,7 +8,6 @@ possibly carrying a split index when the two components coincide.
 from __future__ import annotations
 
 from functools import cache
-from itertools import combinations
 from math import factorial
 from typing import Iterator, Optional
 
@@ -26,12 +25,6 @@ def is_partition(parts) -> bool:
         if i > 0 and parts[i - 1] < p:
             return False
     return True
-
-
-def check_partition(parts: Partition) -> Partition:
-    if not is_partition(parts):
-        raise ValueError(f"not a partition: {parts!r}")
-    return parts
 
 
 @cache
@@ -124,6 +117,22 @@ def subpartitions_of_box(k: int, m: int) -> tuple[Partition, ...]:
 
 
 @cache
+def _fits(parts: Partition, room: tuple[int, ...]) -> bool:
+    """True iff the parts (largest first) can be placed into bins with the
+    free space room (sorted), a bin of each distinct free space tried once.
+    The callers keep sum(parts) = sum(room), so placing every part fills
+    every bin."""
+    if not parts:
+        return True
+    p, rest = parts[0], parts[1:]
+    return any(
+        _fits(rest, tuple(sorted(room[:i] + (r - p,) + room[i + 1:])))
+        for i, r in enumerate(room)
+        if r >= p and (i == 0 or room[i - 1] != r)
+    )
+
+
+@cache
 def refinement_le(lam: Partition, mu: Partition) -> bool:
     """True iff the parts of lam can be grouped into sums giving the parts of mu.
 
@@ -131,26 +140,7 @@ def refinement_le(lam: Partition, mu: Partition) -> bool:
     """
     if sum(lam) != sum(mu):
         raise ValueError("refinement_le needs partitions of the same n")
-
-    @cache
-    def solve(rest: Partition, targets: Partition) -> bool:
-        if not targets:
-            return not rest
-        goal = targets[0]
-        idxs = range(len(rest))
-        # the first remaining part must land in some group; fix it in this one
-        for size in range(1, len(rest) + 1):
-            for combo in combinations(idxs[1:], size - 1):
-                chosen = (0,) + combo
-                if sum(rest[i] for i in chosen) == goal:
-                    remaining = tuple(rest[i] for i in idxs if i not in chosen)
-                    if solve(remaining, targets[1:]):
-                        return True
-        return False
-
-    if not mu:
-        return not lam
-    return solve(lam, mu)
+    return _fits(lam, tuple(sorted(mu)))
 
 
 # ---------------------------------------------------------------------------
@@ -176,21 +166,14 @@ def d_label(lam: Partition, mu: Partition, split: Optional[int] = None) -> DLabe
 
 @cache
 def d_labels(n: int) -> tuple[DLabel, ...]:
-    """All type-D irreducible labels for D_n."""
-    seen = set()
+    """All type-D irreducible labels for D_n: {lam, mu} once, as (lam, mu)
+    with lam > mu, and {lam, lam} split in two."""
     out = []
-    for a, b in bipartitions(n):
-        if a == b:
-            for s in (1, 2):
-                lab = (a, b, s)
-                if lab not in seen:
-                    seen.add(lab)
-                    out.append(lab)
-        else:
-            lab = d_label(a, b)
-            if lab not in seen:
-                seen.add(lab)
-                out.append(lab)
+    for lam, mu in bipartitions(n):
+        if lam == mu:
+            out += [(lam, mu, 1), (lam, mu, 2)]
+        elif lam > mu:
+            out.append((lam, mu, None))
     return tuple(out)
 
 
@@ -220,8 +203,10 @@ def parse_bipartition(text: str) -> Bipartition:
         try:
             parts = tuple(int(x) for x in s.split(","))
         except ValueError:
-            raise ValueError(f"not a bipartition: {text!r}") from None
-        return check_partition(parts)
+            parts = None
+        if not is_partition(parts):
+            raise ValueError(f"not a bipartition: {text!r}")
+        return parts
 
     return (side(left), side(right))
 

@@ -11,6 +11,13 @@ A module is the tuple of the matrices of W's Coxeter generators:
 (s_1, ..., s_{n-1}) for S_n, (t, s_1, ..., s_{n-1}) with t = eps_1(-1) for
 B_n, and (s, t) for I2(m).
 
+Each I2(m) fact is said once, here: I2_LINEAR_SIGNS gives the linear
+characters' signs on the reflection classes (s, t), I2_CLASS_PARAM each
+class's parameter, c(s) = b and c(t) = a.  Lusztig's a-values
+(families.dihedral_a_function) are 0 on 1, max(a, b) on every phi_i,
+m(a + b)/2 on eps, a + max(0, (m/2 - 1)(a - b)) on eps1 and
+b + max(0, (m/2 - 1)(b - a)) on eps2.
+
 A matrix is sparse rows: one dict {column: entry} per row, holding only the
 nonzero entries (Fraction or Cyclotomic), so a product costs about the number
 of nonzero pairs and two matrices are equal exactly when their rows are.  No
@@ -97,7 +104,6 @@ def _exact_div(a: int, b: int) -> int:
 # Standard tableaux and Young's seminormal form for S_n
 # ---------------------------------------------------------------------------
 
-@cache
 def standard_tableaux(lam: Partition) -> tuple[tuple[tuple[int, ...], ...], ...]:
     """All standard tableaux of shape lam (entries 1..n), in a fixed order."""
     n = sum(lam)
@@ -365,7 +371,6 @@ def sn_norm(n: int, phi: dict) -> Fraction:
 # B_n matrix representations by coset induction
 # ---------------------------------------------------------------------------
 
-@cache
 def b_rep_basis(bp: Bipartition):
     lam0, lam1 = bp
     r, n = sum(lam0), sum(lam0) + sum(lam1)
@@ -438,18 +443,19 @@ def bn_neg_transposition_matrix(e: Matrix, s_jk: Matrix) -> Matrix:
 # Dihedral groups I2(m)
 # ---------------------------------------------------------------------------
 
+# The signs of each linear character on the reflection classes (s, t); odd m
+# has one reflection class, so it keeps "1" and "eps" only.
+I2_LINEAR_SIGNS = {"1": (1, 1), "eps": (-1, -1), "eps1": (1, -1), "eps2": (-1, 1)}
+
+# The parameter of each reflection class: c(s) = b, c(t) = a.
+I2_CLASS_PARAM = {"s": "b", "t": "a"}
+
+
 def i2_labels(m: int) -> tuple[str, ...]:
     if m < 5:
         raise ValueError("m >= 5 required")
-    out = ["1", "eps"]
-    if m % 2 == 0:
-        out += ["eps1", "eps2"]
-    out += [f"phi_{i}" for i in range(1, (m - 1) // 2 + 1)]
-    return tuple(out)
-
-
-def i2_two_dim_range(m: int) -> range:
-    return range(1, (m - 1) // 2 + 1)
+    linear = tuple(I2_LINEAR_SIGNS)[:4 if m % 2 == 0 else 2]
+    return linear + tuple(f"phi_{i}" for i in range(1, (m - 1) // 2 + 1))
 
 
 def i2_classes(m: int) -> tuple[tuple[str, int], ...]:
@@ -468,31 +474,19 @@ def i2_classes(m: int) -> tuple[tuple[str, int], ...]:
 
 
 def i2_character(label: str, cls: str, m: int) -> Cyclotomic:
-    """Character value as an element of Q(zeta_m)."""
-    rat = lambda q: Cyclotomic.from_rational(m, q)
-    if cls == "e":
-        l = 0
-    elif cls.startswith("r"):
-        l = int(cls[1:])
-    else:
-        l = None  # reflection class
-    if label == "1":
-        return rat(1)
-    if label == "eps":
-        return rat(1) if l is not None else rat(-1)
-    if label == "eps1":
-        # eps1(r) = -1, eps1(s) = 1, eps1(t) = -1
-        if l is not None:
-            return rat((-1) ** l)
-        return rat(1) if cls == "s" else rat(-1)
-    if label == "eps2":
-        if l is not None:
-            return rat((-1) ** l)
-        return rat(-1) if cls == "s" else rat(1)
+    """Character value as an element of Q(zeta_m).  A linear character is its
+    sign on a reflection class and (sign s * sign t)^l on r^l; phi_i is
+    zeta^(il) + zeta^(-il) on r^l and 0 on the reflections."""
+    l = None if cls in ("s", "t") else int(cls[1:] or 0)  # e is r^0
+    signs = I2_LINEAR_SIGNS.get(label)
+    if signs is not None:
+        s, t = signs
+        value = (s * t) ** l if l is not None else signs["st".index(cls)]
+        return Cyclotomic.from_rational(m, value)
+    if l is None:
+        return Cyclotomic.from_rational(m, 0)
     i = int(label.split("_")[1])
-    if l is not None:
-        return Cyclotomic.zeta(m, i * l) + Cyclotomic.zeta(m, -i * l)
-    return rat(0)
+    return Cyclotomic.zeta(m, i * l) + Cyclotomic.zeta(m, -i * l)
 
 
 @cache
@@ -507,17 +501,13 @@ def i2_character_table(m: int) -> dict[str, dict[str, Cyclotomic]]:
 
 def build_dihedral_rep(label: str, m: int) -> tuple[Matrix, Matrix]:
     """Matrices of the generating reflections (s, t) (r = s t)."""
-    if m < 5:
-        raise ValueError("m >= 5 required")
     if label not in i2_labels(m):
         raise ValueError(f"unknown dihedral label {label!r} for m={m}")
     rat = lambda q: Cyclotomic.from_rational(m, q)
-    if label.startswith("phi"):
-        i = int(label.split("_")[1])
-        z = Cyclotomic.zeta
-        return ({1: rat(1)}, {0: rat(1)}), ({1: z(m, -i)}, {0: z(m, i)})
-    vals = {"1": (1, 1), "eps": (-1, -1), "eps1": (1, -1), "eps2": (-1, 1)}[label]
-    return ({0: rat(vals[0])},), ({0: rat(vals[1])},)
+    if label in I2_LINEAR_SIGNS:
+        return tuple(({0: rat(x)},) for x in I2_LINEAR_SIGNS[label])
+    i = int(label.split("_")[1])
+    return ({1: rat(1)}, {0: rat(1)}), ({1: Cyclotomic.zeta(m, -i)}, {0: Cyclotomic.zeta(m, i)})
 
 
 def i2_reflection_matrix(gens: tuple[Matrix, Matrix], m: int) -> tuple[Matrix, ...]:

@@ -89,6 +89,8 @@ GOLDEN = [
     ("leaves --type B --n 2 --c1 0 --kappa 0", 2, EMPTY),
     ("symbols --type D --kappa 1 --bp [1|1]", 2, EMPTY),
     ("symbols --type B --c1 1 --kappa 1 --bp 2,1", 2, EMPTY),
+    ("symbols --type B --c1 1 --kappa 1 --bp [0|]", 2, EMPTY),
+    ("symbols --type B --c1 1 --kappa 1 --bp [2,3|]", 2, EMPTY),
     ("symbols --type B --c1 1e400 --kappa 1 --bp [1|]", 2, EMPTY),
     ("symbols --type B --c1 1 --kappa 1 --bp [1|] --bar 1000000000", 2, EMPTY),
     ("verify --suite nope", 2, EMPTY),
@@ -114,6 +116,8 @@ ERRORS = {
     "leaves --type B --n 2 --c1 0 --kappa 0": "error: the type-B classification needs (c1, kappa) != 0\n",
     "symbols --type D --kappa 1 --bp [1|1]": "error: symbols are computed for type B\n",
     "symbols --type B --c1 1 --kappa 1 --bp 2,1": "error: not a bipartition: '2,1'\n",
+    "symbols --type B --c1 1 --kappa 1 --bp [0|]": "error: not a bipartition: '[0|]'\n",
+    "symbols --type B --c1 1 --kappa 1 --bp [2,3|]": "error: not a bipartition: '[2,3|]'\n",
     "symbols --type B --c1 1e400 --kappa 1 --bp [1|]": "error: N + m exceeds the symbol row bound 100000\n",
     "symbols --type B --c1 1 --kappa 1 --bp [1|] --bar 1000000000": "error: t + 1 exceeds the symbol row bound 100000\n",
     "verify --suite nope": "error: unknown suite 'nope'\n",

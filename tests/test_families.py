@@ -1,11 +1,13 @@
+import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cmfamilies import exact, symbols
+from cmfamilies import exact, families, reps, symbols
 from cmfamilies import fixtures as fx
+from cmfamilies.cuspidal import rigid_modules
 from cmfamilies.exact import CherednikParameter
 from cmfamilies.families import (
     clifford_descent,
@@ -171,6 +173,73 @@ def test_dihedral_a_function_sample():
     assert vals["eps1"] == 1 and vals["phi_2"] == 1
     vals = dihedral_a_function(8, 1, 2)  # b > a > 0
     assert vals["eps"] == 12 and vals["eps2"] == 5 and vals["phi_1"] == 2
+
+
+def ref_dihedral_a_function(m, a, b):
+    """The a-values as three cases on the order of a and b, the odd-m labels
+    popped at the end."""
+    a, b = Fraction(a), Fraction(b)
+    out = {"1": Fraction(0)}
+    if a == b:
+        for i in range(1, (m - 1) // 2 + 1):
+            out[f"phi_{i}"] = a
+        out["eps"] = m * a
+        out["eps1"] = a
+        out["eps2"] = a
+    elif b > a:
+        for i in range(1, (m - 1) // 2 + 1):
+            out[f"phi_{i}"] = b
+        out["eps"] = Fraction(m, 2) * (a + b)
+        out["eps1"] = a
+        out["eps2"] = Fraction(m, 2) * (b - a) + a
+    else:
+        for i in range(1, (m - 1) // 2 + 1):
+            out[f"phi_{i}"] = a
+        out["eps"] = Fraction(m, 2) * (a + b)
+        out["eps2"] = b
+        out["eps1"] = Fraction(m, 2) * (a - b) + b
+    if m % 2 == 1:
+        out.pop("eps1", None)
+        out.pop("eps2", None)
+    return out
+
+
+A_GRID = [0, Fraction(1, 3), Fraction(1, 2), 1, Fraction(3, 2), 2, Fraction(7, 3), 5]
+
+
+def test_dihedral_a_function_matches_three_case_reference():
+    for m in range(5, 17):
+        for a in A_GRID:
+            for b in A_GRID:
+                if a or b:
+                    want = ref_dihedral_a_function(m, a, b)
+                    assert dihedral_a_function(m, a, b) == want, (m, a, b)
+
+
+def test_i2_lusztig_path_reads_no_characters(monkeypatch):
+    """The I2 Lusztig families and the closed-form rigid modules read neither
+    the character table nor the Euler key."""
+    def forbidden(*args):
+        raise AssertionError("a character or the Euler key was read")
+
+    points = [(m, CherednikParameter.type_I2(1, 1)) for m in (5, 7, 8)]
+    points += [(m, CherednikParameter.type_I2(a, b)) for m in (6, 8, 16)
+               for a, b in I2_UNEQUAL]
+    want = [(lusztig_families(m, p).as_sets(), rigid_modules(m, p, "closed_form"))
+            for m, p in points]
+    originals = {name: getattr(mod, name) for mod, name in
+                 ((reps, "i2_character_table"), (reps, "i2_character"), (families, "_euler_key"))}
+    with monkeypatch.context() as mp:
+        for modname, mod in list(sys.modules.items()):
+            if modname == "cmfamilies" or modname.startswith("cmfamilies."):
+                for name, fn in originals.items():
+                    if getattr(mod, name, None) is fn:
+                        mp.setattr(mod, name, forbidden)
+        assert families.i2_character_table is forbidden
+        dihedral_a_function.cache_clear()
+        got = [(lusztig_families(m, p).as_sets(), rigid_modules(m, p, "closed_form"))
+               for m, p in points]
+    assert got == want
 
 
 def test_dihedral_j_induction_matches_reference():

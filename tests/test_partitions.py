@@ -90,6 +90,23 @@ def test_refinement_examples():
     assert not refinement_le((2, 2), (3, 1))
 
 
+def _groupings(parts):
+    """The sorted block sums of every set partition of the parts."""
+    blocks = [[]]
+    for p in parts:
+        blocks = [b[:i] + [b[i] + p] + b[i + 1:] for b in blocks for i in range(len(b))] \
+            + [b + [p] for b in blocks]
+    return {tuple(sorted(b, reverse=True)) for b in blocks}
+
+
+def test_refinement_le_matches_brute_force_grouping():
+    for n in range(9):
+        for lam in partitions(n):
+            reachable = _groupings(lam)
+            for mu in partitions(n):
+                assert refinement_le(lam, mu) == (mu in reachable), (lam, mu)
+
+
 @settings(max_examples=80)
 @given(small_partitions(8), small_partitions(8), small_partitions(8))
 def test_refinement_partial_order(a, b, c):
