@@ -57,9 +57,12 @@ def lookup(type_tag: str) -> CoxeterType:
 
 
 def checked(size: int, param) -> CoxeterType:
-    """The entry of param's type; ValueError unless param is a parameter of
-    that type at this size (odd m forces a = b in I2(m))."""
+    """The entry of param's type; ValueError unless size is at least the
+    type's smallest and param is a parameter of that type at this size (odd
+    m forces a = b in I2(m))."""
     entry = lookup(param.type_tag)
+    if size < entry.min_size:
+        raise ValueError(f"need {entry.size_flag} >= {entry.min_size}")
     entry.parameter(param.values, size)
     return entry
 
@@ -148,7 +151,8 @@ def _b_rigid(n, param, anchor) -> list:
 def _b_reflections(bp, n):
     """eps_1(-1) with root e_1 and coroot 2e_1 (class c1); s_1j and
     s_1j,-1 = eps_1(-1) s_1j eps_1(-1), with root = coroot = e_1 - e_j and
-    e_1 + e_j (class kappa); all on the induced module of bp."""
+    e_1 + e_j (class kappa); all on the seminormal form of bp on its
+    standard bitableaux."""
     t, *s = reps.build_B_rep(bp)
     yield "c1", _vector(n, {1: 2}), _vector(n, {1: 1}), t
     for j, s_1j in enumerate(_transpositions_of_1(s), 2):

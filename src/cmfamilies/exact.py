@@ -181,11 +181,6 @@ class Cyclotomic:
         """False exactly for zero, as for Fraction."""
         return any(self.coeffs)
 
-    def rational_value(self) -> Fraction:
-        if any(self.coeffs[1:]):
-            raise ValueError("not rational")
-        return Fraction(self.coeffs[0], self.den)
-
     def __eq__(self, other) -> bool:
         a = self.coeffs
         if isinstance(other, Cyclotomic):

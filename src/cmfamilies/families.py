@@ -197,4 +197,4 @@ def dihedral_j_induction(m: int, a, b, parabolic: int, chi: str) -> dict[str, in
     a_w = dihedral_a_function(m, a, b)
     c = {"a": a, "b": b}[I2_CLASS_PARAM["st"[parabolic - 1]]]
     target = {"1": Fraction(0), "psi": c}[chi]
-    return {lab: int(mult) for lab, mult in ind.items() if a_w[lab] == target}
+    return {lab: mult for lab, mult in ind.items() if a_w[lab] == target}

@@ -1,11 +1,12 @@
 """Exact matrix representations and character theory for S_n, B_n and I2(m).
 
-S_n irreducibles are built in Young's seminormal form (rational entries);
-B_n irreducibles by explicit coset induction from B_r x B_{n-r}; dihedral
-irreducibles from the standard two-dimensional matrices over Q(zeta_m).
-Characters are computed combinatorially (Murnaghan-Nakayama for S_n, class
-fusion for the wreath product) so that matrix traces have an independent
-oracle to be checked against.
+S_n and B_n irreducibles are built in one seminormal form (rational
+entries), on the standard tableaux of a partition for S_n and of a
+bipartition for B_n; dihedral irreducibles from the standard
+two-dimensional matrices over Q(zeta_m).  Characters are computed
+combinatorially (Murnaghan-Nakayama for S_n, class fusion for the wreath
+product) so that matrix traces have an independent oracle to be checked
+against.
 
 A module is the tuple of the matrices of W's Coxeter generators:
 (s_1, ..., s_{n-1}) for S_n, (t, s_1, ..., s_{n-1}) with t = eps_1(-1) for
@@ -27,7 +28,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
-from itertools import combinations
 from math import factorial
 
 from .exact import Cyclotomic
@@ -101,66 +101,71 @@ def _exact_div(a: int, b: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Standard tableaux and Young's seminormal form for S_n
+# The seminormal form on standard multitableaux, for S_n and B_n
 # ---------------------------------------------------------------------------
 
-def standard_tableaux(lam: Partition) -> tuple[tuple[tuple[int, ...], ...], ...]:
-    """All standard tableaux of shape lam (entries 1..n), in a fixed order."""
-    n = sum(lam)
-    if n == 0:
-        return ((),)
-
-    def removable_corners(shape):
-        for i, row in enumerate(shape):
-            if row > 0 and (i == len(shape) - 1 or shape[i + 1] < row):
-                yield i
-
-    def build(shape, k):
-        if k == 0:
-            yield tuple(() for _ in shape)
-            return
-        for i in removable_corners(shape):
-            smaller = list(shape)
-            smaller[i] -= 1
-            for t in build(tuple(smaller), k - 1):
-                rows = list(t)
-                rows[i] = rows[i] + (k,)
-                yield tuple(rows)
-
-    tabs = sorted(build(lam, n))
-    return tuple(tabs)
+@cache
+def standard_tableaux(shape: tuple[Partition, ...]) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """The standard tableaux of a tuple of partitions ((lam,) for S_n, a
+    bipartition for B_n), each as its vector v: v[k-1] is the pair
+    (component, content) of the box holding k.  The vector determines the
+    tableau: the boxes of one content in one component fill their diagonal
+    in order.  Built corner by corner: n sits in a removable corner."""
+    out = []
+    for c, lam in enumerate(shape):
+        for i, row in enumerate(lam):
+            if i + 1 == len(lam) or lam[i + 1] < row:
+                rest = lam[:i] + ((row - 1,) if row > 1 else ()) + lam[i + 1:]
+                out += (v + ((c, row - 1 - i),)
+                        for v in standard_tableaux(shape[:c] + (rest,) + shape[c + 1:]))
+    return tuple(out) or ((),)
 
 
-def _tableau_positions(t) -> dict[int, tuple[int, int]]:
-    return {v: (i, j) for i, row in enumerate(t) for j, v in enumerate(row)}
+def _seminormal(shape: tuple[Partition, ...]) -> tuple[Matrix, ...]:
+    """s_1, ..., s_{n-1} in the seminormal form on the standard tableaux of
+    shape (Hoefsmit).  s_a maps v to the tableau with a and a + 1 swapped,
+    with entry 1, when they lie in different components.  In one component,
+    with d = content(a+1) - content(a), s_a fixes v with sign +1 when they
+    share a row (d = 1) and -1 when they share a column (d = -1); else
+    |d| >= 2, and s_a is 1/d on the diagonal and 1 (d > 0) or 1 - 1/d^2
+    (d < 0) at the swapped tableau."""
+    tabs = standard_tableaux(shape)
+    index = {v: i for i, v in enumerate(tabs)}
+    one = Fraction(1)
+    mats = []
+    for a in range(1, len(tabs[0])):
+        rows = [{} for _ in tabs]
+        for j, v in enumerate(tabs):  # column j: the image of v
+            (ca, xa), (cb, xb) = v[a - 1], v[a]
+            d = xb - xa
+            if ca == cb and d in (1, -1):
+                rows[j][j] = Fraction(d)
+                continue
+            swapped = index[v[:a - 1] + (v[a], v[a - 1]) + v[a + 1:]]
+            if ca != cb:
+                rows[swapped][j] = one
+            else:
+                rows[j][j] = Fraction(1, d)
+                rows[swapped][j] = one if d > 0 else 1 - Fraction(1, d * d)
+        mats.append(tuple(rows))
+    return tuple(mats)
 
 
 @cache
 def symmetric_generator_matrices(lam: Partition) -> tuple[Matrix, ...]:
-    """Seminormal matrices for the adjacent transpositions s_1 .. s_{n-1}."""
-    n = sum(lam)
-    tabs = standard_tableaux(lam)
-    index = {t: i for i, t in enumerate(tabs)}
-    d = len(tabs)
-    mats = []
-    for a in range(1, n):
-        rows = [{} for _ in range(d)]
-        for j, t in enumerate(tabs):  # column j: the image of tableau t
-            pos = _tableau_positions(t)
-            (ra, ca), (rb, cb) = pos[a], pos[a + 1]
-            if ra == rb:
-                rows[j][j] = Fraction(1)
-            elif ca == cb:
-                rows[j][j] = Fraction(-1)
-            else:
-                dist = (cb - rb) - (ca - ra)  # content(a+1) - content(a), |dist| >= 2
-                swapped = tuple(
-                    tuple(a + 1 if v == a else a if v == a + 1 else v for v in row) for row in t
-                )
-                rows[j][j] = Fraction(1, dist)
-                rows[index[swapped]][j] = Fraction(1) if dist > 0 else 1 - Fraction(1, dist * dist)
-        mats.append(tuple(rows))
-    return tuple(mats)
+    """The seminormal matrices of s_1, ..., s_{n-1} on pi_lam."""
+    return _seminormal((lam,))
+
+
+@cache
+def build_B_rep(bp: Bipartition) -> tuple[Matrix, ...]:
+    """The Coxeter generators (t, s_1, ..., s_{n-1}) of B_n on pi_bp, on the
+    standard bitableaux of bp: t = eps_1(-1) is +1 where 1 lies in lam0 and
+    -1 where it lies in lam1, and s_a is the seminormal form."""
+    if not any(bp):
+        raise ValueError("need n >= 1")
+    t = tuple({r: Fraction(-1 if v[0][0] else 1)} for r, v in enumerate(standard_tableaux(bp)))
+    return (t, *_seminormal(bp))
 
 
 def _transposition(s: tuple[Matrix, ...], j: int, k: int) -> Matrix:
@@ -368,59 +373,8 @@ def sn_norm(n: int, phi: dict) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
-# B_n matrix representations by coset induction
+# B_n transpositions
 # ---------------------------------------------------------------------------
-
-def b_rep_basis(bp: Bipartition):
-    lam0, lam1 = bp
-    r, n = sum(lam0), sum(lam0) + sum(lam1)
-    d0, d1 = hook_dimension(lam0), hook_dimension(lam1)
-    basis = []
-    for A in combinations(range(1, n + 1), r):
-        for i in range(d0):
-            for j in range(d1):
-                basis.append((A, i, j))
-    return tuple(basis)
-
-
-@cache
-def build_B_rep(bp: Bipartition) -> tuple[Matrix, ...]:
-    """The Coxeter generators (t, s_1, ..., s_{n-1}) of B_n on pi_bp, with
-    t = eps_1(-1).
-
-    The module is induced from B_r x B_{n-r}: basis vectors (A, i, j) where A
-    is the r-subset of coordinates carrying the untwisted factor and (i, j)
-    index seminormal bases of pi_{lam0} and pi_{lam1}.
-    """
-    lam0, lam1 = bp
-    r = sum(lam0)
-    n = r + sum(lam1)
-    if n < 1:
-        raise ValueError("need n >= 1")
-    basis = b_rep_basis(bp)
-    index = {b: k for k, b in enumerate(basis)}
-    gens0 = symmetric_generator_matrices(lam0)
-    gens1 = symmetric_generator_matrices(lam1)
-
-    one = Fraction(1)
-    generators = [tuple({r: one if 1 in A else -one} for r, (A, _, _) in enumerate(basis))]
-    for a in range(1, n):
-        rows = []  # row (A, i, j) of s_a
-        for A, i, j in basis:
-            inA = a in A
-            in1A = (a + 1) in A
-            if inA and in1A:  # a+1 sits at A.index(a) + 1
-                m = gens0[A.index(a)]
-                rows.append({index[(A, i2, j)]: x for i2, x in m[i].items()})
-            elif not inA and not in1A:
-                comp = tuple(x for x in range(1, n + 1) if x not in A)
-                m = gens1[comp.index(a)]
-                rows.append({index[(A, i, j2)]: x for j2, x in m[j].items()})
-            else:
-                rows.append({index[(tuple(sorted(set(A) ^ {a, a + 1})), i, j)]: one})
-        generators.append(tuple(rows))
-    return tuple(generators)
-
 
 def bn_transposition_matrix(gens: tuple[Matrix, ...], j: int, k: int) -> Matrix:
     """Matrix of s_{jk} (plain transposition) from the generators (t, s_1, ...)."""
@@ -527,16 +481,17 @@ def i2_induced_from_reflection(m: int, parabolic: int, chi: str) -> dict[str, in
     chi is "1" or "psi" (the nontrivial character of the order-2 subgroup).
     Returns irreducible label -> multiplicity, by Frobenius reciprocity: the
     multiplicity of phi is <Res_P phi, chi>_P = (phi(1) + chi(r) phi(r)) / 2,
-    r the generator of P.
+    r the generator of P.  That is (1 + chi(r) sigma) / 2 for a linear
+    character with sign sigma on r's class, and (2 + 0) / 2 = 1 for each phi_i.
     """
     if parabolic not in (1, 2):
         raise ValueError("parabolic must be 1 or 2")
-    refl_cls = "t" if m % 2 == 0 and parabolic == 2 else "s"
+    refl = 1 if m % 2 == 0 and parabolic == 2 else 0  # r's class: t, else s
     sign = 1 if chi == "1" else -1
     out = {}
-    for lab, row in i2_character_table(m).items():
-        dim, refl = (_as_int(row[c].rational_value()) for c in ("e", refl_cls))
-        mult = _exact_div(dim + sign * refl, 2)
+    for lab in i2_labels(m):
+        signs = I2_LINEAR_SIGNS.get(lab)
+        mult = (1 + sign * signs[refl]) // 2 if signs else 1
         if mult:
             out[lab] = mult
     return out

@@ -9,6 +9,7 @@ import pytest
 
 from cmfamilies import coxeter
 from cmfamilies.cuspidal import rigid_modules
+from cmfamilies.families import cm_families, lusztig_families
 from cmfamilies.exact import CherednikParameter, Cyclotomic
 from cmfamilies.partitions import conjugate
 from cmfamilies.reps import mat_identity, mat_mul
@@ -68,6 +69,19 @@ def test_oracle_symmetries(type_tag, size, values):
     assert sorted(_sign_twist(type_tag, lab) for lab in got) == got
     assert rigid(2) == got
     assert rigid(-1) == got
+
+
+@pytest.mark.parametrize("type_tag", sorted(coxeter.TYPES))
+def test_sizes_below_the_smallest_raise(type_tag):
+    """The library refuses a group that does not exist, as the CLI does."""
+    entry = coxeter.TYPES[type_tag]
+    param = entry.parameter(entry.generic(entry.min_size), entry.min_size)
+    calls = (cm_families, lusztig_families, rigid_modules,
+             lambda size, p: rigid_modules(size, p, "equation_oracle"))
+    for size in {entry.min_size - 1, 0, -1}:
+        for call in calls:
+            with pytest.raises(ValueError, match=f"^need {entry.size_flag} >= {entry.min_size}$"):
+                call(size, param)
 
 
 def test_tracer_targets_exist():

@@ -214,11 +214,12 @@ def _all_reflections(type_tag, label, size):
             root = vector({i: 1, j: -1})
             yield "c", root, root, reps.sn_transposition_matrix(label, i, j)
     else:
-        gens, basis = reps.build_B_rep(label), reps.b_rep_basis(label)
+        gens, basis = reps.build_B_rep(label), reps.standard_tableaux(label)
 
         def eps(j):
-            """eps_j(-1): diagonal, +1 on the basis vectors (A, i, k) with j in A."""
-            return tuple({r: Fraction(1 if j in A else -1)} for r, (A, _, _) in enumerate(basis))
+            """eps_j(-1): diagonal, +1 on the bitableaux v whose entry j lies in
+            lam0 (component 0 of v[j-1])."""
+            return tuple({r: Fraction(1 if v[j - 1][0] == 0 else -1)} for r, v in enumerate(basis))
 
         for j in range(1, size + 1):
             yield "c1", vector({j: 2}), vector({j: 1}), eps(j)

@@ -217,16 +217,22 @@ def test_dihedral_a_function_matches_three_case_reference():
 
 
 def test_i2_lusztig_path_reads_no_characters(monkeypatch):
-    """The I2 Lusztig families and the closed-form rigid modules read neither
-    the character table nor the Euler key."""
+    """The I2 Lusztig families, the closed-form rigid modules and the
+    j-induction read neither the character table nor the Euler key."""
     def forbidden(*args):
         raise AssertionError("a character or the Euler key was read")
 
     points = [(m, CherednikParameter.type_I2(1, 1)) for m in (5, 7, 8)]
     points += [(m, CherednikParameter.type_I2(a, b)) for m in (6, 8, 16)
                for a, b in I2_UNEQUAL]
-    want = [(lusztig_families(m, p).as_sets(), rigid_modules(m, p, "closed_form"))
-            for m, p in points]
+
+    def compute():
+        return [(lusztig_families(m, p).as_sets(), rigid_modules(m, p, "closed_form"),
+                 [dihedral_j_induction(m, p.a, p.b, parabolic, chi)
+                  for parabolic in (1, 2) for chi in ("1", "psi")])
+                for m, p in points]
+
+    want = compute()
     originals = {name: getattr(mod, name) for mod, name in
                  ((reps, "i2_character_table"), (reps, "i2_character"), (families, "_euler_key"))}
     with monkeypatch.context() as mp:
@@ -237,8 +243,7 @@ def test_i2_lusztig_path_reads_no_characters(monkeypatch):
                         mp.setattr(mod, name, forbidden)
         assert families.i2_character_table is forbidden
         dihedral_a_function.cache_clear()
-        got = [(lusztig_families(m, p).as_sets(), rigid_modules(m, p, "closed_form"))
-               for m, p in points]
+        got = compute()
     assert got == want
 
 

@@ -2,6 +2,7 @@ import os
 import subprocess
 import sys
 from fractions import Fraction
+from itertools import combinations
 from math import comb, factorial
 from pathlib import Path
 
@@ -14,7 +15,6 @@ from cmfamilies.partitions import bipartitions, hook_dimension, partitions
 from cmfamilies.reps import (
     _merge,
     _submultisets,
-    b_rep_basis,
     bn_centralizer_order,
     bn_character,
     bn_character_dict,
@@ -65,9 +65,10 @@ def mat_trace(a):
 
 
 def eps_matrix(bp, j):
-    """eps_j(-1) on the module of bp: diagonal, +1 on the basis vectors (A, i, k)
-    whose subset A holds j and -1 on the others."""
-    return tuple({r: Fraction(1 if j in A else -1)} for r, (A, _, _) in enumerate(b_rep_basis(bp)))
+    """eps_j(-1) on the module of bp: diagonal, +1 on the standard bitableaux
+    whose entry j lies in lam0 (component 0 of v[j-1]) and -1 on the others."""
+    return tuple({r: Fraction(1 if v[j - 1][0] == 0 else -1)}
+                 for r, v in enumerate(standard_tableaux(bp)))
 
 
 def bn_class_matrix(bp, cls):
@@ -136,7 +137,8 @@ def i2_induced_by_class_fusion(m, parabolic, chi):
     for lab in i2_labels(m):
         total = sum((table[lab][cls].conjugate() * (ind[cls] * size) for cls, size in classes),
                     Cyclotomic.zero(m))
-        mult = total.rational_value() / order
+        assert not any(total.coeffs[1:])  # a rational number
+        mult = Fraction(total.coeffs[0], total.den * order)
         assert mult.denominator == 1
         if mult:
             out[lab] = int(mult)
@@ -146,7 +148,127 @@ def i2_induced_by_class_fusion(m, parabolic, chi):
 def test_standard_tableaux_counts():
     for n in range(1, 6):
         for lam in partitions(n):
-            assert len(standard_tableaux(lam)) == hook_dimension(lam)
+            assert len(standard_tableaux((lam,))) == hook_dimension(lam)
+        for bp in bipartitions(n):
+            assert len(standard_tableaux(bp)) == bn_dim(bp)
+
+
+# -- the two builders the seminormal form on multitableaux replaced, kept as
+# references: Young's form on row tableaux for S_n, coset induction for B_n
+
+def ref_row_tableaux(lam):
+    """All standard tableaux of shape lam (entries 1..n) as tuples of rows, sorted."""
+    def build(shape, k):
+        if k == 0:
+            yield tuple(() for _ in shape)
+            return
+        for i, row in enumerate(shape):
+            if row > 0 and (i == len(shape) - 1 or shape[i + 1] < row):
+                for t in build(shape[:i] + (row - 1,) + shape[i + 1:], k - 1):
+                    yield t[:i] + (t[i] + (k,),) + t[i + 1:]
+
+    return tuple(sorted(build(lam, sum(lam))))
+
+
+def ref_symmetric_generator_matrices(lam):
+    """Young's seminormal s_1, ..., s_{n-1} on the row tableaux of lam."""
+    tabs = ref_row_tableaux(lam)
+    index = {t: i for i, t in enumerate(tabs)}
+    mats = []
+    for a in range(1, sum(lam)):
+        rows = [{} for _ in tabs]
+        for j, t in enumerate(tabs):  # column j: the image of tableau t
+            pos = {v: (r, c) for r, row in enumerate(t) for c, v in enumerate(row)}
+            (ra, ca), (rb, cb) = pos[a], pos[a + 1]
+            if ra == rb:
+                rows[j][j] = Fraction(1)
+            elif ca == cb:
+                rows[j][j] = Fraction(-1)
+            else:
+                dist = (cb - rb) - (ca - ra)
+                swapped = tuple(
+                    tuple(a + 1 if v == a else a if v == a + 1 else v for v in row) for row in t)
+                rows[j][j] = Fraction(1, dist)
+                rows[index[swapped]][j] = Fraction(1) if dist > 0 else 1 - Fraction(1, dist * dist)
+        mats.append(tuple(rows))
+    return tuple(mats)
+
+
+def ref_b_rep_basis(bp):
+    """(A, i, j): A the r-subset of coordinates carrying the untwisted factor,
+    (i, j) the row tableaux of lam0 and lam1 by index."""
+    lam0, lam1 = bp
+    r, n = sum(lam0), sum(lam0) + sum(lam1)
+    return tuple((A, i, j) for A in combinations(range(1, n + 1), r)
+                 for i in range(hook_dimension(lam0)) for j in range(hook_dimension(lam1)))
+
+
+def ref_build_B_rep(bp):
+    """(t, s_1, ..., s_{n-1}) of B_n on pi_bp, induced from B_r x B_{n-r}."""
+    lam0, lam1 = bp
+    n = sum(lam0) + sum(lam1)
+    basis = ref_b_rep_basis(bp)
+    index = {b: k for k, b in enumerate(basis)}
+    gens0 = ref_symmetric_generator_matrices(lam0)
+    gens1 = ref_symmetric_generator_matrices(lam1)
+    one = Fraction(1)
+    generators = [tuple({r: one if 1 in A else -one} for r, (A, _, _) in enumerate(basis))]
+    for a in range(1, n):
+        rows = []  # row (A, i, j) of s_a
+        for A, i, j in basis:
+            if a in A and a + 1 in A:
+                m = gens0[A.index(a)]
+                rows.append({index[(A, i2, j)]: x for i2, x in m[i].items()})
+            elif a not in A and a + 1 not in A:
+                comp = tuple(x for x in range(1, n + 1) if x not in A)
+                m = gens1[comp.index(a)]
+                rows.append({index[(A, i, j2)]: x for j2, x in m[j].items()})
+            else:
+                rows.append({index[(tuple(sorted(set(A) ^ {a, a + 1})), i, j)]: one})
+        generators.append(tuple(rows))
+    return tuple(generators)
+
+
+def _coset_vector(bp, A, i, j):
+    """The standard bitableau, as its vector, of the coset basis vector
+    (A, i, j): the entries of A, in order, fill the i-th row tableau of lam0,
+    and the other entries the j-th row tableau of lam1."""
+    n = sum(bp[0]) + sum(bp[1])
+    rest = tuple(k for k in range(1, n + 1) if k not in A)
+    tabs = ((A, ref_row_tableaux(bp[0])[i]), (rest, ref_row_tableaux(bp[1])[j]))
+    out = {}
+    for component, (entries, t) in enumerate(tabs):
+        for r, row in enumerate(t):
+            for c, k in enumerate(row):
+                out[entries[k - 1]] = (component, c - r)
+    return tuple(out[k] for k in range(1, n + 1))
+
+
+def _relabelled(mats, old, new):
+    """The matrices on the basis old, moved onto the basis new, which lists
+    the same vectors in another order."""
+    assert sorted(old) == sorted(new) and len(set(new)) == len(new)
+    place = {v: k for k, v in enumerate(new)}
+    perm = [place[v] for v in old]
+    out = []
+    for m in mats:
+        rows = [None] * len(m)
+        for r, row in enumerate(m):
+            rows[perm[r]] = {perm[c]: x for c, x in row.items()}
+        out.append(tuple(rows))
+    return tuple(out)
+
+
+def test_seminormal_form_matches_row_tableaux_and_coset_induction():
+    for n in range(1, 6):
+        for lam in partitions(n):
+            old = [_coset_vector((lam, ()), tuple(range(1, n + 1)), i, 0)
+                   for i in range(hook_dimension(lam))]
+            want = _relabelled(ref_symmetric_generator_matrices(lam), old, standard_tableaux((lam,)))
+            assert symmetric_generator_matrices(lam) == want
+        for bp in bipartitions(n):
+            old = [_coset_vector(bp, *b) for b in ref_b_rep_basis(bp)]
+            assert build_B_rep(bp) == _relabelled(ref_build_B_rep(bp), old, standard_tableaux(bp))
 
 
 def test_sn_relations():
