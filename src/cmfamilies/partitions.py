@@ -8,7 +8,6 @@ possibly carrying a split index when the two components coincide.
 from __future__ import annotations
 
 from functools import cache
-from math import factorial
 from typing import Iterator, Optional
 
 Partition = tuple[int, ...]
@@ -68,19 +67,6 @@ def conjugate(lam: Partition) -> Partition:
 def contents(lam: Partition) -> tuple[int, ...]:
     """Multiset {j - i : (i, j) a box of lam} (0-based), as a sorted tuple."""
     return tuple(sorted([j - i for i, row in enumerate(lam) for j in range(row)]))
-
-
-def hook_dimension(lam: Partition) -> int:
-    """Number of standard Young tableaux of shape lam (hook length formula)."""
-    n = sum(lam)
-    if n == 0:
-        return 1
-    conj = conjugate(lam)
-    prod = 1
-    for i, row in enumerate(lam):
-        for j in range(row):
-            prod *= (row - j) + (conj[j] - i) - 1
-    return factorial(n) // prod
 
 
 def fits_in_box(lam: Partition, k: int, m: int) -> bool:

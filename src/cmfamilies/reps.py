@@ -4,9 +4,10 @@ S_n and B_n irreducibles are built in one seminormal form (rational
 entries), on the standard tableaux of a partition for S_n and of a
 bipartition for B_n; dihedral irreducibles from the standard
 two-dimensional matrices over Q(zeta_m).  Characters are computed
-combinatorially (Murnaghan-Nakayama for S_n, class fusion for the wreath
-product) so that matrix traces have an independent oracle to be checked
-against.
+combinatorially, so that matrix traces have an independent oracle to be
+checked against: one Murnaghan-Nakayama rule (_mn) gives the irreducible
+characters of S_n and B_n and the characters induced from the parabolics
+S_j x S_{n-j} and S_j x B_{n-j}, each by its table of weights.
 
 A module is the tuple of the matrices of W's Coxeter generators:
 (s_1, ..., s_{n-1}) for S_n, (t, s_1, ..., s_{n-1}) with t = eps_1(-1) for
@@ -35,7 +36,6 @@ from .partitions import (
     Bipartition,
     Partition,
     bipartitions,
-    hook_dimension,
     partitions,
 )
 
@@ -47,7 +47,8 @@ Matrix = tuple[dict, ...]
 # The sparse-row kernel (entries: Fraction or Cyclotomic)
 # ---------------------------------------------------------------------------
 
-def mat_identity(d: int, one=Fraction(1)) -> Matrix:
+def mat_identity(d: int) -> Matrix:
+    one = Fraction(1)
     return tuple({i: one} for i in range(d))
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
@@ -92,8 +93,8 @@ def _as_int(q: Fraction) -> int:
     return int(q)
 
 def _exact_div(a: int, b: int) -> int:
-    """a / b for ints; ArithmeticError if b does not divide a.  The class sums
-    divide a centralizer order in W by one in a subgroup, which divides it."""
+    """a / b for ints; ArithmeticError if b does not divide a.  The inner
+    products divide |W| by a centralizer order in W, which divides it."""
     q, r = divmod(a, b)
     if r:
         raise ArithmeticError(f"{b} does not divide {a}")
@@ -192,20 +193,25 @@ def jucys_murphy_eigenvalue(lam: Partition):
     n = sum(lam)
     if n <= 1:
         return 0
-    d = hook_dimension(lam)
     total = None
     for j in range(1, n):
         m = sn_transposition_matrix(lam, j, n)
         total = m if total is None else mat_add(total, m)
     diag = total[0].get(0, Fraction(0))  # a zero eigenvalue leaves row 0 empty
-    if total == mat_scale(diag, mat_identity(d)):
+    if total == mat_scale(diag, mat_identity(len(total))):
         return _as_int(diag)
     return "non-scalar"
 
 
 # ---------------------------------------------------------------------------
-# S_n characters (Murnaghan-Nakayama) and classes
+# Characters: one Murnaghan-Nakayama rule for S_n, B_n and their inductions
 # ---------------------------------------------------------------------------
+
+# A class of B_n is a pair (alpha, beta) of partitions with total n: alpha
+# holds the positive cycle types, beta the negative ones.  So the classes are
+# listed by partitions.bipartitions(n).
+BnClass = tuple[Partition, Partition]
+
 
 @cache
 def zee(mu: Partition) -> int:
@@ -219,92 +225,100 @@ def zee(mu: Partition) -> int:
     return out
 
 
-@cache
-def sn_character(lam: Partition, mu: Partition) -> int:
-    """chi_lam(mu) by the Murnaghan-Nakayama rule (beta-number form)."""
-    if sum(lam) != sum(mu):
-        raise ValueError("shape/class size mismatch")
-    if not mu:
-        return 1
-    t = mu[0]
-    rest = mu[1:]
-    L = len(lam) + t  # enough beta numbers
-    beta = sorted(lam[i] + (L - 1 - i) if i < len(lam) else (L - 1 - i) for i in range(L))
-    beta_set = set(beta)
-    total = 0
-    for b in beta:
-        nb = b - t
-        if nb < 0 or nb in beta_set:
-            continue
-        between = sum(1 for x in beta if nb < x < b)
-        new_beta = sorted(beta_set - {b} | {nb})
-        # convert beta numbers back to a partition
-        parts = tuple(x - i for i, x in enumerate(new_beta))
-        newlam = tuple(p for p in reversed(parts) if p > 0)
-        total += (-1) ** between * sn_character(newlam, rest)
-    return total
-
-
-def _merge(a: Partition, b: Partition) -> Partition:
-    return tuple(sorted(a + b, reverse=True))
-
-
-# ---------------------------------------------------------------------------
-# B_n classes and characters (combinatorial)
-# ---------------------------------------------------------------------------
-
-# A class of B_n is a pair (alpha, beta) of partitions with total n: alpha
-# holds the positive cycle types, beta the negative ones.  So the classes are
-# listed by partitions.bipartitions(n).
-BnClass = tuple[Partition, Partition]
-
-
 def bn_centralizer_order(cls: BnClass) -> int:
     a, b = cls
     return (2 ** len(a)) * zee(a) * (2 ** len(b)) * zee(b)
 
 
 @cache
-def _submultisets(mu: Partition) -> tuple[tuple[Partition, Partition], ...]:
-    """Distinct sub-multisets of a partition, as (sub, complement) pairs."""
-    parts = sorted(set(mu))
-    mults = [mu.count(p) for p in parts]
+def _rim_hooks(lam: Partition, p: int) -> tuple[tuple[Partition, int], ...]:
+    """(lam less a rim hook of length p, (-1)^height) for each such hook.  On
+    beta-numbers a hook moves one b to a free b - p, and its height is the
+    number of beta-numbers it passes."""
+    L = len(lam) + p  # enough beta-numbers
+    beta = {part + L - 1 - i for i, part in enumerate(lam + (0,) * p)}
+    out = []
+    for b in beta:
+        if b >= p and b - p not in beta:
+            new = sorted(beta - {b} | {b - p}, reverse=True)
+            rest = tuple(x - (L - 1 - i) for i, x in enumerate(new) if x > L - 1 - i)
+            out.append((rest, (-1) ** sum(b - p < x < b for x in beta)))
+    return tuple(out)
 
-    def rec(i):
-        if i == len(parts):
-            yield (), ()
-            return
-        p, m = parts[i], mults[i]
-        for take in range(m + 1):
-            for sub, comp in rec(i + 1):
-                yield (p,) * take + sub, (p,) * (m - take) + comp
 
-    return tuple((tuple(sorted(sub, reverse=True)), tuple(sorted(comp, reverse=True)))
-                 for sub, comp in rec(0))
+@cache
+def _mn(shape: tuple[Partition, ...], cycles: tuple[int, ...],
+        positive: tuple[int, ...], negative: tuple[int, ...]) -> int:
+    """The Murnaghan-Nakayama rule on a tuple of partitions (Macdonald, ch. I,
+    App. B).  The first cycle p (a negative cycle is written -p) removes a rim
+    hook of length |p| from some component c, with the sign (-1)^height times
+    the weight positive[c] or negative[c], and the other cycles go on from
+    what is left.  The weights, per component:
+
+        character              shape              positive    negative
+        sn_character           (lam,)             (1,)        ()
+        bn_character           (lam0, lam1)       (1, 1)      (1, -1)
+        induced_from_young     (nu1, nu2)         (1, 1)      ()
+        induced_from_sj_bnj    (lam0, lam1, nu)   (1, 1, 2)   (1, -1, 0)
+
+    The adjoint of multiplying by a power sum is a derivation, so a product of
+    characters is the rule on their components; and Ind from S_j to B_j of
+    chi_nu is the sum of c^nu_ab chi_(a,b), which the weights 2 and 0 give."""
+    if sum(map(sum, shape)) != sum(map(abs, cycles)):
+        raise ValueError("shape/class size mismatch")
+    if not cycles:
+        return 1
+    p, rest = cycles[0], cycles[1:]
+    total = 0
+    for c, w in enumerate(positive if p > 0 else negative):
+        if w:
+            for lam, sign in _rim_hooks(shape[c], abs(p)):
+                sub = shape[:c] + (lam,) + shape[c + 1:]
+                total += w * sign * _mn(sub, rest, positive, negative)
+    return total
+
+
+def _cycles(cls: BnClass) -> tuple[int, ...]:
+    """The cycles of a B_n class, a negative one written -p."""
+    return cls[0] + tuple(-p for p in cls[1])
+
+
+@cache
+def sn_character(lam: Partition, mu: Partition) -> int:
+    """chi_lam(mu)."""
+    return _mn((lam,), mu, (1,), ())
 
 
 @cache
 def bn_character(bp: Bipartition, cls: BnClass) -> int:
-    """chi_{(lam0, lam1)} on the class (alpha, beta), via class fusion.
+    """chi_{(lam0, lam1)} on the class (alpha, beta)."""
+    return _mn(bp, _cycles(cls), (1, 1), (1, -1))
 
-    chi is induced from B_r x B_{n-r} with the first factor the pullback of
-    chi_{lam0} through B_r -> S_r and the second the gamma-twisted pullback
-    of chi_{lam1}; gamma is (-1)^(number of negative cycles).
-    """
-    lam0, lam1 = bp
-    r = sum(lam0)
-    alpha, beta = cls
-    z = bn_centralizer_order(cls)
-    total = 0
-    for a1, a2 in _submultisets(alpha):
-        for b1, b2 in _submultisets(beta):
-            if sum(a1) + sum(b1) != r:
-                continue
-            v1 = sn_character(lam0, _merge(a1, b1))
-            v2 = sn_character(lam1, _merge(a2, b2)) * (-1) ** len(b2)
-            z12 = bn_centralizer_order((a1, b1)) * bn_centralizer_order((a2, b2))
-            total += v1 * v2 * _exact_div(z, z12)
-    return total
+
+@cache
+def bn_character_dict(bp: Bipartition) -> dict:
+    n = sum(bp[0]) + sum(bp[1])
+    return {c: bn_character(bp, c) for c in bipartitions(n)}
+
+
+def induced_from_young(nu1: Partition, nu2: Partition, n: int) -> dict:
+    """Character of Ind from S_j x S_{n-j} of chi_nu1 x chi_nu2 (inside S_n)."""
+    return {mu: _mn((nu1, nu2), mu, (1, 1), ()) for mu in partitions(n)}
+
+
+def induced_from_sj_bnj(nu: Partition, bp: Bipartition, n: int) -> dict:
+    """Character of Ind from S_j x B_{n-j} of chi_nu x chi_bp, j = |nu|."""
+    return {cls: _mn((*bp, nu), _cycles(cls), (1, 1, 2), (1, -1, 0)) for cls in bipartitions(n)}
+
+
+def sn_inner_product(n: int, phi: dict, psi: dict) -> Fraction:
+    """<phi, psi> over S_n for real-valued class functions (dicts class->value):
+    the sum over classes of phi psi |class|, over n!."""
+    order = factorial(n)
+    return Fraction(
+        sum(phi[mu] * psi[mu] * _exact_div(order, zee(mu)) for mu in partitions(n)),
+        order,
+    )
 
 
 def bn_inner_product(n: int, phi: dict, psi: dict) -> Fraction:
@@ -315,61 +329,6 @@ def bn_inner_product(n: int, phi: dict, psi: dict) -> Fraction:
         sum(phi[c] * psi[c] * _exact_div(order, bn_centralizer_order(c)) for c in bipartitions(n)),
         order,
     )
-
-
-@cache
-def bn_character_dict(bp: Bipartition) -> dict:
-    n = sum(bp[0]) + sum(bp[1])
-    return {c: bn_character(bp, c) for c in bipartitions(n)}
-
-
-# ---------------------------------------------------------------------------
-# Induced characters (class-fusion formula)
-# ---------------------------------------------------------------------------
-
-def induced_from_sj_bnj(nu: Partition, bp: Bipartition, n: int) -> dict:
-    """Character of Ind from S_j x B_{n-j} of chi_nu x chi_bp, j = |nu|."""
-    j = sum(nu)
-    k = sum(bp[0]) + sum(bp[1])
-    if j + k != n:
-        raise ValueError("sizes must add to n")
-    out = {}
-    for cls in bipartitions(n):
-        alpha, beta = cls
-        z = bn_centralizer_order(cls)
-        total = 0
-        for mu, a_rest in _submultisets(alpha):
-            if sum(mu) != j:
-                continue
-            sub_cls = (a_rest, beta)
-            total += (sn_character(nu, mu) * bn_character(bp, sub_cls)
-                      * _exact_div(z, zee(mu) * bn_centralizer_order(sub_cls)))
-        out[cls] = total
-    return out
-
-
-def induced_from_young(nu1: Partition, nu2: Partition, n: int) -> dict:
-    """Character of Ind from S_j x S_{n-j} of chi_nu1 x chi_nu2 (inside S_n)."""
-    if sum(nu1) + sum(nu2) != n:
-        raise ValueError("sizes must add to n")
-    j = sum(nu1)
-    out = {}
-    for mu in partitions(n):
-        z = zee(mu)
-        total = 0
-        for m1, m2 in _submultisets(mu):
-            if sum(m1) != j:
-                continue
-            total += (sn_character(nu1, m1) * sn_character(nu2, m2)
-                      * _exact_div(z, zee(m1) * zee(m2)))
-        out[mu] = total
-    return out
-
-
-def sn_norm(n: int, phi: dict) -> Fraction:
-    """<phi, phi> over S_n: the sum over classes of phi^2 |class|, over n!."""
-    order = factorial(n)
-    return Fraction(sum(phi[mu] ** 2 * _exact_div(order, zee(mu)) for mu in partitions(n)), order)
 
 
 # ---------------------------------------------------------------------------

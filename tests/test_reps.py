@@ -11,10 +11,8 @@ import pytest
 import cmfamilies
 from cmfamilies import reps
 from cmfamilies.exact import Cyclotomic
-from cmfamilies.partitions import bipartitions, hook_dimension, partitions
+from cmfamilies.partitions import bipartitions, partitions
 from cmfamilies.reps import (
-    _merge,
-    _submultisets,
     bn_centralizer_order,
     bn_character,
     bn_character_dict,
@@ -37,12 +35,13 @@ from cmfamilies.reps import (
     mat_mul,
     mat_scale,
     sn_character,
-    sn_norm,
+    sn_inner_product,
     standard_tableaux,
     symmetric_generator_matrices,
     zee,
 )
 from cmfamilies.verify import _a_order, _b_order, _coxeter_relations_ok
+from test_partitions import hook_dimension
 
 
 # -- references that only these tests use ------------------------------------
@@ -62,6 +61,11 @@ def bn_dim(bp):
 
 def mat_trace(a):
     return sum((row[i] for i, row in enumerate(a) if i in row), Fraction(0))
+
+
+def identity(d, one):
+    """The d x d identity with the given one of its entry ring."""
+    return tuple({i: one} for i in range(d))
 
 
 def eps_matrix(bp, j):
@@ -90,7 +94,7 @@ def i2_class_matrix(gens, cls, m):
     if cls in ("s", "t"):
         return s if cls == "s" else t
     r = mat_mul(s, t)
-    out = mat_identity(len(s), Cyclotomic.from_rational(m, 1))
+    out = identity(len(s), Cyclotomic.from_rational(m, 1))
     for _ in range(0 if cls == "e" else int(cls[1:])):
         out = mat_mul(r, out)
     return out
@@ -354,6 +358,16 @@ def test_bn_trace_matches_character():
                 assert mat_trace(bn_class_matrix(bp, cls)) == bn_character(bp, cls)
 
 
+def test_bn_character_matches_generator_traces():
+    # the classes of t = ((1^(n-1)), (1)) and s_1 = ((2, 1^(n-2)), ())
+    for n in range(1, 8):
+        for bp in bipartitions(n):
+            gens = build_B_rep(bp)
+            assert mat_trace(gens[0]) == bn_character(bp, ((1,) * (n - 1), (1,)))
+            if n > 1:
+                assert mat_trace(gens[1]) == bn_character(bp, ((2,) + (1,) * (n - 2), ()))
+
+
 def test_i2_trace_matches_character():
     for m in (5, 8):
         for lab in i2_labels(m):
@@ -422,7 +436,7 @@ def test_sn_norm_of_irreducible():
     for n in range(1, 5):
         for lam in partitions(n):
             phi = {mu: sn_character(lam, mu) for mu in partitions(n)}
-            assert sn_norm(n, phi) == 1
+            assert sn_inner_product(n, phi, phi) == 1
 
 
 def test_d_restriction_norms():
@@ -553,7 +567,7 @@ def test_matrix_kernel_drops_cancelled_entries():
         for g in gens:
             empty = tuple({} for _ in g)
             assert mat_add(g, mat_scale(-1, g)) == empty
-            assert mat_add(mat_mul(g, g), mat_scale(-1, mat_identity(len(g), one))) == empty
+            assert mat_add(mat_mul(g, g), mat_scale(-1, identity(len(g), one))) == empty
             assert mat_is_zero(empty) and not mat_is_zero(g)
 
 
@@ -598,8 +612,31 @@ def test_integrality_check_raises_under_optimize():
 
 
 # -- the Fraction class-fusion formulas, kept as references ---------------------
-# The package sums v * (z / z_sub) in ints, dividing exactly; these sum the
-# Fractions v / z_sub and scale by z, so no division in them can fail.
+# The package computes every character by one Murnaghan-Nakayama rule on
+# tuples of partitions; these sum S_n characters over the ways a class of W
+# splits between the factors of a subgroup, as Fractions v / z_sub scaled by z.
+
+def _merge(a, b):
+    return tuple(sorted(a + b, reverse=True))
+
+
+def _submultisets(mu):
+    """Distinct sub-multisets of a partition, as (sub, complement) pairs."""
+    parts = sorted(set(mu))
+    mults = [mu.count(p) for p in parts]
+
+    def rec(i):
+        if i == len(parts):
+            yield (), ()
+            return
+        p, m = parts[i], mults[i]
+        for take in range(m + 1):
+            for sub, comp in rec(i + 1):
+                yield (p,) * take + sub, (p,) * (m - take) + comp
+
+    return tuple((tuple(sorted(sub, reverse=True)), tuple(sorted(comp, reverse=True)))
+                 for sub, comp in rec(0))
+
 
 def ref_bn_character(bp, cls):
     lam0, lam1 = bp
@@ -641,8 +678,8 @@ def ref_bn_inner_product(n, phi, psi):
                Fraction(0))
 
 
-def ref_sn_norm(n, phi):
-    return sum((Fraction(phi[mu] ** 2, zee(mu)) for mu in partitions(n)), Fraction(0))
+def ref_sn_inner_product(n, phi, psi):
+    return sum((Fraction(phi[mu] * psi[mu], zee(mu)) for mu in partitions(n)), Fraction(0))
 
 
 def _assert_int_dict(got, want):
@@ -687,44 +724,65 @@ def test_inner_products_match_fraction_reference():
             for nu1 in partitions(j):
                 for nu2 in partitions(n - j):
                     phi = induced_from_young(nu1, nu2, n)
-                    got = sn_norm(n, phi)
-                    assert type(got) is Fraction and got == ref_sn_norm(n, phi)
+                    got = sn_inner_product(n, phi, phi)
+                    assert type(got) is Fraction and got == ref_sn_inner_product(n, phi, phi)
+
+
+def _clear_character_memos():
+    for memo in (reps.sn_character, reps.bn_character, reps.bn_character_dict, reps._mn):
+        memo.cache_clear()
 
 
 @pytest.fixture
 def fresh_characters():
     """The character memos empty before and after the test, so that no value
     computed under a planted defect reaches another test."""
-    reps.bn_character.cache_clear()
-    reps.bn_character_dict.cache_clear()
+    _clear_character_memos()
     yield
-    reps.bn_character.cache_clear()
-    reps.bn_character_dict.cache_clear()
+    _clear_character_memos()
 
 
 def test_wrong_centralizer_order_raises(fresh_characters, monkeypatch):
-    # z(2,1) = 2 in S_3; read as 3, the sum over the subgroup S_2 x S_1 (or
-    # B_2 x B_1) no longer divides it: no call may floor that to an int
-    true = {(bp, cls): bn_character(bp, cls) for bp in bipartitions(3) for cls in bipartitions(3)}
-    reps.bn_character.cache_clear()
-    real = reps.zee
-    monkeypatch.setattr(reps, "zee", lambda mu: 3 if mu == (2, 1) else real(mu))
-    raised = 0
-    for (bp, cls), v in true.items():
-        try:
-            assert bn_character(bp, cls) == v
-        except ArithmeticError:
-            raised += 1
-    assert raised > 0
-    with pytest.raises(ArithmeticError):
-        bn_character(((2,), (1,)), ((2, 1), ()))
-    for a in partitions(2):
+    # A centralizer order that does not divide |W| must fail the inner
+    # product, never be floored: z(2,1) read as 4 in S_3 (|S_3| = 6), and the
+    # B_3 class ((1, 1), (1,)) read as 17 (|B_3| = 48).  The characters divide
+    # by no centralizer, so they keep their values.
+    chars = {lam: {mu: sn_character(lam, mu) for mu in partitions(3)} for lam in partitions(3)}
+    bchars = {bp: bn_character_dict(bp) for bp in bipartitions(3)}
+    real, real_b = reps.zee, reps.bn_centralizer_order
+    monkeypatch.setattr(reps, "zee", lambda mu: 4 if mu == (2, 1) else real(mu))
+    for lam, nu in combinations(partitions(3), 2):
         with pytest.raises(ArithmeticError):
-            induced_from_young(a, (1,), 3)
-    monkeypatch.setattr(reps, "zee", real)
-    real_b = reps.bn_centralizer_order
-    monkeypatch.setattr(reps, "bn_centralizer_order",
-                        lambda c: real_b(c) + 1 if c == ((1, 1), (1,)) else real_b(c))
-    reps.bn_character.cache_clear()
+            sn_inner_product(3, chars[lam], chars[nu])
     with pytest.raises(ArithmeticError):
-        bn_character(((1,), (1, 1)), ((1, 1), (1,)))
+        sn_inner_product(3, induced_from_young((2,), (1,), 3), chars[(3,)])
+    monkeypatch.undo()
+    monkeypatch.setattr(reps, "bn_centralizer_order",
+                        lambda c: 17 if c == ((1, 1), (1,)) else real_b(c))
+    _clear_character_memos()
+    assert {bp: bn_character_dict(bp) for bp in bipartitions(3)} == bchars
+    for bp in bipartitions(3):
+        with pytest.raises(ArithmeticError):
+            bn_inner_product(3, bchars[bp], bchars[bp])
+    with pytest.raises(ArithmeticError):
+        bn_inner_product(3, induced_from_sj_bnj((1,), ((1,), (1,)), 3), bchars[((2,), (1,))])
+
+
+def test_characters_reject_mismatched_sizes():
+    with pytest.raises(ValueError, match="size mismatch"):
+        sn_character((2, 1), (2,))
+    with pytest.raises(ValueError, match="size mismatch"):
+        sn_character((2,), (2, 1))
+    # chi_((2),(1)) is 3 on the identity of B_3, but (1, 1) is a class of B_2
+    with pytest.raises(ValueError, match="size mismatch"):
+        bn_character(((2,), (1,)), ((1, 1), ()))
+    with pytest.raises(ValueError, match="size mismatch"):
+        bn_character(((1,), ()), ((1,), (1,)))
+    with pytest.raises(ValueError):
+        induced_from_young((2,), (1,), 4)
+    with pytest.raises(ValueError):
+        induced_from_young((2,), (1,), 2)
+    with pytest.raises(ValueError):
+        induced_from_sj_bnj((1,), ((1,), (1,)), 2)
+    with pytest.raises(ValueError):
+        induced_from_sj_bnj((1,), ((1,), ()), 3)
