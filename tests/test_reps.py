@@ -31,7 +31,6 @@ from cmfamilies.reps import (
     jucys_murphy_eigenvalue,
     mat_add,
     mat_identity,
-    mat_is_zero,
     mat_mul,
     mat_scale,
     sn_character,
@@ -41,6 +40,7 @@ from cmfamilies.reps import (
     zee,
 )
 from cmfamilies.verify import _a_order, _b_order, _coxeter_relations_ok
+from test_cuspidal import mat_is_zero
 from test_partitions import hook_dimension
 
 
