@@ -28,6 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from math import isqrt, lcm
 from typing import Callable
 
@@ -107,22 +108,40 @@ def _int_charge(c1, kappa) -> tuple[int, int, int]:
 
 
 def _b_cm_key(n, param):
-    charge = _int_charge(param.c1, param.kappa)
-    return lambda bp: exact.charged_residue(bp, charge)
+    """Each label's charged residue at the int charge, as exact.charged_residue
+    gives it, merged from its two components' sorted charged contents.  The
+    contents are built once per (component, shift) and kept only as long as the
+    returned key."""
+    m0, m1, mp = _int_charge(param.c1, param.kappa)
+    charged = cache(exact.charged_contents)
+    return lambda bp: tuple(sorted(charged(bp[0], m0, mp) + charged(bp[1], m1, mp)))
 
 
 def _b_lusztig_key(n, param):
     """|lam1| at kappa = 0; the label itself at a non-integral c1/kappa;
-    else the symbol content at (m, 1), m = c1/kappa.  Every m >= n lies in
-    the chamber c1/kappa > n - 1 of singleton families, so m = n stands for
-    all of them and the symbol rows stay short."""
+    else the symbol content at (m, 1), m = c1/kappa, as
+    content_key(symbol_of(bp, N, m, 1)) gives it.  Every m >= n lies in the
+    chamber c1/kappa > n - 1 of singleton families, so m = n stands for all of
+    them and the symbol rows stay short.  Each component's row and its sum are
+    built once per (component, length) and kept only as long as the returned
+    key; each label's two sums are checked against the point's one expected
+    weight, the check symbol_of makes."""
     if param.kappa == 0:
         return lambda bp: sum(bp[1])
     m = param.b_integral_m()
     if m is None:
         return lambda bp: bp
     N, m = max(n, 1), min(m, n)
-    return lambda bp: symbols.content_key(symbols.symbol_of(bp, N, m, 1))
+    row = cache(symbols.integral_row)
+    weight = symbols.expected_weight(n, N, m, 1)
+
+    def key(bp):
+        (beta, b), (gamma, g) = row(bp[0], N + m), row(bp[1], N)
+        if b + g != weight:
+            raise AssertionError("weight equation violated")
+        return tuple(sorted(beta + gamma))
+
+    return key
 
 
 def _b_anchor(n, param):

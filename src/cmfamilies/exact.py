@@ -29,6 +29,12 @@ def charged_residue(bp: Bipartition, charge) -> tuple:
     return tuple(sorted(exponents))
 
 
+def charged_contents(lam: Partition, shift: int, step: int) -> tuple[int, ...]:
+    """shift + step*c over the contents c of lam, sorted: one component's
+    exponents in charged_residue, with shift its m_i and step m_p."""
+    return tuple(sorted([shift + step * c for c in contents(lam)]))
+
+
 # ---------------------------------------------------------------------------
 # Cyclotomic field Q(zeta_m)
 # ---------------------------------------------------------------------------

@@ -2,7 +2,7 @@
 I2(m), the tau twist, and clifford_descent: the test reference for D keys."""
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 
@@ -23,13 +23,6 @@ class Family:
     members: tuple
     leaf_label: str | None = None
     cuspidal: bool = False
-
-    @classmethod
-    def of(cls, members, **kw) -> "Family":
-        ms = tuple(sorted(members))
-        if not ms:
-            raise ValueError("families are nonempty")
-        return cls(members=ms, **kw)
 
     @property
     def is_singleton(self) -> bool:
@@ -53,10 +46,14 @@ class FamilyPartition:
         return frozenset(frozenset(f.members) for f in self.families)
 
 
-def _canonical(families: list, **meta) -> FamilyPartition:
-    fams = sorted((Family.of(f) if not isinstance(f, Family) else f for f in families),
-                  key=lambda f: f.members[0])
-    return FamilyPartition(families=tuple(fams), **meta)
+def _canonical(families, **meta) -> FamilyPartition:
+    """The partition into the given nonempty label collections, each sorted,
+    in the order of their member tuples: the families are disjoint, so that is
+    the order of their first members."""
+    members = sorted([tuple(sorted(f)) for f in families])
+    if not all(members):
+        raise ValueError("families are nonempty")
+    return FamilyPartition(families=tuple(map(Family, members)), **meta)
 
 
 def _group_by(labels, keyfunc) -> list[tuple]:
@@ -123,14 +120,12 @@ def swap_bipartition(bp: Bipartition) -> Bipartition:
 
 
 def tau_twist(fp: FamilyPartition) -> FamilyPartition:
-    """Type-B partition at (c1, kappa) -> partition at (-c1, kappa)."""
+    """Type-B partition at (c1, kappa) -> partition at (-c1, kappa), its
+    families unmarked (no cuspidal flag or leaf label)."""
     if fp.param.type_tag != "B":
         raise ValueError("tau twist is a type-B operation")
     new_param = CherednikParameter.type_B(-fp.param.c1, fp.param.kappa)
-    fams = [
-        replace(f, members=tuple(sorted(swap_bipartition(bp) for bp in f.members)))
-        for f in fp.families
-    ]
+    fams = [map(swap_bipartition, f.members) for f in fp.families]
     return _canonical(fams, size=fp.size, param=new_param, method=fp.method)
 
 

@@ -1,5 +1,6 @@
 """Type-B two-row symbols: construction with its weight check, the content
-key that groups the Lusztig families, and the bar operation."""
+key, the integral rows and the weight from which the type-B Lusztig key
+builds that content without a symbol, and the bar operation."""
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -66,6 +67,13 @@ def _row(lam: Partition, length: int, kappa: Rational, r: Rational) -> tuple:
         return (*range(pad), *map(pad.__add__, _betas(lam)))
     parts = (0,) * pad + lam[::-1]
     return tuple([kappa * (p + i) + r for i, p in enumerate(parts)])
+
+
+def integral_row(lam: Partition, length: int) -> tuple[tuple[int, ...], int]:
+    """The row of lam at kappa = 1, r = 0, zero-padded to length, and its sum:
+    what symbol_of builds and weighs for one component at an integral point."""
+    row = _row(lam, length, 1, 0)
+    return row, sum(row)
 
 
 def symbol_of(bp: Bipartition, N: int, c1, kappa) -> BSymbol:

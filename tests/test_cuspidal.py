@@ -349,8 +349,10 @@ def test_oracle_builds_no_module_and_reads_no_closed_form(monkeypatch, capsys):
     product, both family keys and every closed form raise."""
     for name in ("build_B_rep", "symmetric_generator_matrices", "build_dihedral_rep", "mat_mul"):
         monkeypatch.setattr(reps, name, _raise)
-    monkeypatch.setattr(exact, "charged_residue", _raise)
-    monkeypatch.setattr(symbols, "symbol_of", _raise)
+    for name in ("charged_residue", "charged_contents"):
+        monkeypatch.setattr(exact, name, _raise)
+    for name in ("symbol_of", "integral_row"):
+        monkeypatch.setattr(symbols, name, _raise)
     for tag, entry in coxeter.TYPES.items():
         guarded = dataclasses.replace(entry, rigid=_raise, anchor=_raise, cm_key=_raise,
                                       lusztig_key=_raise)

@@ -1,11 +1,14 @@
+import gc
 import sys
 from fractions import Fraction
+from functools import cache
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cmfamilies import exact, families, reps, symbols
+from cmfamilies import coxeter, exact, families, reps, symbols
 from cmfamilies import fixtures as fx
 from cmfamilies.cuspidal import rigid_modules
 from cmfamilies.exact import CherednikParameter
@@ -18,7 +21,7 @@ from cmfamilies.families import (
     swap_bipartition,
     tau_twist,
 )
-from cmfamilies.partitions import bipartitions
+from cmfamilies.partitions import bipartitions, d_labels
 from cmfamilies.symbols import content_key, symbol_of
 
 
@@ -78,18 +81,20 @@ def test_d_split_labels_are_singletons():
 
 
 def test_paths_stay_independent(monkeypatch):
-    """The CM key never builds a symbol and the Lusztig key never a residue."""
+    """The CM key never builds a symbol or a symbol row, and the Lusztig key
+    never a residue or a component's charged contents."""
     def forbidden(*args):
         raise AssertionError("the other path's key was called")
 
     points = [(n, CherednikParameter.type_B(m, 1)) for n in range(1, 6) for m in range(4)]
     points += [(n, CherednikParameter.type_D(k)) for n in range(2, 7) for k in (1, Fraction(1, 2))]
     with monkeypatch.context() as mp:
-        mp.setattr(symbols, "symbol_of", forbidden)
-        mp.setattr(symbols, "content_key", forbidden)
+        for name in ("symbol_of", "content_key", "integral_row", "expected_weight"):
+            mp.setattr(symbols, name, forbidden)
         cm = [cm_families(n, p).as_sets() for n, p in points]
     with monkeypatch.context() as mp:
         mp.setattr(exact, "charged_residue", forbidden)
+        mp.setattr(exact, "charged_contents", forbidden)
         assert [lusztig_families(n, p).as_sets() for n, p in points] == cm
 
 
@@ -260,15 +265,17 @@ CM_POINTS = [(1, 1), (Fraction(1, 2), 1), (Fraction(7, 3), Fraction(1, 3)), (Fra
 
 
 def test_cm_keys_are_int_and_scale_invariant(monkeypatch):
-    # the CM path rescales the charge to ints; a positive scale leaves the groups alone
+    # the CM path rescales the charge to ints, so every component's charged
+    # contents, and with them every key, are ints; a positive scale leaves the
+    # groups alone
     keys = []
-    residue = exact.charged_residue
+    charged = exact.charged_contents
 
-    def recording(bp, charge):
-        keys.append(residue(bp, charge))
+    def recording(lam, shift, step):
+        keys.append(charged(lam, shift, step))
         return keys[-1]
 
-    monkeypatch.setattr(exact, "charged_residue", recording)
+    monkeypatch.setattr(exact, "charged_contents", recording)
     cases = [(n, CherednikParameter.type_B, point) for n in range(1, 7) for point in CM_POINTS]
     cases += [(n, CherednikParameter.type_D, (kappa,))
               for n in range(2, 7) for kappa in (1, 3, Fraction(2, 3), Fraction(-1, 2))]
@@ -279,3 +286,117 @@ def test_cm_keys_are_int_and_scale_invariant(monkeypatch):
         for alpha in (Fraction(1, 3), Fraction(5, 2), 7):
             scaled = make(*(alpha * v for v in point))
             assert cm_families(n, scaled).as_sets() == groups
+
+
+# ---------------------------------------------------------------------------
+# The memoised B and D keys against the per-label references
+# ---------------------------------------------------------------------------
+
+def _int_charge(c1, kappa):
+    scale = lcm(c1.denominator, kappa.denominator)
+    return 0, int(c1 * scale), int(-kappa * scale)
+
+
+def _b_ref_points(n):
+    """(param, cm reference, lusztig reference or None) at B_n: every integral
+    m = 0 .. n + 2 at kappa = 1, past the clamp m >= n; a rescaled integral,
+    a non-integral, a rescaled fractional, a kappa = 0 and a negative-c1 point
+    for the CM key."""
+    N = max(n, 1)
+    points = [(Fraction(m), Fraction(1), m) for m in range(n + 3)]
+    points += [(Fraction(4), Fraction(2, 3), 6), (Fraction(1, 2), Fraction(1), None),
+               (Fraction(7, 3), Fraction(1, 3), 7), (Fraction(5, 3), Fraction(2, 7), None),
+               (Fraction(3), Fraction(0), None), (Fraction(-2), Fraction(1), None),
+               (Fraction(-5, 2), Fraction(3, 4), None)]
+    for c1, kappa, m in points:
+        charge = _int_charge(c1, kappa)
+        lusztig = None
+        if m is not None:
+            lusztig = lambda bp, m=min(m, n): content_key(symbol_of(bp, N, m, 1))
+        yield (CherednikParameter.type_B(c1, kappa),
+               lambda bp, charge=charge: exact.charged_residue(bp, charge), lusztig)
+
+
+def _check_b_and_d_keys():
+    """Every memoised B_n key (n <= 10) and D_n key (2 <= n <= 10, kappa in
+    {1, 1/2, 3}) equals its per-label reference at every label.  Each key is
+    read before its reference, so a key that raises fails here first."""
+    b, d = coxeter.TYPES["B"], coxeter.TYPES["D"]
+    for n in range(1, 11):
+        labels = bipartitions(n)
+        for param, cm_ref, lusztig_ref in _b_ref_points(n):
+            key = b.cm_key(n, param)
+            for bp in labels:
+                assert key(bp) == cm_ref(bp), (n, param, bp)
+            if lusztig_ref:
+                key = b.lusztig_key(n, param)
+                for bp in labels:
+                    assert key(bp) == lusztig_ref(bp), (n, param, bp)
+    for n in range(2, 11):
+        for kappa in (Fraction(1), Fraction(1, 2), Fraction(3)):
+            param, charge = CherednikParameter.type_D(kappa), _int_charge(Fraction(0), kappa)
+            refs = ((d.cm_key, lambda bp: exact.charged_residue(bp, charge)),
+                    (d.lusztig_key, lambda bp: content_key(symbol_of(bp, n, 0, 1))))
+            for make, ref in refs:
+                key = make(n, param)
+                for lab in d_labels(n):
+                    assert key(lab) == (lab if lab[2] is not None else ref(lab[:2])), (n, kappa, lab)
+
+
+def test_memoised_keys_match_the_per_label_references():
+    _check_b_and_d_keys()
+
+
+def test_planted_row_padding_defect_fails_the_key_reference(monkeypatch):
+    real = symbols.integral_row
+    monkeypatch.setattr(symbols, "integral_row", lambda lam, length: real(lam, length + 1))
+    with pytest.raises(AssertionError):
+        _check_b_and_d_keys()
+
+
+def test_planted_weight_defect_fails_the_key_weight_check(monkeypatch):
+    real = symbols.expected_weight
+    monkeypatch.setattr(symbols, "expected_weight", lambda *args: real(*args) + 1)
+    with pytest.raises(AssertionError, match="weight equation violated"):
+        _check_b_and_d_keys()
+
+
+def test_weight_check_runs_at_every_label(monkeypatch):
+    # one component's row sum off by one: only the labels holding it raise
+    real, bad = symbols.integral_row, (2, 1)
+
+    def off(lam, length):
+        row, total = real(lam, length)
+        return row, total + (lam == bad)
+
+    monkeypatch.setattr(symbols, "integral_row", off)
+    key = coxeter.TYPES["B"].lusztig_key(5, CherednikParameter.type_B(1, 1))
+    for bp in bipartitions(5):
+        if bad in bp:
+            with pytest.raises(AssertionError, match="weight equation violated"):
+                key(bp)
+        else:
+            key(bp)
+
+
+def test_no_key_memo_outlives_its_partition():
+    """Five B_6 points, each partitioned on both paths, leave every
+    module-level functools cache of exact, symbols, coxeter and families as
+    the first point left it, and no key memo alive."""
+    def sizes():
+        return {(mod.__name__, name): f.cache_info().currsize
+                for mod in (exact, symbols, coxeter, families)
+                for name, f in vars(mod).items() if hasattr(f, "cache_info")}
+
+    points = [(1, 1), (3, 1), (Fraction(1, 2), 1), (Fraction(14, 3), Fraction(2, 3)), (1, 0)]
+    after_first = None
+    for point in points:
+        param = CherednikParameter.type_B(*point)
+        cm_families(6, param)
+        lusztig_families(6, param)
+        after_first = after_first or sizes()
+        assert sizes() == after_first, point
+    memo = type(cache(len))
+    gc.collect()
+    assert not [f for f in gc.get_objects() if type(f) is memo
+                and f.__wrapped__ in (exact.charged_contents, symbols.integral_row)]

@@ -61,10 +61,17 @@ def test_only_verify_reads_the_memo():
 
 
 def test_planted_lusztig_defect_fails_suite_1(fresh_memo, monkeypatch):
-    # every symbol gets a content of its own: each B label is its own
-    # Lusztig family, so the CM and Lusztig partitions differ
-    fresh = count()
-    monkeypatch.setattr(symbols, "content_key", lambda s: next(fresh))
+    # every symbol row gets an entry of its own, its sum left as it was: each
+    # B label off c1 = 0 is its own Lusztig family, so the CM and Lusztig
+    # partitions differ
+    fresh = count(-1, -1)
+    real = symbols.integral_row
+
+    def marked(lam, length):
+        row, total = real(lam, length)
+        return (*row, next(fresh)), total
+
+    monkeypatch.setattr(symbols, "integral_row", marked)
     result = SUITES["1"]()
     assert not result.passed
     assert "B 6 " in result.detail
