@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import replace
 from fractions import Fraction
 from functools import cache
 from json.encoder import encode_basestring_ascii
@@ -82,52 +81,85 @@ def _partition_text(fp: FamilyPartition) -> str:
     return "\n".join(lines)
 
 
-_SCALARS = {True: "true", False: "false", None: "null"}
+_SCALARS = {
+    str: encode_basestring_ascii,
+    int: int.__repr__,
+    bool: {True: "true", False: "false"}.__getitem__,
+    type(None): lambda _: "null",
+}
 
 
-def _json(o, pad: str = "") -> str:
+def _json(o) -> str:
     """json.dumps(o, sort_keys=True, indent=2), byte for byte, in one direct
-    pass (indent sends json to its pure-Python encoder).  Writes lists,
-    tuples, dicts with str keys, str, bool, None and int; anything else (a
-    float, a Fraction) is a TypeError.  A list of plain ints, most of a label
-    row, is joined in one go.  A tuple (a label or a part of one) holds only
-    ints, strs, None and tuples, and its text is built once per (tuple, indent)
-    in a process: that memo is keyed by value, where True == 1 == 1.0, so a
-    tuple holding anything else is a TypeError when it is first written."""
-    if isinstance(o, tuple):
-        return _tuple_json(o, pad)
-    if isinstance(o, list):
+    pass (indent sends json to its pure-Python encoder) that appends pieces to
+    one list and joins it once.  Types are matched exactly: it writes list,
+    tuple, dict with str keys, str, bool, None and int, and anything else (a
+    float, a Fraction, a subclass such as a namedtuple record) is a TypeError.
+    A tuple (a label or a part of one) holds only ints, strs, None and tuples,
+    and its text is built once per (tuple, indent) in a process: that memo is
+    keyed by value, where True == 1 == 1.0 and a record equals the tuple of its
+    fields, so a tuple holding anything else is a TypeError when it is first
+    written."""
+    out: list[str] = []
+    _write(o, "", out)
+    return "".join(out)
+
+
+def _write(o, pad: str, out: list[str]) -> None:
+    """Append the pieces of o's text, indented from pad, to out; the items of
+    a list or dict that are scalars are written in place."""
+    kind = type(o)
+    if kind is tuple:
+        out.append(_tuple_json(o, pad))
+    elif kind is list:
         if not o:
-            return "[]"
+            out.append("[]")
+            return
         inner = pad + "  "
         sep = ",\n" + inner
-        if type(o[0]) is int and all(type(x) is int for x in o):
-            body = sep.join(map(str, o))
-        else:
-            body = sep.join([_json(x, inner) for x in o])
-        return f"[\n{inner}{body}\n{pad}]"
-    if isinstance(o, dict):
+        opener = "[\n" + inner
+        for x in o:
+            out.append(opener)
+            opener = sep
+            scalar = _SCALARS.get(type(x))
+            if scalar is None:
+                _write(x, inner, out)
+            else:
+                out.append(scalar(x))
+        out.append(f"\n{pad}]")
+    elif kind is dict:
         if not o:
-            return "{}"
+            out.append("{}")
+            return
         inner = pad + "  "
         sep = ",\n" + inner
-        body = sep.join([f"{encode_basestring_ascii(k)}: {_json(v, inner)}"
-                         for k, v in sorted(o.items())])
-        return f"{{\n{inner}{body}\n{pad}}}"
-    if isinstance(o, str):
-        return encode_basestring_ascii(o)
-    if o is None or isinstance(o, bool):
-        return _SCALARS[o]
-    if isinstance(o, int):
-        return int.__repr__(o)
-    raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
+        opener = "{\n" + inner
+        for k, x in sorted(o.items()):
+            out.append(f"{opener}{encode_basestring_ascii(k)}: ")
+            opener = sep
+            scalar = _SCALARS.get(type(x))
+            if scalar is None:
+                _write(x, inner, out)
+            else:
+                out.append(scalar(x))
+        out.append(f"\n{pad}}}")
+    else:
+        scalar = _SCALARS.get(kind)
+        if scalar is None:
+            raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
+        out.append(scalar(o))
 
 
 @cache
 def _tuple_json(t: tuple, pad: str) -> str:
-    if not all(x is None or type(x) in (int, str) or isinstance(x, tuple) for x in t):
+    if not all(x is None or type(x) in (int, str, tuple) for x in t):
         raise TypeError(f"a tuple written as JSON holds only ints, strs, None and tuples: {t!r}")
-    return _json(list(t), pad)
+    if not t:
+        return "[]"
+    inner = pad + "  "
+    sep = ",\n" + inner
+    body = sep.join([_tuple_json(x, inner) if type(x) is tuple else _SCALARS[type(x)](x) for x in t])
+    return f"[\n{inner}{body}\n{pad}]"
 
 
 def _emit(args, payload_json, payload_text: str) -> None:
@@ -145,7 +177,7 @@ def cmd_families(args) -> int:
         # the families at the type's generic point, reported for the given param
         t = coxeter.lookup(args.type)
         generic = t.parameter(t.generic(size), size)
-        parts = [replace(annotated_families(size, generic, m), param=param) for m in methods]
+        parts = [annotated_families(size, generic, m)._replace(param=param) for m in methods]
     else:
         parts = [annotated_families(size, param, m) for m in methods]
     if args.format == "json":
@@ -170,7 +202,7 @@ def cmd_cuspidal(args) -> int:
     out = []
     for method in methods:
         fp = annotated_families(size, param, method)
-        out.append(replace(fp, families=tuple(cuspidal_families(fp))))
+        out.append(fp._replace(families=tuple(cuspidal_families(fp))))
     if args.format == "json":
         payload = [_partition_json(fp) for fp in out]
         _emit(args, payload[0] if len(payload) == 1 else payload, "")

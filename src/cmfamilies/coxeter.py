@@ -26,38 +26,37 @@ benchmark's tracer does) is the one that runs.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import cache
 from math import isqrt, lcm
-from typing import Callable
 
 from . import cuspidal, exact, families, partitions, reps, symbols
 
 
-@dataclass(frozen=True)
-class CoxeterType:
-    params: tuple[str, ...]  # parameter names, in CherednikParameter.values order
-    size_flag: str  # "n", or "m" for I2(m)
-    min_size: int
-    parameter: Callable  # (values, size) -> CherednikParameter
-    generic: Callable  # size -> parameter values whose families are the generic ones
-    labels: Callable  # size -> the labels of Irr W
-    label_text: Callable
+class CoxeterType(namedtuple(
+        "CoxeterType",
+        "params size_flag min_size parameter generic labels label_text cm_key lusztig_key"
+        " anchor rigid trace_form oracle_max leaves module",
+        defaults=(None, lambda label: label))):
+    # params: parameter names, in CherednikParameter.values order
+    # size_flag: "n", or "m" for I2(m)
+    # parameter: (values, size) -> CherednikParameter
+    # generic: size -> parameter values whose families are the generic ones
+    # labels: size -> the labels of Irr W
     # below, param is nonzero; the callers handle param = 0 for every type
-    # (size, param) -> (label -> key); the families are the fibres of the key
-    cm_key: Callable
-    lusztig_key: Callable
-    anchor: Callable  # (size, param) -> (label, leaf label) in the cuspidal family, or None
-    rigid: Callable  # (size, param, anchor) -> rigid labels, closed form
-    # (module, size) -> ((p, p'), g) pairs over class parameter names: the int
-    # Gram matrix of the trace form Q(c) = sum g c_p c_p' on the module that
-    # module(label) names, read from its character; pi is rigid iff Q(c) = 0,
-    # since each T(y, x) is Hermitian (each pi(s) a unitary involution)
-    trace_form: Callable
-    oracle_max: int  # largest size the rigidity oracle is run at
-    leaves: Callable | None = None  # (size, param) -> LeafPoset
-    module: Callable = lambda label: label  # label -> the module the oracle decides it on
+    # cm_key, lusztig_key: (size, param) -> (label -> key); the families are
+    # the fibres of the key
+    # anchor: (size, param) -> (label, leaf label) in the cuspidal family, or None
+    # rigid: (size, param, anchor) -> rigid labels, closed form
+    # trace_form: (module, size) -> ((p, p'), g) pairs over class parameter
+    # names: the int Gram matrix of the trace form Q(c) = sum g c_p c_p' on the
+    # module that module(label) names, read from its character; pi is rigid iff
+    # Q(c) = 0, since each T(y, x) is Hermitian (each pi(s) a unitary involution)
+    # oracle_max: largest size the rigidity oracle is run at
+    # leaves: (size, param) -> LeafPoset, or None
+    # module: label -> the module the oracle decides it on
+    __slots__ = ()
 
 
 def lookup(type_tag: str) -> CoxeterType:

@@ -13,7 +13,7 @@ the type's table entry reads from characters, depends on the label only
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from collections import namedtuple
 from fractions import Fraction
 from functools import cache
 
@@ -28,18 +28,17 @@ from .partitions import partitions, refinement_le
 # Symplectic leaves
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Leaf:
-    index: object  # k for B/D; a partition for degenerate B
-    dimension: int
-    parabolic_label: str
-    parabolic_order: int  # the order of the parabolic subgroup named by the label
+class Leaf(namedtuple("Leaf", "index dimension parabolic_label parabolic_order")):
+    # index: k for B/D; a partition for degenerate B
+    # dimension: int; parabolic_label: str
+    # parabolic_order: the order of the parabolic subgroup named by the label
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class LeafPoset:
-    leaves: tuple[Leaf, ...]
-    order: frozenset  # pairs (below_index, above_index), strict closure order
+class LeafPoset(namedtuple("LeafPoset", "leaves order")):
+    # leaves: tuple[Leaf, ...]
+    # order: frozenset of pairs (below_index, above_index), strict closure order
+    __slots__ = ()
 
     def below(self, leaf: Leaf) -> tuple:
         return tuple(l.index for l in self.leaves if (l.index, leaf.index) in self.order)
@@ -156,8 +155,8 @@ def annotated_families(size: int, param: CherednikParameter, method: str = "CM")
         return fp
     label, leaf_label = anchor
     cusp = fp.family_of(label)
-    marked = replace(cusp, cuspidal=True, leaf_label=leaf_label)
-    return replace(fp, families=tuple(marked if f is cusp else f for f in fp.families))
+    marked = cusp._replace(cuspidal=True, leaf_label=leaf_label)
+    return fp._replace(families=tuple(marked if f is cusp else f for f in fp.families))
 
 
 # ---------------------------------------------------------------------------

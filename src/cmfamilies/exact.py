@@ -2,11 +2,11 @@
 cyclotomic fields Q(zeta_m), and Cherednik parameters as exact rationals."""
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Iterable
 from fractions import Fraction
 from functools import cache
 from math import gcd, lcm
-from typing import Iterable
 
 from . import coxeter
 from .partitions import Bipartition, Partition, contents
@@ -212,19 +212,23 @@ class Cyclotomic:
 # Parameters
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CherednikParameter:
-    """Exact rational parameter, one value per name in the type's table entry."""
+class CherednikParameter(namedtuple("CherednikParameter", "type_tag values")):
+    """Exact rational parameter, one value per name in the type's table entry.
 
-    type_tag: str  # a key of coxeter.TYPES
-    values: tuple[Fraction, ...]
+    Building one converts the values to Fractions and checks their number.
+    namedtuple's _replace and _make skip both, so no program path calls them
+    on a parameter."""
 
-    def __post_init__(self):
-        names = coxeter.lookup(self.type_tag).params
-        vals = tuple(Fraction(v) for v in self.values)
+    # type_tag: a key of coxeter.TYPES
+    # values: tuple[Fraction, ...], in the order of the entry's params
+    __slots__ = ()
+
+    def __new__(cls, type_tag: str, values):
+        names = coxeter.lookup(type_tag).params
+        vals = tuple(Fraction(v) for v in values)
         if len(vals) != len(names):
-            raise ValueError(f"type {self.type_tag} needs {len(names)} value(s)")
-        object.__setattr__(self, "values", vals)
+            raise ValueError(f"type {type_tag} needs {len(names)} value(s)")
+        return super().__new__(cls, type_tag, vals)
 
     # constructors -----------------------------------------------------------
     @classmethod

@@ -2,7 +2,7 @@
 I2(m), the tau twist, and clifford_descent: the test reference for D keys."""
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import cache
 
@@ -18,23 +18,19 @@ from .reps import (
 )
 
 
-@dataclass(frozen=True, slots=True)
-class Family:
-    members: tuple
-    leaf_label: str | None = None
-    cuspidal: bool = False
+class Family(namedtuple("Family", "members leaf_label cuspidal", defaults=(None, False))):
+    # members: tuple of labels; leaf_label: str | None; cuspidal: bool
+    __slots__ = ()
 
     @property
     def is_singleton(self) -> bool:
         return len(self.members) == 1
 
 
-@dataclass(frozen=True)
-class FamilyPartition:
-    size: int  # n, or m for I2
-    param: CherednikParameter
-    method: str  # "CM" | "Lusztig"
-    families: tuple[Family, ...]
+class FamilyPartition(namedtuple("FamilyPartition", "size param method families")):
+    # size: n, or m for I2; param: CherednikParameter; method: "CM" | "Lusztig";
+    # families: tuple[Family, ...]
+    __slots__ = ()
 
     def family_of(self, label) -> Family:
         for f in self.families:

@@ -5,18 +5,19 @@ parameter regime, with tokens for the label sets that depend on m."""
 from __future__ import annotations
 
 import json
+import os
 from fractions import Fraction
 from functools import cache
-from importlib import resources
 
 from ..reps import i2_labels
 
 
 @cache
 def load_fixture(name: str) -> dict:
-    path = resources.files("cmfamilies") / "fixtures" / f"{name}.json"
+    path = os.path.join(os.path.dirname(__file__), f"{name}.json")
     try:
-        return json.loads(path.read_text())
+        with open(path, encoding="utf-8") as f:
+            return json.load(f)
     except FileNotFoundError:
         raise KeyError(f"unknown fixture {name!r}") from None
 

@@ -7,8 +7,8 @@ possibly carrying a split index when the two components coincide.
 """
 from __future__ import annotations
 
+from collections.abc import Iterator
 from functools import cache
-from typing import Iterator, Optional
 
 Partition = tuple[int, ...]
 Bipartition = tuple[Partition, Partition]
@@ -133,12 +133,12 @@ def refinement_le(lam: Partition, mu: Partition) -> bool:
 # Unordered bipartitions (type D labels)
 # ---------------------------------------------------------------------------
 
-DLabel = tuple[Partition, Partition, Optional[int]]
+DLabel = tuple[Partition, Partition, int | None]
 """(first, second, split): first >= second in tuple order; split is None for
 first != second and 1 or 2 when first == second."""
 
 
-def d_label(lam: Partition, mu: Partition, split: Optional[int] = None) -> DLabel:
+def d_label(lam: Partition, mu: Partition, split: int | None = None) -> DLabel:
     """Canonical unordered-bipartition label for type D."""
     first, second = (lam, mu) if lam >= mu else (mu, lam)
     if first == second:

@@ -3,7 +3,7 @@ key, the integral rows and the weight from which the type-B Lusztig key
 builds that content without a symbol, and the bar operation."""
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import cache
 from math import comb
@@ -26,8 +26,7 @@ def _point(c1, kappa) -> tuple[Rational, Rational]:
     return c1, kappa
 
 
-@dataclass(frozen=True)
-class BSymbol:
+class BSymbol(namedtuple("BSymbol", "beta gamma m kappa r")):
     """Two-row symbol: beta has length N+m, gamma length N.
 
     Both rows are nonnegative and strictly increasing, with beta_i = r and
@@ -36,11 +35,8 @@ class BSymbol:
     ints at an integral point and Fractions elsewhere.
     """
 
-    beta: tuple[Rational, ...]
-    gamma: tuple[Rational, ...]
-    m: int
-    kappa: Rational
-    r: Rational
+    # beta, gamma: tuple[Rational, ...]; m: int; kappa, r: Rational
+    __slots__ = ()
 
     def to_json(self) -> dict:
         return {

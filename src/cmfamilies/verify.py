@@ -2,7 +2,7 @@
 CLI `verify` subcommand and the test suite."""
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import cache, wraps
 from math import comb
@@ -39,11 +39,9 @@ from .reps import (
 )
 
 
-@dataclass(frozen=True)
-class SuiteResult:
-    name: str
-    passed: bool
-    detail: str
+class SuiteResult(namedtuple("SuiteResult", "name passed detail")):
+    # name: str; passed: bool; detail: str
+    __slots__ = ()
 
 
 def _suite(name: str):

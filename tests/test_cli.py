@@ -10,7 +10,12 @@ import pytest
 from test_cli_golden import GOLDEN
 
 import cmfamilies
+from cmfamilies import coxeter
 from cmfamilies.cli import _json, _tuple_json, main
+from cmfamilies.cuspidal import Leaf, annotated_families
+from cmfamilies.exact import CherednikParameter
+from cmfamilies.families import Family
+from cmfamilies.symbols import symbol_of
 from cmfamilies.verify import SuiteResult, _suite
 
 
@@ -248,6 +253,21 @@ def test_cli_import_loads_no_process_pool():
     assert proc.stdout == "[]\n"
 
 
+# modules a query never runs, some of them pulled in by dataclasses, typing
+# or importlib.resources; -S keeps site's .pth preloads out of the check
+COLD_START_FREE = ("dataclasses", "inspect", "ast", "dis", "tokenize", "typing",
+                   "importlib.resources", "pathlib")
+
+
+def test_cli_import_loads_only_what_a_query_runs():
+    src = str(Path(cmfamilies.__file__).resolve().parent.parent)
+    code = (f"import sys; sys.path.insert(0, {src!r}); import cmfamilies.cli; "
+            f"print(sorted(set({COLD_START_FREE!r}) & set(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-S", "-c", code],
+                          capture_output=True, text=True, check=True, timeout=60)
+    assert proc.stdout == "[]\n"
+
+
 def test_closed_stdout_ends_without_traceback():
     src = str(Path(cmfamilies.__file__).resolve().parent.parent)
     env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
@@ -349,3 +369,24 @@ def test_json_writer_rejects_non_json_numbers(o):
     _tuple_json.cache_clear()
     with pytest.raises(TypeError):
         _json(o)
+
+
+def _records():
+    """One instance of each of the package's eight namedtuple records."""
+    param = CherednikParameter.type_B(1, 1)
+    return [coxeter.TYPES["B"], param, Family((((1,), ()),)), annotated_families(2, param),
+            Leaf(1, 2, "B2", 8), coxeter.TYPES["B"].leaves(2, param),
+            symbol_of(((1,), ()), 1, 1, 1), SuiteResult("suite", True, "1 checks")]
+
+
+@pytest.mark.parametrize("wrap", [lambda r: r, lambda r: [1, r], lambda r: {"k": r}],
+                         ids=["alone", "in a list", "in a dict"])
+def test_json_writer_rejects_records(wrap):
+    """A record is a tuple subclass, not a label: the writer refuses it even
+    when the plain tuple of its fields is already in the tuple memo."""
+    records = _records()
+    assert len({type(r) for r in records}) == 8
+    _json((1, 2, "B2", 8))
+    for record in records:
+        with pytest.raises(TypeError, match=type(record).__name__):
+            _json(wrap(record))

@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import json
 import math
@@ -354,8 +353,7 @@ def test_oracle_builds_no_module_and_reads_no_closed_form(monkeypatch, capsys):
     for name in ("symbol_of", "integral_row"):
         monkeypatch.setattr(symbols, name, _raise)
     for tag, entry in coxeter.TYPES.items():
-        guarded = dataclasses.replace(entry, rigid=_raise, anchor=_raise, cm_key=_raise,
-                                      lusztig_key=_raise)
+        guarded = entry._replace(rigid=_raise, anchor=_raise, cm_key=_raise, lusztig_key=_raise)
         monkeypatch.setitem(coxeter.TYPES, tag, guarded)
     cuspidal._gram.cache_clear()
     for type_tag, size in ORACLE_CASES:

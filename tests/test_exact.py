@@ -264,6 +264,19 @@ def test_parameter_shapes():
     assert CherednikParameter.type_B(1, 0).to_json() == {"c1": "1", "kappa": "0"}
 
 
+def test_parameter_record_keeps_its_checks():
+    """Building a parameter converts its values to Fractions and checks their
+    number; the record keeps the dataclass repr and equals the plain tuple of
+    its fields."""
+    with pytest.raises(ValueError):
+        CherednikParameter("B", (1,))
+    p = CherednikParameter.type_B(1, 2)
+    assert [type(v) for v in p.values] == [Fraction, Fraction]
+    assert CherednikParameter(type_tag="A", values=["1/2"]).values == (Fraction(1, 2),)
+    assert repr(p) == "CherednikParameter(type_tag='B', values=(Fraction(1, 1), Fraction(2, 1)))"
+    assert p == ("B", (1, 2)) and hash(p) == hash(("B", (1, 2)))
+
+
 WRONG_TYPE_ACCESS = """
 from cmfamilies.exact import CherednikParameter as P
 cases = [

@@ -10,10 +10,10 @@ module.  A definition that no entry point reaches is dead: delete it, or move
 it into the test that uses it as a reference.
 
 The walk sees a class as one node.  Its members (methods, properties and
-dataclass fields) are checked by name instead: a member is reached when its
-name appears in a program file as an attribute, a keyword or a string
-constant.  The program files are the package and the benchmark's session,
-workloads and tracer.
+the fields of a record, a class whose base is namedtuple("X", "field ..."))
+are checked by name instead: a member is reached when its name appears in a
+program file as an attribute, a keyword or a string constant.  The program
+files are the package and the benchmark's session, workloads and tracer.
 """
 import ast
 from pathlib import Path
@@ -64,6 +64,15 @@ def _bound_names(node) -> list:
         targets = node.targets if isinstance(node, ast.Assign) else [node.target]
         return [t.id for t in targets if isinstance(t, ast.Name)]
     return []
+
+
+def _record_fields(cls: ast.ClassDef) -> list:
+    """The field names of a namedtuple("X", "field ...") base of cls; [] if it
+    has none.  The names are one string, so no field is a string constant of
+    its own that would count as a use."""
+    return [name for base in cls.bases
+            if isinstance(base, ast.Call) and getattr(base.func, "id", None) == "namedtuple"
+            for name in ast.literal_eval(base.args[1]).replace(",", " ").split()]
 
 
 def _definitions(tree: ast.Module) -> dict:
@@ -161,11 +170,11 @@ USED = _used_names([path for path, _ in TREES.values()] + USERS + [TRACER])
 
 
 def _unreached_members(trees: dict) -> list:
-    """module.Class.member for every method, property and field of a top-level
-    class whose name no program file uses."""
+    """module.Class.member for every method, property and record field of a
+    top-level class whose name no program file uses."""
     return [f"{module}.{cls.name}.{name}" for module, tree in trees.items()
             for cls in tree.body if isinstance(cls, ast.ClassDef)
-            for node in cls.body for name in _bound_names(node)
+            for name in _record_fields(cls) + [n for node in cls.body for n in _bound_names(node)]
             if not _dunder(name) and name not in USED]
 
 
@@ -180,4 +189,14 @@ def test_an_unused_member_is_found():
     tree = ast.parse(path.read_text())
     family = next(n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "Family")
     family.body += ast.parse("def planted_unused(self):\n    return 0\n").body
+    assert _unreached_members({"families": tree}) == ["families.Family.planted_unused"]
+
+
+def test_an_unused_field_is_found():
+    """A field planted in a package record, and used nowhere, is reported."""
+    path, _ = TREES[f"{PACKAGE}.families"]
+    tree = ast.parse(path.read_text())
+    family = next(n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "Family")
+    fields = family.bases[0].args[1]
+    fields.value += " planted_unused"
     assert _unreached_members({"families": tree}) == ["families.Family.planted_unused"]
