@@ -59,17 +59,33 @@ def _size(args) -> int:
     return size
 
 
-def _partition_json(fp: FamilyPartition) -> dict:
-    t = coxeter.lookup(fp.param.type_tag)
-    fams = [{"members": list(f.members), "is_singleton": f.is_singleton,
-             "cuspidal": f.cuspidal, "leaf_label": f.leaf_label} for f in fp.families]
-    return {
+def _partitions_json(parts: list[FamilyPartition]) -> list[dict]:
+    """The JSON dict of each partition.  When two partitions have equal
+    families (cuspidal flags and leaf labels included), both dicts hold one
+    SharedList of family dicts, which the writer writes once per indent."""
+    if len(parts) == 2 and parts[0].families == parts[1].families:
+        families = [SharedList(_families_json(parts[0]))] * 2
+    else:
+        families = [_families_json(fp) for fp in parts]
+    return [{
         "type": fp.param.type_tag,
-        t.size_flag: fp.size,
+        coxeter.lookup(fp.param.type_tag).size_flag: fp.size,
         "param": fp.param.to_json(),
         "method": fp.method,
         "families": fams,
-    }
+    } for fp, fams in zip(parts, families)]
+
+
+def _families_json(fp: FamilyPartition) -> list[dict]:
+    return [{"members": list(f.members), "is_singleton": f.is_singleton,
+             "cuspidal": f.cuspidal, "leaf_label": f.leaf_label} for f in fp.families]
+
+
+def _equal(a: FamilyPartition, b: FamilyPartition) -> bool:
+    """Whether a and b are the same set partition.  Both are canonical
+    (families._canonical sorts the members and the families), so they are
+    exactly when their member tuples agree."""
+    return [f.members for f in a.families] == [f.members for f in b.families]
 
 
 def _partition_text(fp: FamilyPartition) -> str:
@@ -89,12 +105,25 @@ _SCALARS = {
 }
 
 
+class SharedList(list):
+    """A list that a payload holds more than once: _write writes its text
+    once per indent and keeps the pieces on the list, so each later
+    occurrence at that indent appends them again.  It must not change after
+    it is first written."""
+    __slots__ = ("pieces",)
+
+    def __init__(self, items=()):
+        super().__init__(items)
+        self.pieces: dict[str, list[str]] = {}
+
+
 def _json(o) -> str:
     """json.dumps(o, sort_keys=True, indent=2), byte for byte, in one direct
     pass (indent sends json to its pure-Python encoder) that appends pieces to
     one list and joins it once.  Types are matched exactly: it writes list,
-    tuple, dict with str keys, str, bool, None and int, and anything else (a
-    float, a Fraction, a subclass such as a namedtuple record) is a TypeError.
+    SharedList, tuple, dict with str keys, str, bool, None and int, and
+    anything else (a float, a Fraction, another subclass such as a namedtuple
+    record) is a TypeError.
     A tuple (a label or a part of one) holds only ints, strs, None and tuples,
     and its text is built once per (tuple, indent) in a process: that memo is
     keyed by value, where True == 1 == 1.0 and a record equals the tuple of its
@@ -143,6 +172,12 @@ def _write(o, pad: str, out: list[str]) -> None:
             else:
                 out.append(scalar(x))
         out.append(f"\n{pad}}}")
+    elif kind is SharedList:
+        pieces = o.pieces.get(pad)
+        if pieces is None:
+            pieces = o.pieces[pad] = []
+            _write(list(o), pad, pieces)
+        out.extend(pieces)
     else:
         scalar = _SCALARS.get(kind)
         if scalar is None:
@@ -181,16 +216,13 @@ def cmd_families(args) -> int:
     else:
         parts = [annotated_families(size, param, m) for m in methods]
     if args.format == "json":
-        out = [_partition_json(fp) for fp in parts]
-        payload = out[0] if len(out) == 1 else {
-            "partitions": out,
-            "equal": parts[0].as_sets() == parts[1].as_sets(),
-        }
+        out = _partitions_json(parts)
+        payload = out[0] if len(out) == 1 else {"partitions": out, "equal": _equal(*parts)}
         _emit(args, payload, "")
     else:
         text = "\n".join(_partition_text(fp) for fp in parts)
         if len(parts) == 2:
-            text += f"\nequal: {parts[0].as_sets() == parts[1].as_sets()}"
+            text += f"\nequal: {_equal(*parts)}"
         print(text)
     return 0
 
@@ -204,7 +236,7 @@ def cmd_cuspidal(args) -> int:
         fp = annotated_families(size, param, method)
         out.append(fp._replace(families=tuple(cuspidal_families(fp))))
     if args.format == "json":
-        payload = [_partition_json(fp) for fp in out]
+        payload = _partitions_json(out)
         _emit(args, payload[0] if len(payload) == 1 else payload, "")
     else:
         print("\n".join(_partition_text(fp) for fp in out))

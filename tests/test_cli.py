@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import os
 import subprocess
@@ -10,8 +11,8 @@ import pytest
 from test_cli_golden import GOLDEN
 
 import cmfamilies
-from cmfamilies import coxeter
-from cmfamilies.cli import _json, _tuple_json, main
+from cmfamilies import cli, coxeter, verify
+from cmfamilies.cli import SharedList, _json, _tuple_json, main
 from cmfamilies.cuspidal import Leaf, annotated_families
 from cmfamilies.exact import CherednikParameter
 from cmfamilies.families import Family
@@ -322,6 +323,22 @@ def test_json_writer_matches_stdlib_on_golden_rows(capsys):
         assert _json(payload) == _stdlib(payload), query
 
 
+def _shared_edges():
+    """A SharedList held twice at one indent, at two and three indents,
+    inside another SharedList, and empty."""
+    one = SharedList([{"m": [1, (2, "x")]}, 3])
+    two = SharedList([[4, 5], {"k": None}])
+    inner = SharedList([(1, 2), "a"])
+    outer = SharedList([inner, [inner]])
+    empty = SharedList()
+    return [
+        [one, one],
+        {"a": two, "b": [two, {"c": two}]},
+        [outer, {"o": outer}, inner],
+        [empty, {"e": empty}, empty],
+    ]
+
+
 EDGE = [
     {},
     [],
@@ -334,6 +351,7 @@ EDGE = [
     ("tuple", 1, (2, 3)),
     'quote " backslash \\ newline \n tab \t',
     {"\u00fc key": ["\u03b6 \u2603 \U0001f600", "a\\b\"c\nd"]},
+    *_shared_edges(),
 ]
 
 
@@ -354,6 +372,128 @@ def test_json_labels_are_written_once_per_process(capsys):
     assert main(query) == 0
     assert capsys.readouterr().out == first
     assert _tuple_json.cache_info().misses == misses
+
+
+def test_shared_list_is_written_once_per_indent():
+    shared = SharedList([[1, (2, 3)], {"k": "v"}])
+    payload = {"a": shared, "b": [shared, {"c": shared}], "d": shared}
+    assert _json(payload) == _stdlib(payload)
+    assert sorted(shared.pieces) == ["  ", "    ", "      "]
+
+
+def _capture_payloads(monkeypatch) -> list:
+    """Every payload main hands to the JSON writer, in order."""
+    payloads = []
+    write = cli._json
+    monkeypatch.setattr(cli, "_json", lambda o: payloads.append(o) or write(o))
+    return payloads
+
+
+def _module_state() -> dict:
+    """The size of every module-level container and functools cache of cli."""
+    return {name: v.cache_info().currsize if hasattr(v, "cache_info") else len(v)
+            for name, v in vars(cli).items()
+            if hasattr(v, "cache_info") or type(v) in (dict, list, set)}
+
+
+@pytest.mark.parametrize("query", [
+    "families --type B --n 6 --c1 1 --kappa 1 --method both",
+    "families --type B --n 4 --c1 1 --kappa 1 --generic --method both",
+    "cuspidal --type D --n 9 --kappa 2 --method both",
+])
+def test_method_both_builds_its_family_dicts_once(capsys, monkeypatch, query):
+    """CM = Lusztig here: the two partitions hold one SharedList of family
+    dicts, built once; a repeated query adds no memo miss and leaves every
+    module-level cache of cli as it was."""
+    built = []
+    families_json = cli._families_json
+    monkeypatch.setattr(cli, "_families_json", lambda fp: built.append(fp) or families_json(fp))
+    payloads = _capture_payloads(monkeypatch)
+    assert main(query.split()) == 0
+    first = capsys.readouterr().out
+    assert first == _stdlib(json.loads(first)) + "\n"
+    assert len(built) == 1
+    a, b = payloads[0]["partitions"] if query.startswith("families") else payloads[0]
+    assert a["families"] is b["families"] and type(a["families"]) is SharedList
+    misses, state = _tuple_json.cache_info().misses, _module_state()
+    assert main(query.split()) == 0
+    assert capsys.readouterr().out == first
+    assert _tuple_json.cache_info().misses == misses
+    assert _module_state() == state
+
+
+def _plant_lusztig(monkeypatch, change) -> None:
+    """cli reads a Lusztig partition changed by change; CM is untouched."""
+    real = cli.annotated_families
+
+    def planted(size, param, method="CM"):
+        fp = real(size, param, method)
+        return change(fp) if method == "Lusztig" else fp
+    monkeypatch.setattr(cli, "annotated_families", planted)
+
+
+def _merge_first_two(fp):
+    a, b, *rest = fp.families
+    merged = Family(tuple(sorted(a.members + b.members)), a.leaf_label, a.cuspidal or b.cuspidal)
+    return fp._replace(families=tuple(sorted([merged, *rest], key=lambda f: f.members)))
+
+
+def _flip_first_flag(fp):
+    first, *rest = fp.families
+    return fp._replace(families=(first._replace(cuspidal=not first.cuspidal), *rest))
+
+
+BOTH = "families --type B --n 4 --c1 1 --kappa 1 --method both".split()
+
+
+@pytest.mark.parametrize("change, equal", [(_merge_first_two, False), (_flip_first_flag, True)],
+                         ids=["merged families", "flipped cuspidal flag"])
+def test_unequal_families_are_written_unshared(capsys, monkeypatch, change, equal):
+    """Partitions whose families differ, in members or only in a cuspidal
+    flag, each get their own list; equal compares the members alone."""
+    _plant_lusztig(monkeypatch, change)
+    payloads = _capture_payloads(monkeypatch)
+    assert main(BOTH) == 0
+    out = capsys.readouterr().out
+    data = json.loads(out)
+    assert out == _stdlib(data) + "\n"
+    assert data["equal"] is equal
+    cm, lusztig = data["partitions"]
+    assert cm["families"] != lusztig["families"]
+    a, b = payloads[0]["partitions"]
+    assert type(a["families"]) is list and type(b["families"]) is list
+    assert main([*BOTH, "--format", "text"]) == 0
+    assert capsys.readouterr().out.endswith(f"\nequal: {equal}\n")
+
+
+def test_equal_agrees_with_set_equality_on_golden_rows(capsys, monkeypatch):
+    seen = []
+    equal = cli._equal
+    monkeypatch.setattr(cli, "_equal", lambda a, b: seen.append((a, b)) or equal(a, b))
+    rows = [q for q, code, _ in GOLDEN
+            if code == 0 and q.startswith("families") and "--method both" in q]
+    for query in rows:
+        assert main(query.split()) == 0
+    capsys.readouterr()
+    assert len(seen) == len(rows) > 5
+    for a, b in seen:
+        assert equal(a, b) == (a.as_sets() == b.as_sets())
+
+
+def test_equal_agrees_with_set_equality_on_the_suite_1_grid():
+    """Every pair of partitions of one type and size on the suite-1 grid,
+    CM and Lusztig, at one point or at two."""
+    groups: dict = {}
+    for size, param in verify._full_grid():
+        groups.setdefault((param.type_tag, size), []).extend(
+            [verify._families(size, param), verify._families(size, param, "Lusztig")])
+    outcomes = set()
+    for parts in groups.values():
+        for a, b in itertools.combinations(parts, 2):
+            same = a.as_sets() == b.as_sets()
+            assert cli._equal(a, b) == same, (a.param, a.method, b.param, b.method)
+            outcomes.add(same)
+    assert outcomes == {True, False}
 
 
 # the tuple memo is keyed by value, and True == 1.0 == Fraction(1) == 1: a
