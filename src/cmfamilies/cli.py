@@ -16,7 +16,7 @@ from json.encoder import encode_basestring_ascii
 from . import coxeter
 from .cuspidal import annotated_families, cuspidal_families, rigid_modules
 from .exact import CherednikParameter
-from .families import FamilyPartition
+from .families import Family, FamilyPartition
 from .partitions import parse_bipartition
 from .symbols import bar, symbol_of
 from .verify import run_suites
@@ -60,13 +60,14 @@ def _size(args) -> int:
 
 
 def _partitions_json(parts: list[FamilyPartition]) -> list[dict]:
-    """The JSON dict of each partition.  When two partitions have equal
-    families (cuspidal flags and leaf labels included), both dicts hold one
-    SharedList of family dicts, which the writer writes once per indent."""
+    """The JSON dict of each partition, its families a FamilyList of its
+    Family records.  When two partitions have equal families (cuspidal flags
+    and leaf labels included), both dicts hold one FamilyList, which the
+    writer writes once per indent."""
     if len(parts) == 2 and parts[0].families == parts[1].families:
-        families = [SharedList(_families_json(parts[0]))] * 2
+        families = [FamilyList(parts[0].families)] * 2
     else:
-        families = [_families_json(fp) for fp in parts]
+        families = [FamilyList(fp.families) for fp in parts]
     return [{
         "type": fp.param.type_tag,
         coxeter.lookup(fp.param.type_tag).size_flag: fp.size,
@@ -74,11 +75,6 @@ def _partitions_json(parts: list[FamilyPartition]) -> list[dict]:
         "method": fp.method,
         "families": fams,
     } for fp, fams in zip(parts, families)]
-
-
-def _families_json(fp: FamilyPartition) -> list[dict]:
-    return [{"members": list(f.members), "is_singleton": f.is_singleton,
-             "cuspidal": f.cuspidal, "leaf_label": f.leaf_label} for f in fp.families]
 
 
 def _equal(a: FamilyPartition, b: FamilyPartition) -> bool:
@@ -97,23 +93,25 @@ def _partition_text(fp: FamilyPartition) -> str:
     return "\n".join(lines)
 
 
+_BOOLS = {True: "true", False: "false"}
 _SCALARS = {
     str: encode_basestring_ascii,
     int: int.__repr__,
-    bool: {True: "true", False: "false"}.__getitem__,
+    bool: _BOOLS.__getitem__,
     type(None): lambda _: "null",
 }
 
 
-class SharedList(list):
-    """A list that a payload holds more than once: _write writes its text
-    once per indent and keeps the pieces on the list, so each later
-    occurrence at that indent appends them again.  It must not change after
-    it is first written."""
+class FamilyList(list):
+    """A partition's Family records, which _write writes as the list of their
+    dicts {"cuspidal", "is_singleton", "leaf_label", "members"}, once per
+    indent: it keeps the pieces on the list, so each later occurrence at
+    that indent (--method both holds one list twice) appends them again.  It
+    must not change after it is first written."""
     __slots__ = ("pieces",)
 
-    def __init__(self, items=()):
-        super().__init__(items)
+    def __init__(self, families=()):
+        super().__init__(families)
         self.pieces: dict[str, list[str]] = {}
 
 
@@ -121,7 +119,7 @@ def _json(o) -> str:
     """json.dumps(o, sort_keys=True, indent=2), byte for byte, in one direct
     pass (indent sends json to its pure-Python encoder) that appends pieces to
     one list and joins it once.  Types are matched exactly: it writes list,
-    SharedList, tuple, dict with str keys, str, bool, None and int, and
+    FamilyList, tuple, dict with str keys, str, bool, None and int, and
     anything else (a float, a Fraction, another subclass such as a namedtuple
     record) is a TypeError.
     A tuple (a label or a part of one) holds only ints, strs, None and tuples,
@@ -172,17 +170,69 @@ def _write(o, pad: str, out: list[str]) -> None:
             else:
                 out.append(scalar(x))
         out.append(f"\n{pad}}}")
-    elif kind is SharedList:
+    elif kind is FamilyList:
         pieces = o.pieces.get(pad)
         if pieces is None:
             pieces = o.pieces[pad] = []
-            _write(list(o), pad, pieces)
+            _write_families(o, pad, pieces)
         out.extend(pieces)
     else:
         scalar = _SCALARS.get(kind)
         if scalar is None:
             raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
         out.append(scalar(o))
+
+
+def _write_families(families: FamilyList, pad: str, out: list[str]) -> None:
+    """Append the pieces of the families' text, indented from pad, to out:
+    each record through one template whose keys are in sorted order.  A
+    record is exactly a Family whose cuspidal is a bool, whose leaf_label is
+    a str or None and whose members are a tuple of labels (tuples, or strs
+    for I2); anything else is a TypeError."""
+    if not families:
+        out.append("[]")
+        return
+    fam_pad = pad + "  "
+    key_pad = fam_pad + "  "
+    label_pad = key_pad + "  "
+    opener = "[\n" + fam_pad + "{\n" + key_pad + '"cuspidal": '
+    next_opener = ",\n" + fam_pad + "{\n" + key_pad + '"cuspidal": '
+    is_singleton = ",\n" + key_pad + '"is_singleton": '
+    leaf_label = ",\n" + key_pad + '"leaf_label": '
+    members = ",\n" + key_pad + '"members": [\n' + label_pad
+    no_members = ",\n" + key_pad + '"members": []\n' + fam_pad + "}"
+    label_sep = ",\n" + label_pad
+    closer = "\n" + key_pad + "]\n" + fam_pad + "}"
+    for f in families:
+        if type(f) is not Family:
+            raise TypeError(f"a FamilyList holds only Family records, not {type(f).__name__}")
+        cuspidal, leaf, labels = f.cuspidal, f.leaf_label, f.members
+        if type(cuspidal) is not bool or type(labels) is not tuple:
+            raise TypeError(f"a Family's cuspidal is a bool and its members a tuple: {f!r}")
+        if leaf is None:
+            leaf = "null"
+        elif type(leaf) is str:
+            leaf = encode_basestring_ascii(leaf)
+        else:
+            raise TypeError(f"a Family's leaf_label is a str or None: {f!r}")
+        out += (opener, _BOOLS[cuspidal], is_singleton, _BOOLS[f.is_singleton], leaf_label, leaf)
+        opener = next_opener
+        if not labels:
+            out.append(no_members)
+            continue
+        sep = members
+        for lab in labels:
+            kind = type(lab)
+            if kind is tuple:
+                text = _tuple_json(lab, label_pad)
+            elif kind is str:
+                text = encode_basestring_ascii(lab)
+            else:
+                raise TypeError(f"a family member is a tuple or a str label: {lab!r}")
+            out += (sep, text)
+            sep = label_sep
+        out.append(closer)
+    out.append("\n" + pad + "]")
 
 
 @cache

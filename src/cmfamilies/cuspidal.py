@@ -173,9 +173,10 @@ def rigid_modules(size: int, param: CherednikParameter, mode: str = "closed_form
 
 
 def _rigid_closed_form(size: int, param: CherednikParameter) -> list:
-    labels = fam.irr_labels(param.type_tag, size)
+    """Every label at the zero parameter; elsewhere the entry's closed form,
+    which for A, B and D enumerates no label."""
     if param.is_zero():
-        return sorted(labels)
+        return sorted(fam.irr_labels(param.type_tag, size))
     entry = coxeter.lookup(param.type_tag)
     return sorted(entry.rigid(size, param, entry.anchor(size, param)))
 

@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import json
 import os
+import resource
 import subprocess
 import sys
 from fractions import Fraction
@@ -12,7 +13,7 @@ from test_cli_golden import GOLDEN
 
 import cmfamilies
 from cmfamilies import cli, coxeter, verify
-from cmfamilies.cli import SharedList, _json, _tuple_json, main
+from cmfamilies.cli import FamilyList, _json, _tuple_json, main
 from cmfamilies.cuspidal import Leaf, annotated_families
 from cmfamilies.exact import CherednikParameter
 from cmfamilies.families import Family
@@ -286,6 +287,20 @@ def test_closed_stdout_ends_without_traceback():
     assert "Traceback" not in err and "Exception ignored" not in err
 
 
+def test_rigid_closed_form_answers_a_size_too_large_to_enumerate():
+    """B210 has about 10^20 labels; its closed form names the box (14^15) and
+    its twist, in a child whose address space is capped at 1 GiB."""
+    src = str(Path(cmfamilies.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    cap = 1 << 30
+    argv = ["rigid", "--type", "B", "--n", "210", "--c1", "1", "--kappa", "1", "--mode", "closed"]
+    proc = subprocess.run(
+        [sys.executable, "-m", "cmfamilies", *argv], env=env, capture_output=True, text=True,
+        timeout=30, preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)))
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["rigid"] == [[[], [15] * 14], [[14] * 15, []]]
+
+
 def test_cached_parser_carries_no_state(capsys):
     """One parser serves every main call: a flag given in one query, or an
     argparse rejection, leaves nothing behind for the next query."""
@@ -310,7 +325,25 @@ def test_cached_parser_carries_no_state(capsys):
 
 
 def _stdlib(o) -> str:
-    return json.dumps(o, sort_keys=True, indent=2)
+    return json.dumps(_plain(o), sort_keys=True, indent=2)
+
+
+def _families_json(families) -> list[dict]:
+    """The dict of each Family record: the form the writer's FamilyList
+    template must print as json.dumps does."""
+    return [{"members": list(f.members), "is_singleton": f.is_singleton,
+             "cuspidal": f.cuspidal, "leaf_label": f.leaf_label} for f in families]
+
+
+def _plain(o):
+    """o with every FamilyList in it replaced by its family dicts."""
+    if type(o) is FamilyList:
+        return _families_json(o)
+    if type(o) is list:
+        return [_plain(x) for x in o]
+    if type(o) is dict:
+        return {k: _plain(x) for k, x in o.items()}
+    return o
 
 
 def test_json_writer_matches_stdlib_on_golden_rows(capsys):
@@ -323,19 +356,25 @@ def test_json_writer_matches_stdlib_on_golden_rows(capsys):
         assert _json(payload) == _stdlib(payload), query
 
 
-def _shared_edges():
-    """A SharedList held twice at one indent, at two and three indents,
-    inside another SharedList, and empty."""
-    one = SharedList([{"m": [1, (2, "x")]}, 3])
-    two = SharedList([[4, 5], {"k": None}])
-    inner = SharedList([(1, 2), "a"])
-    outer = SharedList([inner, [inner]])
-    empty = SharedList()
+B_LABELS = ((((1,), (1,)),), (((2,), ()), ((1, 1), ())))
+D_LABELS = (((2,), (2,), 1), ((2,), (2,), 2), ((2,), (1, 1), None))
+
+
+def _family_edges():
+    """A FamilyList held twice at one indent, at two and three indents, and
+    empty; then lists of I2 str members, of D labels with None and a split
+    index, and of a leaf label that needs escaping next to empty members."""
+    one = FamilyList([Family(B_LABELS[0]), Family(B_LABELS[1], "B1", True)])
+    two = FamilyList([Family(D_LABELS[:1]), Family(D_LABELS[1:])])
+    empty = FamilyList()
     return [
         [one, one],
         {"a": two, "b": [two, {"c": two}]},
-        [outer, {"o": outer}, inner],
+        [one, {"o": two}, [empty]],
         [empty, {"e": empty}, empty],
+        FamilyList([Family(("1",)), Family(("eps",)), Family(("phi_1", "phi_2"), None, True)]),
+        {"families": FamilyList([Family(D_LABELS[:2]), Family(D_LABELS[2:], None, True)])},
+        [FamilyList([Family(B_LABELS[1], 'B0 "\u03b6"', True), Family(())])],
     ]
 
 
@@ -351,7 +390,7 @@ EDGE = [
     ("tuple", 1, (2, 3)),
     'quote " backslash \\ newline \n tab \t',
     {"\u00fc key": ["\u03b6 \u2603 \U0001f600", "a\\b\"c\nd"]},
-    *_shared_edges(),
+    *_family_edges(),
 ]
 
 
@@ -374,11 +413,46 @@ def test_json_labels_are_written_once_per_process(capsys):
     assert _tuple_json.cache_info().misses == misses
 
 
-def test_shared_list_is_written_once_per_indent():
-    shared = SharedList([[1, (2, 3)], {"k": "v"}])
-    payload = {"a": shared, "b": [shared, {"c": shared}], "d": shared}
+def _count_family_writes(monkeypatch) -> list:
+    """(FamilyList, indent) of every call of the writer's family template, in
+    order."""
+    written = []
+    write = cli._write_families
+    monkeypatch.setattr(cli, "_write_families",
+                        lambda fams, pad, out: written.append((fams, pad)) or write(fams, pad, out))
+    return written
+
+
+def test_family_list_is_written_once_per_indent(monkeypatch):
+    families = FamilyList([Family(B_LABELS[1], "B1", True), Family(D_LABELS[:1])])
+    payload = {"a": families, "b": [families, {"c": families}], "d": families}
+    written = _count_family_writes(monkeypatch)
     assert _json(payload) == _stdlib(payload)
-    assert sorted(shared.pieces) == ["  ", "    ", "      "]
+    assert sorted(pad for _, pad in written) == sorted(families.pieces) == ["  ", "    ", "      "]
+
+
+def _not_families():
+    """FamilyLists that break the writer's type contract, one way each."""
+    labels = B_LABELS[1]
+    return [
+        [labels],
+        [{"members": list(labels)}],
+        [Family(labels, None, 1)],
+        [Family(labels, None, None)],
+        [Family(labels, 3, False)],
+        [Family(list(labels))],
+        [Family((1,))],
+        [Family(labels), Family((None,))],
+    ]
+
+
+@pytest.mark.parametrize("families", _not_families(),
+                         ids=["label", "dict", "cuspidal=1", "cuspidal=None", "leaf_label=3",
+                              "members list", "int member", "None member"])
+def test_json_writer_rejects_malformed_family_lists(families):
+    _tuple_json.cache_clear()
+    with pytest.raises(TypeError):
+        _json({"families": FamilyList(families)})
 
 
 def _capture_payloads(monkeypatch) -> list:
@@ -402,19 +476,17 @@ def _module_state() -> dict:
     "cuspidal --type D --n 9 --kappa 2 --method both",
 ])
 def test_method_both_builds_its_family_dicts_once(capsys, monkeypatch, query):
-    """CM = Lusztig here: the two partitions hold one SharedList of family
-    dicts, built once; a repeated query adds no memo miss and leaves every
-    module-level cache of cli as it was."""
-    built = []
-    families_json = cli._families_json
-    monkeypatch.setattr(cli, "_families_json", lambda fp: built.append(fp) or families_json(fp))
+    """CM = Lusztig here: the two partitions hold one FamilyList, whose
+    family dicts are written once; a repeated query adds no memo miss and
+    leaves every module-level cache of cli as it was."""
+    written = _count_family_writes(monkeypatch)
     payloads = _capture_payloads(monkeypatch)
     assert main(query.split()) == 0
     first = capsys.readouterr().out
     assert first == _stdlib(json.loads(first)) + "\n"
-    assert len(built) == 1
+    assert len(written) == 1
     a, b = payloads[0]["partitions"] if query.startswith("families") else payloads[0]
-    assert a["families"] is b["families"] and type(a["families"]) is SharedList
+    assert a["families"] is b["families"] and type(a["families"]) is FamilyList
     misses, state = _tuple_json.cache_info().misses, _module_state()
     assert main(query.split()) == 0
     assert capsys.readouterr().out == first
@@ -450,8 +522,10 @@ BOTH = "families --type B --n 4 --c1 1 --kappa 1 --method both".split()
                          ids=["merged families", "flipped cuspidal flag"])
 def test_unequal_families_are_written_unshared(capsys, monkeypatch, change, equal):
     """Partitions whose families differ, in members or only in a cuspidal
-    flag, each get their own list; equal compares the members alone."""
+    flag, each get their own FamilyList, written on its own; equal compares
+    the members alone."""
     _plant_lusztig(monkeypatch, change)
+    written = _count_family_writes(monkeypatch)
     payloads = _capture_payloads(monkeypatch)
     assert main(BOTH) == 0
     out = capsys.readouterr().out
@@ -461,7 +535,9 @@ def test_unequal_families_are_written_unshared(capsys, monkeypatch, change, equa
     cm, lusztig = data["partitions"]
     assert cm["families"] != lusztig["families"]
     a, b = payloads[0]["partitions"]
-    assert type(a["families"]) is list and type(b["families"]) is list
+    assert type(a["families"]) is FamilyList and type(b["families"]) is FamilyList
+    (first, _), (second, _) = written
+    assert [first, second] == [a["families"], b["families"]] and first is not second
     assert main([*BOTH, "--format", "text"]) == 0
     assert capsys.readouterr().out.endswith(f"\nequal: {equal}\n")
 

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from cmfamilies import cli, coxeter, cuspidal, exact, reps, symbols
+from cmfamilies import cli, coxeter, cuspidal, exact, partitions, reps, symbols
 from cmfamilies.cuspidal import (
     annotated_families,
     cuspidal_families,
@@ -160,6 +160,18 @@ def test_rigid_negative_m_swap():
     pos = rigid_modules(2, CherednikParameter.type_B(1, 1))
     neg = rigid_modules(2, CherednikParameter.type_B(-1, 1))
     assert sorted((b, a) for a, b in pos) == neg
+
+
+def test_rigid_closed_form_enumerates_no_label(monkeypatch):
+    """Off the zero parameter the B and D closed forms name their labels
+    directly: B210 at c1 = kappa = 1 (n = 14 * 15) and D400 (n = 20^2)."""
+    def refuse(n):
+        raise AssertionError(f"enumerated the labels of size {n}")
+    monkeypatch.setattr(partitions, "bipartitions", refuse)
+    monkeypatch.setattr(partitions, "d_labels", refuse)
+    box = (14,) * 15
+    assert rigid_modules(210, CherednikParameter.type_B(1, 1)) == [((), (15,) * 14), (box, ())]
+    assert rigid_modules(400, CherednikParameter.type_D(1)) == [((20,) * 20, (), None)]
 
 
 def test_rigid_zero_parameter_all():
