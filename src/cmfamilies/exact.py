@@ -110,6 +110,33 @@ class Cyclotomic:
         return self
 
     @classmethod
+    def hermitian_sum(cls, m: int, terms: Iterable, den: int = 1) -> "Cyclotomic":
+        """The sum of w * x * conj(y) over the triples (w, x, y) of terms, over
+        den: w an int or Fraction, x and y of conductor m.  Every product goes
+        unreduced into one int list over the exponents mod m (x^m = 1 in
+        Q(zeta_m)), conj(y) reading y's coefficient of x^j at x^((m - j) mod m),
+        then one reduction mod Phi_m."""
+        out, total = [0] * m, 1  # out / total is the sum so far
+        for w, x, y in terms:
+            if x.m != m or y.m != m:
+                raise ValueError("mixed conductors")
+            if not w:
+                continue
+            q = w.denominator * x.den * y.den
+            if total % q:
+                full = lcm(total, q)
+                out = [c * (full // total) for c in out]
+                total = full
+            p = w.numerator * (total // q)
+            ny = [(j, b) for j, b in enumerate(y.coeffs) if b]
+            for i, a in enumerate(x.coeffs):
+                if a:
+                    pa = p * a
+                    for j, b in ny:
+                        out[(i - j) % m] += pa * b
+        return cls._new(m, out, total * den)
+
+    @classmethod
     def zero(cls, m: int) -> "Cyclotomic":
         return cls._new(m, [], 1)
 

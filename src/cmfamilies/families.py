@@ -7,11 +7,11 @@ from fractions import Fraction
 from functools import cache
 
 from . import coxeter
-from .exact import CherednikParameter, Cyclotomic
+from .exact import CherednikParameter
 from .partitions import Bipartition, DLabel, d_label
 from .reps import (
     I2_CLASS_PARAM,
-    i2_character_table,
+    I2_LINEAR_SIGNS,
     i2_classes,
     i2_induced_from_reflection,
     i2_labels,
@@ -83,15 +83,18 @@ def cm_families(size: int, param: CherednikParameter) -> FamilyPartition:
     return _drive("CM", size, param)
 
 
-def _euler_key(m: int, param: CherednikParameter) -> dict[str, Cyclotomic]:
+def _euler_key(m: int, param: CherednikParameter) -> dict[str, Fraction]:
     """Every label's Euler pairing sum_C c(C)|C|chi(C) over the reflection
-    classes C of I2(m), in Q(zeta_m), with c(C) the parameter I2_CLASS_PARAM names."""
-    weight = {cls: getattr(param, name) for cls, name in I2_CLASS_PARAM.items()}
-    weights = [(cls, weight[cls] * size) for cls, size in i2_classes(m) if cls in weight]
-    return {
-        lab: sum((row[cls] * w for cls, w in weights), Cyclotomic.zero(m))
-        for lab, row in i2_character_table(m).items()
-    }
+    classes C of I2(m), with c(C) the parameter I2_CLASS_PARAM names.  On a
+    reflection class a linear character is its sign from I2_LINEAR_SIGNS and
+    every phi_i is 0, so the pairing is rational: (m/2)(sign_s b + sign_t a)
+    for even m, m sign_s b for odd m (one class, s), and 0 on every phi_i."""
+    weights = [getattr(param, I2_CLASS_PARAM[cls]) * size
+               for cls, size in i2_classes(m) if cls in I2_CLASS_PARAM]
+    key = dict.fromkeys(i2_labels(m), Fraction(0))
+    for lab in key.keys() & I2_LINEAR_SIGNS.keys():
+        key[lab] = sum(sign * w for sign, w in zip(I2_LINEAR_SIGNS[lab], weights))
+    return key
 
 
 # ---------------------------------------------------------------------------

@@ -399,6 +399,14 @@ def i2_character(label: str, cls: str, m: int) -> Cyclotomic:
     return Cyclotomic.zeta(m, i * l) + Cyclotomic.zeta(m, -i * l)
 
 
+def i2_inner_product(m: int, phi: dict, psi: dict) -> Cyclotomic:
+    """<phi, psi> over I2(m) for class functions (dicts class->value in
+    Q(zeta_m)): the sum over classes of |class| phi conj(psi), over 2m, with
+    one reduction mod Phi_m."""
+    return Cyclotomic.hermitian_sum(
+        m, ((size, phi[cls], psi[cls]) for cls, size in i2_classes(m)), 2 * m)
+
+
 @cache
 def i2_character_table(m: int) -> dict[str, dict[str, Cyclotomic]]:
     """label -> class -> character value; built once per m and shared, so

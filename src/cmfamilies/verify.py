@@ -17,7 +17,7 @@ from .cuspidal import (
     rigid_implies_cuspidal_check,
     rigid_modules,
 )
-from .exact import CherednikParameter, Cyclotomic
+from .exact import CherednikParameter
 from .families import FamilyPartition, dihedral_j_induction, tau_twist
 from .partitions import bipartitions, dagger, partitions, subpartitions_of_box
 from .reps import (
@@ -26,7 +26,7 @@ from .reps import (
     build_B_rep,
     build_dihedral_rep,
     i2_character_table,
-    i2_classes,
+    i2_inner_product,
     i2_labels,
     induced_from_sj_bnj,
     induced_from_young,
@@ -259,10 +259,14 @@ def _b_order(i: int, j: int) -> int:
 
 
 def _alternating(a, b, k: int):
-    """The product a b a ... of k factors."""
-    out = a
-    for f in range(1, k):
-        out = mat_mul(out, b if f % 2 else a)
+    """The product a b a ... of k factors: (ab)^(k // 2) by repeated
+    squaring, times a when k is odd."""
+    out, square, e = (a if k % 2 else None), None, k // 2
+    while e:
+        square = mat_mul(a, b) if square is None else mat_mul(square, square)
+        if e & 1:  # the powers of ab commute, so each goes in on the left
+            out = square if out is None else mat_mul(square, out)
+        e >>= 1
     return out
 
 
@@ -276,12 +280,6 @@ def _coxeter_relations_ok(gens, order) -> bool:
             if _alternating(g, h, order(i, j)) != _alternating(h, g, order(i, j)):
                 return False
     return True
-
-
-def _i2_weighted_rows(m: int) -> dict[str, list[Cyclotomic]]:
-    """label -> [chi(cls) |cls| for each class of I2(m), in i2_classes order]."""
-    return {lab: [row[cls] * size for cls, size in i2_classes(m)]
-            for lab, row in i2_character_table(m).items()}
 
 
 @_suite("8 structural oracles")
@@ -314,14 +312,12 @@ def suite_8_structural():
                 ip = bn_inner_product(n, bn_character_dict(bp1), bn_character_dict(bp2))
                 yield ip == (1 if bp1 == bp2 else 0), f"Bn orth {bp1} {bp2}"
     for m in range(5, 17):
-        weighted = _i2_weighted_rows(m)
-        conj = {lab: [row[cls].conjugate() for cls, _ in i2_classes(m)]
-                for lab, row in i2_character_table(m).items()}
+        chars = i2_character_table(m)
         labs = i2_labels(m)
         for i, l1 in enumerate(labs):
             for l2 in labs[i:]:
-                total = sum(map(Cyclotomic.__mul__, weighted[l1], conj[l2]), Cyclotomic.zero(m))
-                yield total == (2 * m if l1 == l2 else 0), f"I2({m}) orth {l1} {l2}"
+                ip = i2_inner_product(m, chars[l1], chars[l2])
+                yield ip == (1 if l1 == l2 else 0), f"I2({m}) orth {l1} {l2}"
 
     # branching: every irreducible of a proper maximal parabolic, S_j x S_{n-j}
     # of S_n or S_j x B_{n-j} of B_n, induces to a character of norm > 1

@@ -5,6 +5,7 @@ import os
 import resource
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -299,6 +300,25 @@ def test_rigid_closed_form_answers_a_size_too_large_to_enumerate():
         timeout=30, preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)))
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["rigid"] == [[[], [15] * 14], [[14] * 15, []]]
+
+
+def test_i2_families_at_m_2000_answer_in_rationals():
+    """I2(2000) has 1,003 labels; both family paths answer in under 0.5 s in
+    a child whose address space is capped at 1 GiB, with no traceback."""
+    src = str(Path(cmfamilies.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    cap = 1 << 30
+    argv = ["families", "--type", "I2", "--m", "2000", "--a", "1", "--b", "2", "--method", "both"]
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "cmfamilies", *argv], env=env, capture_output=True, text=True,
+        timeout=30, preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)))
+    elapsed = time.perf_counter() - start
+    assert proc.returncode == 0 and "Traceback" not in proc.stderr, proc.stderr
+    assert elapsed < 0.5, elapsed
+    out = json.loads(proc.stdout)
+    assert out["equal"] and [part["method"] for part in out["partitions"]] == ["CM", "Lusztig"]
+    assert sum(len(f["members"]) for f in out["partitions"][0]["families"]) == 1003
 
 
 def test_cached_parser_carries_no_state(capsys):

@@ -30,6 +30,7 @@ GOLDEN = [
     ("families --type I2 --m 7 --a 1 --b 1 --method both", 0, "6c45ca6db3a8a4b466a295012a1eb42f182a96d9a3d7965c5d56ac84cb2fab29"),
     ("families --type I2 --m 8 --a 1 --b 2 --method both --format text", 0, "ce9f30fafffa4bec068f345cc8166590b063dbba8b4c9df23872520b7dad8fa3"),
     ("families --type I2 --m 8 --a 0 --b 1 --method Lusztig", 0, "72b1a33c1d7246186dd3f08dbac25c3d2db76c628c6642d892f6a4ab034c187f"),
+    ("families --type I2 --m 400 --a 1 --b 2 --method both", 0, "02a72c997f7782890966a900ade51bf930206fe7152aaa8bdaee1bac2eae05a1"),
     ("families --type I2 --m 6 --a=-1 --b 1 --format text", 0, "8f5979ff9ba74da8d6cf96ac1066a3c2993b295c00a3f3c8547424ef49e81a22"),
     ("cuspidal --type B --n 6 --c1 1 --kappa 1 --format text", 0, "1d41cca4803b94e741ed889e3b740a3e8b17820a8bd5079122d5622e3f8742a7"),
     ("cuspidal --type D --n 9 --kappa 2 --method both", 0, "6d3cc4c0149f05433ca230093ed1bc117f04d9b53bbc8ab7874ce2c268cd577d"),

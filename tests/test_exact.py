@@ -1,6 +1,9 @@
+import inspect
 import os
+import random
 import subprocess
 import sys
+import textwrap
 from fractions import Fraction
 from math import gcd
 from pathlib import Path
@@ -249,6 +252,59 @@ def test_cyclotomic_products_match_dense_schoolbook():
             xs[-1] * 0.5
         with pytest.raises(TypeError):
             0.5 * xs[-1]
+
+
+def _mutant(func, old, new):
+    """func (a function or classmethod of its module) rebuilt from its source
+    with the one occurrence of old replaced by new: a planted defect."""
+    src = textwrap.dedent(inspect.getsource(func))
+    assert src.count(old) == 1
+    namespace = dict(vars(inspect.getmodule(func)))
+    exec(compile(src.replace(old, new), "<mutant>", "exec"), namespace)
+    return namespace[func.__name__]
+
+
+HERMITIAN_CONDUCTORS = (1, 2, 3, 4, 7, 12, 15)
+HERMITIAN_WEIGHTS = (0, 1, -3, 4, Fraction(2, 3), Fraction(-5, 4))
+
+
+def _hermitian_cases(m, rng):
+    """(terms, den) pairs: random elements with Fraction coefficients, weights
+    ints and Fractions, and den 1 or 6."""
+    def element():
+        return Cyclotomic(m, [Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(m)])
+
+    return [([(rng.choice(HERMITIAN_WEIGHTS), element(), element()) for _ in range(size)], den)
+            for size in range(6) for den in (1, 6)]
+
+
+def _check_hermitian_sum(m, cases):
+    for terms, den in cases:
+        want = sum((w * x * y.conjugate() for w, x, y in terms), Cyclotomic.zero(m)) * Fraction(1, den)
+        got = Cyclotomic.hermitian_sum(m, terms, den)
+        _assert_canonical(got, m)
+        assert (got.coeffs, got.den) == (want.coeffs, want.den), (m, den)
+
+
+def test_hermitian_sum_matches_the_products():
+    rng = random.Random(34)
+    for m in HERMITIAN_CONDUCTORS:
+        cases = _hermitian_cases(m, rng)
+        assert any(x.den != 1 for terms, _ in cases for _, x, _ in terms)
+        _check_hermitian_sum(m, cases)
+    with pytest.raises(ValueError):
+        Cyclotomic.hermitian_sum(5, [(1, Cyclotomic.zeta(5), Cyclotomic.zeta(10))])
+
+
+def test_planted_exponent_defect_fails_on_a_non_real_vector(monkeypatch):
+    # conj read as x^j -> x^j: invisible on real vectors, such as the I2
+    # character values, so the check needs a non-real one
+    monkeypatch.setattr(Cyclotomic, "hermitian_sum",
+                        _mutant(Cyclotomic.hermitian_sum, "(i - j) % m", "(i + j) % m"))
+    real = Cyclotomic.zeta(12) + Cyclotomic.zeta(12, -1)
+    _check_hermitian_sum(12, [([(1, real, real), (2, Cyclotomic.zeta(12), real)], 1)])
+    with pytest.raises(AssertionError):
+        _check_hermitian_sum(12, [([(1, Cyclotomic.zeta(12), Cyclotomic.zeta(12))], 1)])
 
 
 def test_parameter_shapes():

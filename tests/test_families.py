@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from cmfamilies import coxeter, exact, families, reps, symbols
 from cmfamilies import fixtures as fx
+from cmfamilies.cli import main
 from cmfamilies.cuspidal import rigid_modules
 from cmfamilies.exact import CherednikParameter
 from cmfamilies.families import (
@@ -246,10 +247,90 @@ def test_i2_lusztig_path_reads_no_characters(monkeypatch):
                 for name, fn in originals.items():
                     if getattr(mod, name, None) is fn:
                         mp.setattr(mod, name, forbidden)
-        assert families.i2_character_table is forbidden
+        assert reps.i2_character_table is forbidden
         dihedral_a_function.cache_clear()
         got = compute()
     assert got == want
+
+
+def _ref_euler_key(m, param):
+    """The Euler pairing as the character table gives it, in Q(zeta_m): the
+    reference for the rational key."""
+    weight = {cls: getattr(param, name) for cls, name in reps.I2_CLASS_PARAM.items()}
+    weights = [(cls, weight[cls] * size) for cls, size in reps.i2_classes(m) if cls in weight]
+    return {lab: sum((row[cls] * w for cls, w in weights), exact.Cyclotomic.zero(m))
+            for lab, row in reps.i2_character_table(m).items()}
+
+
+# seven regimes for even m, negative ones included; odd m forces a = b
+EULER_EVEN = [(1, 1), (1, 2), (2, 1), (0, 1), (-1, 1), (Fraction(-5, 2), Fraction(1, 3)),
+              (Fraction(7, 3), 0)]
+EULER_ODD = [(1, 1), (Fraction(7, 3), Fraction(7, 3)), (-2, -2)]
+
+
+def _check_euler_keys():
+    for m in range(5, 61):
+        for a, b in EULER_ODD if m % 2 else EULER_EVEN:
+            param = CherednikParameter.type_I2(a, b)
+            key, ref = families._euler_key(m, param), _ref_euler_key(m, param)
+            assert list(key) == list(ref)
+            for lab, want in ref.items():
+                assert type(key[lab]) is Fraction and key[lab] == want, (m, a, b, lab)
+
+
+def test_rational_euler_key_matches_the_character_table():
+    _check_euler_keys()
+
+
+def test_planted_phi_key_defect_fails_the_euler_reference(monkeypatch):
+    real = families._euler_key
+    monkeypatch.setattr(families, "_euler_key", lambda m, param: {
+        lab: Fraction(1) if lab.startswith("phi_") else v for lab, v in real(m, param).items()})
+    with pytest.raises(AssertionError):
+        _check_euler_keys()
+
+
+def test_planted_sign_swap_fails_the_euler_reference(monkeypatch):
+    signs = dict(reps.I2_LINEAR_SIGNS)
+    signs["eps1"], signs["eps2"] = signs["eps2"], signs["eps1"]
+    monkeypatch.setattr(families, "I2_LINEAR_SIGNS", signs)
+    with pytest.raises(AssertionError):
+        _check_euler_keys()
+
+
+I2_QUERIES = ["families --type I2 --m 7 --a 1 --b 1 --method both",
+              "families --type I2 --m 16 --a=-1 --b 1",
+              "families --type I2 --m 400 --a 1 --b 2 --method both --format text",
+              "cuspidal --type I2 --m 10 --a 2 --b 1 --method both",
+              "cuspidal --type I2 --m 9 --a=-3/2 --b=-3/2 --format text"]
+
+
+def test_i2_family_queries_build_no_cyclotomic(capsys, monkeypatch):
+    """I2 families and cuspidal queries give the same output with the
+    character table and the Cyclotomic arithmetic bound to raising functions."""
+    def forbidden(*args):
+        raise AssertionError("the character table or Cyclotomic arithmetic was used")
+
+    def outputs():
+        out = []
+        for query in I2_QUERIES:
+            assert main(query.split()) == 0, query
+            out.append(capsys.readouterr().out)
+        return out
+
+    want = outputs()
+    table = reps.i2_character_table
+    with monkeypatch.context() as mp:
+        for modname, mod in list(sys.modules.items()):
+            if (modname == "cmfamilies" or modname.startswith("cmfamilies.")) \
+                    and getattr(mod, "i2_character_table", None) is table:
+                mp.setattr(mod, "i2_character_table", forbidden)
+        for name in ("__mul__", "__rmul__", "__add__", "__radd__"):
+            mp.setattr(exact.Cyclotomic, name, forbidden)
+        with pytest.raises(AssertionError):
+            exact.Cyclotomic.zeta(8) + 1
+        dihedral_a_function.cache_clear()
+        assert outputs() == want
 
 
 def test_dihedral_j_induction_matches_reference():

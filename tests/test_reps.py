@@ -41,6 +41,7 @@ from cmfamilies.reps import (
 )
 from cmfamilies.verify import _a_order, _b_order, _coxeter_relations_ok
 from test_cuspidal import mat_is_zero
+from test_exact import _mutant
 from test_partitions import hook_dimension
 
 
@@ -381,6 +382,41 @@ def test_i2_character_table_is_built_once_per_m():
     assert i2_character_table(8) is table
     assert i2_character_table(10) is not table
     assert table["phi_1"]["r1"] == i2_character("phi_1", "r1", 8)
+
+
+def _ref_i2_inner_product(m, phi, psi):
+    """<phi, psi> over I2(m) product by product, each reduced: the reference
+    for reps.i2_inner_product."""
+    total = Cyclotomic.zero(m)
+    for cls, size in i2_classes(m):
+        total = total + phi[cls] * size * psi[cls].conjugate()
+    return total * Fraction(1, 2 * m)
+
+
+def _check_i2_inner_products():
+    """Every pair of the characters of I2(m), m = 5..16, and one non-real
+    class function (zeta^l on r^l, 1 on the reflections)."""
+    for m in range(5, 17):
+        funcs = dict(i2_character_table(m))
+        funcs["rotation"] = {cls: Cyclotomic.zeta(m, 0 if cls in ("e", "s", "t") else int(cls[1:]))
+                             for cls, _ in i2_classes(m)}
+        for f, phi in funcs.items():
+            for g, psi in funcs.items():
+                got, want = reps.i2_inner_product(m, phi, psi), _ref_i2_inner_product(m, phi, psi)
+                assert (got.coeffs, got.den) == (want.coeffs, want.den), (m, f, g)
+                if "rotation" not in (f, g):
+                    assert got == (f == g), (m, f, g)
+
+
+def test_i2_inner_product_matches_the_product_sum():
+    _check_i2_inner_products()
+
+
+def test_planted_dropped_class_weight_fails_the_inner_product(monkeypatch):
+    monkeypatch.setattr(reps, "i2_inner_product", _mutant(
+        reps.i2_inner_product, "(size, phi[cls], psi[cls])", "(1, phi[cls], psi[cls])"))
+    with pytest.raises(AssertionError):
+        _check_i2_inner_products()
 
 
 def test_jucys_murphy():

@@ -2,14 +2,16 @@
 it, that they run in one process, and that a planted defect fails a suite
 with a message that names where it is."""
 import ast
+from fractions import Fraction
 from itertools import count
 from pathlib import Path
 
 import pytest
 
-from cmfamilies import symbols, verify
+from cmfamilies import reps, symbols, verify
 from cmfamilies.cli import main
-from cmfamilies.exact import CherednikParameter
+from cmfamilies.exact import CherednikParameter, Cyclotomic
+from cmfamilies.reps import mat_mul
 from cmfamilies.verify import SUITES, _families, run_suites
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "cmfamilies"
@@ -95,18 +97,62 @@ def test_planted_poset_defect_names_the_poset(fresh_memo, monkeypatch):
 
 
 def test_planted_class_size_defect_fails_i2_orthogonality(monkeypatch):
-    # each weighted row reads |s| = 1: the inner products over I2(m) are off
-    real = verify._i2_weighted_rows
-
-    def dropped(m):
-        rows = real(m)
-        k = [cls for cls, _ in verify.i2_classes(m)].index("s")
-        table = verify.i2_character_table(m)
-        return {lab: row[:k] + [table[lab]["s"]] + row[k + 1:] for lab, row in rows.items()}
-
-    monkeypatch.setattr(verify, "_i2_weighted_rows", dropped)
+    # the inner product reads |s| = 1: the inner products over I2(m) are off
+    real = reps.i2_classes
+    monkeypatch.setattr(reps, "i2_classes",
+                        lambda m: tuple((cls, 1 if cls == "s" else size) for cls, size in real(m)))
     result = SUITES["8"]()
     assert not result.passed
     failed = result.detail.split(": ", 1)[1].split("; ")
     assert failed and all(msg.startswith("I2(") and " orth " in msg for msg in failed)
     assert {msg.split()[0] for msg in failed} == {f"I2({m})" for m in range(5, 17)}
+
+
+def _left_to_right(a, b, k):
+    out = a
+    for f in range(1, k):
+        out = mat_mul(out, b if f % 2 else a)
+    return out
+
+
+def test_alternating_products_match_left_to_right():
+    one = Fraction(1)
+    pair = (({0: one, 1: Fraction(2)}, {1: Fraction(-3)}), ({0: Fraction(1, 2)}, {0: -one, 1: one}))
+    assert mat_mul(*pair) != mat_mul(*pair[::-1])
+    t, s1, s2 = reps.build_B_rep(((2,), (1,)))
+    pairs = [reps.build_dihedral_rep("phi_1", 16), (t, s1), (s1, s2), (s2, t), pair]
+    for a, b in pairs:
+        for k in range(1, 18):
+            assert verify._alternating(a, b, k) == _left_to_right(a, b, k), k
+
+
+def _relation_failures(result):
+    assert not result.passed
+    failed = result.detail.split(": ", 1)[1].split("; ")
+    assert all(" relations " in msg for msg in failed)
+    return failed
+
+
+def test_planted_short_alternating_product_fails_suite_8(monkeypatch):
+    real = verify._alternating
+    monkeypatch.setattr(verify, "_alternating", lambda a, b, k: real(a, b, k - 1))
+    failed = _relation_failures(SUITES["8"]())
+    assert {msg.split()[0] for msg in failed} >= {"Sn", "Bn"} | {f"I2({m})" for m in range(5, 17)}
+
+
+def test_planted_dihedral_entry_defect_fails_suite_8(monkeypatch):
+    # t's entry (1, 0) reads zeta^(i+1) for zeta^i on every phi_i; the other
+    # entry and s are right
+    real = verify.build_dihedral_rep
+
+    def planted(label, m):
+        s, t = real(label, m)
+        if label.startswith("phi_"):
+            i = int(label.split("_")[1])
+            t = (t[0], {0: Cyclotomic.zeta(m, i + 1)})
+        return s, t
+
+    monkeypatch.setattr(verify, "build_dihedral_rep", planted)
+    failed = _relation_failures(SUITES["8"]())
+    assert failed == [f"I2({m}) relations {lab}" for m in range(5, 17)
+                      for lab in reps.i2_labels(m) if lab.startswith("phi_")]
