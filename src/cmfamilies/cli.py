@@ -79,8 +79,8 @@ def _partitions_json(parts: list[FamilyPartition]) -> list[dict]:
 
 def _equal(a: FamilyPartition, b: FamilyPartition) -> bool:
     """Whether a and b are the same set partition.  Both are canonical
-    (families._canonical sorts the members and the families), so they are
-    exactly when their member tuples agree."""
+    (each family sorted, the families in the order of their first members),
+    so they are exactly when their member tuples agree."""
     return [f.members for f in a.families] == [f.members for f in b.families]
 
 

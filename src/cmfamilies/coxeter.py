@@ -7,6 +7,11 @@ rigid closed form, the Gram matrix of the rigidity trace form, and the leaf
 poset.  The functions in `families`, `cuspidal` and `cli` that read an entry
 are the same for every type.
 
+The B and D keys are ints that code multisets.  A multiset of values x,
+each at a slot pos(x) >= 0 and none occurring 2**w times or more, codes as
+the sum of 2**(w pos(x)): the code is injective, and the code of a union is
+the sum of the codes, so a label's key is the sum of its components' codes.
+
 Each pi(s) is a unitary involution, so T(y, x) is Hermitian and pi is rigid
 iff its trace form Q_pi vanishes (see `cuspidal`).  Each entry's trace_form
 is the Gram matrix of Q_pi in the class parameters, read from characters and
@@ -26,10 +31,11 @@ benchmark's tracer does) is the one that runs.
 """
 from __future__ import annotations
 
-from collections import namedtuple
+from collections import defaultdict, namedtuple
 from fractions import Fraction
 from functools import cache
-from math import isqrt, lcm
+from itertools import count
+from math import isqrt
 
 from . import cuspidal, exact, families, partitions, reps, symbols
 
@@ -98,47 +104,54 @@ def _a_trace_form(lam, n):
 # Type B: charged residues, symbol contents, the box (k^(k+m)) with n = k(k+m)
 # ---------------------------------------------------------------------------
 
-def _int_charge(c1, kappa) -> tuple[int, int, int]:
-    """The charge (0, c1, -kappa) times the lcm of the denominators, as ints.
-    A positive scale keeps equal sorted keys equal and unequal ones unequal,
-    so the families do not change."""
-    scale = lcm(c1.denominator, kappa.denominator)
-    return 0, int(c1 * scale), int(-kappa * scale)
-
-
 def _b_cm_key(n, param):
-    """Each label's charged residue at the int charge, as exact.charged_residue
-    gives it, merged from its two components' sorted charged contents.  The
-    contents are built once per (component, shift) and kept only as long as the
-    returned key."""
-    m0, m1, mp = _int_charge(param.c1, param.kappa)
-    charged = cache(exact.charged_contents)
-    return lambda bp: tuple(sorted(charged(bp[0], m0, mp) + charged(bp[1], m1, mp)))
+    """|lam1| at kappa = 0.  Else the code of the charged residue at
+    (0, c1, -kappa), each exponent divided by -kappa (an injective map): the
+    contents c of lam0 and c - m of lam1, m = c1/kappa, at the slots c + 3n
+    and c - m + 3n.  Contents lie in [1 - n, n - 1], so the components share
+    no value once m is not an integer or |m| >= 2n - 1, and all such m give
+    the same fibres: m is clamped to [-2n, 2n], a non-integral m standing as
+    -2n, so every slot is in [1, 6n - 1].  A value occurs at most n < 2**w
+    times.  Each lam's code is built once and kept as long as the key."""
+    if param.kappa == 0:
+        return lambda bp: sum(bp[1])
+    m, w = param.c1 / param.kappa, n.bit_length()
+    m = max(-2 * n, min(int(m), 2 * n)) if m.denominator == 1 else -2 * n
+    power = {c: 1 << w * (c + n) for c in range(1 - n, n)}.__getitem__
+    code = cache(lambda lam: sum(map(power, partitions.contents(lam))))
+    return lambda bp: (code(bp[0]) << 2 * n * w) + (code(bp[1]) << (2 * n - m) * w)
 
 
 def _b_lusztig_key(n, param):
     """|lam1| at kappa = 0; the label itself at a non-integral c1/kappa;
-    else the symbol content at (m, 1), m = c1/kappa, as
-    content_key(symbol_of(bp, N, m, 1)) gives it.  Every m >= n lies in the
-    chamber c1/kappa > n - 1 of singleton families, so m = n stands for all of
-    them and the symbol rows stay short.  Each component's row and its sum are
-    built once per (component, length) and kept only as long as the returned
-    key; each label's two sums are checked against the point's one expected
-    weight, the check symbol_of makes."""
+    else the code of the symbol content at (m, 1), m = c1/kappa, with the
+    fibres of content_key(symbol_of(bp, N, m, 1)).  Every m >= n lies in the
+    chamber c1/kappa > n - 1 of singleton families, so m = n stands for them
+    all.  Each distinct entry gets a slot on first sight, so any int entries
+    code injectively, and rows of N + m and N entries hold a value at most
+    2N + m times.  The codes and sums are built once per (component, length)
+    and kept as long as the key; each label's two sums are checked against
+    the point's expected weight, the check symbol_of makes."""
     if param.kappa == 0:
         return lambda bp: sum(bp[1])
     m = param.b_integral_m()
     if m is None:
         return lambda bp: bp
     N, m = max(n, 1), min(m, n)
-    row = cache(symbols.integral_row)
     weight = symbols.expected_weight(n, N, m, 1)
+    w = (2 * N + m).bit_length()
+    power = defaultdict(map((1).__lshift__, count(0, w)).__next__)  # slots in order of sight
+
+    @cache
+    def row(lam, length):
+        entries, total = symbols.integral_row(lam, length)
+        return sum(map(power.__getitem__, entries)), total
 
     def key(bp):
         (beta, b), (gamma, g) = row(bp[0], N + m), row(bp[1], N)
         if b + g != weight:
             raise AssertionError("weight equation violated")
-        return tuple(sorted(beta + gamma))
+        return beta + gamma
 
     return key
 

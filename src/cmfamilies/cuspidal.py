@@ -176,7 +176,7 @@ def _rigid_closed_form(size: int, param: CherednikParameter) -> list:
     """Every label at the zero parameter; elsewhere the entry's closed form,
     which for A, B and D enumerates no label."""
     if param.is_zero():
-        return sorted(fam.irr_labels(param.type_tag, size))
+        return list(fam.irr_labels(param.type_tag, size))
     entry = coxeter.lookup(param.type_tag)
     return sorted(entry.rigid(size, param, entry.anchor(size, param)))
 

@@ -1,5 +1,5 @@
-"""Exact arithmetic: residue multisets (the family keys of types B and D),
-cyclotomic fields Q(zeta_m), and Cherednik parameters as exact rationals."""
+"""Exact arithmetic: residue multisets (the per-label CM keys of types B and
+D), cyclotomic fields Q(zeta_m), and Cherednik parameters as exact rationals."""
 from __future__ import annotations
 
 from collections import namedtuple
@@ -13,7 +13,7 @@ from .partitions import Bipartition, Partition, contents
 
 
 # ---------------------------------------------------------------------------
-# Residues: the family keys of types B and D, as sorted multisets
+# Residues: the multisets whose codes are the CM keys of types B and D
 # ---------------------------------------------------------------------------
 
 def residue(lam: Partition) -> tuple[int, ...]:
@@ -27,12 +27,6 @@ def charged_residue(bp: Bipartition, charge) -> tuple:
     m0, m1, mp = charge
     exponents = [m0 + mp * c for c in residue(bp[0])] + [m1 + mp * c for c in residue(bp[1])]
     return tuple(sorted(exponents))
-
-
-def charged_contents(lam: Partition, shift: int, step: int) -> tuple[int, ...]:
-    """shift + step*c over the contents c of lam, sorted: one component's
-    exponents in charged_residue, with shift its m_i and step m_p."""
-    return tuple(sorted([shift + step * c for c in contents(lam)]))
 
 
 # ---------------------------------------------------------------------------
@@ -201,14 +195,6 @@ class Cyclotomic:
         return Cyclotomic._new(self.m, [x * p for x in a], self.den * q)
 
     __rmul__ = __mul__
-
-    def conjugate(self) -> "Cyclotomic":
-        """Complex conjugation zeta -> zeta^{-1}: x^i -> x^{-i mod m}, then one reduction."""
-        m = self.m
-        out = [0] * m
-        for i, x in enumerate(self.coeffs):
-            out[-i % m] = x
-        return Cyclotomic._new(m, out, self.den)
 
     def __bool__(self) -> bool:
         """False exactly for zero, as for Fraction."""

@@ -52,27 +52,28 @@ def _canonical(families, **meta) -> FamilyPartition:
     return FamilyPartition(families=tuple(map(Family, members)), **meta)
 
 
-def _group_by(labels, keyfunc) -> list[tuple]:
+def _group_by(labels, keyfunc) -> list[list]:
     buckets: dict = {}
     for lab in labels:
         buckets.setdefault(keyfunc(lab), []).append(lab)
     return list(buckets.values())
 
 
+@cache
 def irr_labels(type_tag: str, size: int) -> tuple:
-    return coxeter.lookup(type_tag).labels(size)
+    """The labels of Irr W, sorted: built once per (type, size) and shared."""
+    return tuple(sorted(coxeter.lookup(type_tag).labels(size)))
 
 
 def _drive(path: str, size: int, param: CherednikParameter) -> FamilyPartition:
     """The partition by one path: one family at param = 0, else the fibres of
-    the entry's key."""
+    the entry's key.  The labels come sorted, so each fibre is sorted and the
+    fibres come in the order of their first members: _canonical's order."""
     entry = coxeter.checked(size, param)
     labels = irr_labels(param.type_tag, size)
-    meta = dict(size=size, param=param, method=path)
-    if param.is_zero():
-        return _canonical([labels], **meta)
     key = entry.cm_key if path == "CM" else entry.lusztig_key
-    return _canonical(_group_by(labels, key(size, param)), **meta)
+    groups = [labels] if param.is_zero() else _group_by(labels, key(size, param))
+    return FamilyPartition(size, param, path, tuple(map(Family, map(tuple, groups))))
 
 
 # ---------------------------------------------------------------------------

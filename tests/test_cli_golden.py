@@ -60,9 +60,15 @@ GOLDEN = [
     ("symbols --type B --c1 12 --kappa 1 --bp [4,2|1] --bar 40 --format text", 0, "4209d89dfcebc34625aaaee7f01fde8b92fe0f039d5184dcafa4b5c414081df1"),
     ("families --type B --n 5 --c1 9/2 --kappa 3/2 --method both", 0, "fa4cf539efc7c39b6d750feccacdcec737fd0cd73ec9219051c23dd53880a020"),
     ("families --type B --n 3 --c1 1000000 --kappa 1 --method both", 0, "2733b90c0b09fbccee323fefc5904015900437323e2d3461219c3e4f2bd39dc9"),
+    # the CM key's clamp of c1/kappa to [-2n, 2n], from above and below, and a
+    # non-integral c1/kappa at kappa < 0
+    ("families --type B --n 3 --c1 100000 --kappa 1 --method both", 0, "2a1c2364f8b5a5b20c3b0ad234aba158ed31b8cca877824f91880e878ffe255c"),
+    ("families --type B --n 4 --c1=-9 --kappa 1", 0, "cd9658db8bb6f961dd51adad3bd6ebed2eeb217bfd7f457a583e23b17f7926c5"),
+    ("families --type B --n 4 --c1 5/2 --kappa=-3/4", 0, "ac51571be13dae245f7ad8b1992494975cbdbda678d16558d7da9d64b0460f2b"),
     ("families --type D --n 6 --kappa 2/3 --method both", 0, "6beab17dca5f7dbbde6cffd78f11cb726d40203151b1a3f25255fd4ea1b66b3d"),
     # the largest outputs: every B14 label in two partitions, and D14 by the B keys at c1 = 0
     ("families --type B --n 14 --c1 6 --kappa 1 --method both", 0, "4a3c8b48503d887e39d0fd30c5643e92491272f053628fcdeb365866cdc4250b"),
+    ("families --type B --n 14 --c1 2 --kappa 1 --method both", 0, "8ee240d82b8021d62885cf6d10ed3613d8984f852de87a7d17d0b719546e37aa"),
     ("families --type D --n 14 --kappa 1/2 --method both", 0, "07e73ea06dbb135a2ac09ddfd6f25e9797c4255841c83a46e57a8a1a8f860a6e"),
     ("verify --suite 5", 0, "b7947464da2dc4fa7fca484937a4eaff69d988c200aaf08e90c600fc23351941"),
     ("verify --suite 3", 0, "fd388f0cce2bd2c1a486fb0c8b8bfa088ad3ce81a49cac7f839657953678fd9f"),

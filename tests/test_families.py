@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cmfamilies import coxeter, exact, families, reps, symbols
+from cmfamilies import coxeter, exact, families, partitions, reps, symbols
 from cmfamilies import fixtures as fx
 from cmfamilies.cli import main
 from cmfamilies.cuspidal import rigid_modules
@@ -83,19 +83,25 @@ def test_d_split_labels_are_singletons():
 
 def test_paths_stay_independent(monkeypatch):
     """The CM key never builds a symbol or a symbol row, and the Lusztig key
-    never a residue or a component's charged contents."""
+    never reads a box content, a charged residue or the CM key."""
     def forbidden(*args):
         raise AssertionError("the other path's key was called")
+
+    def without(mp, key_name):
+        for tag in ("B", "D"):
+            mp.setitem(coxeter.TYPES, tag, coxeter.TYPES[tag]._replace(**{key_name: forbidden}))
 
     points = [(n, CherednikParameter.type_B(m, 1)) for n in range(1, 6) for m in range(4)]
     points += [(n, CherednikParameter.type_D(k)) for n in range(2, 7) for k in (1, Fraction(1, 2))]
     with monkeypatch.context() as mp:
         for name in ("symbol_of", "content_key", "integral_row", "expected_weight"):
             mp.setattr(symbols, name, forbidden)
+        without(mp, "lusztig_key")
         cm = [cm_families(n, p).as_sets() for n, p in points]
     with monkeypatch.context() as mp:
         mp.setattr(exact, "charged_residue", forbidden)
-        mp.setattr(exact, "charged_contents", forbidden)
+        mp.setattr(partitions, "contents", forbidden)
+        without(mp, "cm_key")
         assert [lusztig_families(n, p).as_sets() for n, p in points] == cm
 
 
@@ -345,25 +351,31 @@ CM_POINTS = [(1, 1), (Fraction(1, 2), 1), (Fraction(7, 3), Fraction(1, 3)), (Fra
              (-2, 1), (Fraction(2, 5), Fraction(-3, 7)), (1, 0), (0, Fraction(5, 4))]
 
 
+def _split(lab) -> bool:
+    return len(lab) == 3 and lab[2] is not None
+
+
 def test_cm_keys_are_int_and_scale_invariant(monkeypatch):
-    # the CM path rescales the charge to ints, so every component's charged
-    # contents, and with them every key, are ints; a positive scale leaves the
-    # groups alone
+    # every B and D CM key is an int, a split D label keying as itself; a
+    # positive scale leaves the groups alone
     keys = []
-    charged = exact.charged_contents
 
-    def recording(lam, shift, step):
-        keys.append(charged(lam, shift, step))
-        return keys[-1]
+    def recording(make):
+        def factory(size, param):
+            key = make(size, param)
+            return lambda lab: keys.append((lab, key(lab))) or keys[-1][1]
+        return factory
 
-    monkeypatch.setattr(exact, "charged_contents", recording)
+    for tag in ("B", "D"):
+        entry = coxeter.TYPES[tag]
+        monkeypatch.setitem(coxeter.TYPES, tag, entry._replace(cm_key=recording(entry.cm_key)))
     cases = [(n, CherednikParameter.type_B, point) for n in range(1, 7) for point in CM_POINTS]
     cases += [(n, CherednikParameter.type_D, (kappa,))
               for n in range(2, 7) for kappa in (1, 3, Fraction(2, 3), Fraction(-1, 2))]
     for n, make, point in cases:
         keys.clear()
         groups = cm_families(n, make(*point)).as_sets()
-        assert keys and all(type(x) is int for key in keys for x in key)
+        assert keys and all(key == lab if _split(lab) else type(key) is int for lab, key in keys)
         for alpha in (Fraction(1, 3), Fraction(5, 2), 7):
             scaled = make(*(alpha * v for v in point))
             assert cm_families(n, scaled).as_sets() == groups
@@ -380,15 +392,21 @@ def _int_charge(c1, kappa):
 
 def _b_ref_points(n):
     """(param, cm reference, lusztig reference or None) at B_n: every integral
-    m = 0 .. n + 2 at kappa = 1, past the clamp m >= n; a rescaled integral,
-    a non-integral, a rescaled fractional, a kappa = 0 and a negative-c1 point
-    for the CM key."""
+    m = 0 .. n + 2 at kappa = 1, past the clamp m >= n; m = +-(2n - 2),
+    +-(2n - 1), +-2n, +-(2n + 1) and +-10^5, around and past the CM clamp;
+    a rescaled integral, a non-integral, a rescaled fractional, a kappa = 0
+    and a negative-c1 point; and, for the CM key alone, negative kappa at
+    integral and at non-integral c1/kappa."""
     N = max(n, 1)
     points = [(Fraction(m), Fraction(1), m) for m in range(n + 3)]
+    points += [(Fraction(s * m), Fraction(1), s * m if s > 0 else None)
+               for m in (2 * n - 2, 2 * n - 1, 2 * n, 2 * n + 1, 10 ** 5) for s in (1, -1)]
     points += [(Fraction(4), Fraction(2, 3), 6), (Fraction(1, 2), Fraction(1), None),
                (Fraction(7, 3), Fraction(1, 3), 7), (Fraction(5, 3), Fraction(2, 7), None),
                (Fraction(3), Fraction(0), None), (Fraction(-2), Fraction(1), None),
-               (Fraction(-5, 2), Fraction(3, 4), None)]
+               (Fraction(-5, 2), Fraction(3, 4), None), (Fraction(3), Fraction(-1), None),
+               (Fraction(-4), Fraction(-2), None), (Fraction(-7, 3), Fraction(-1, 3), None),
+               (Fraction(5, 2), Fraction(-3, 4), None), (Fraction(1, 3), Fraction(-2), None)]
     for c1, kappa, m in points:
         charge = _int_charge(c1, kappa)
         lusztig = None
@@ -398,30 +416,42 @@ def _b_ref_points(n):
                lambda bp, charge=charge: exact.charged_residue(bp, charge), lusztig)
 
 
+def _fibres(labels, key) -> set:
+    groups: dict = {}
+    for lab in labels:
+        groups.setdefault(key(lab), set()).add(lab)
+    return {frozenset(g) for g in groups.values()}
+
+
+def _check_key(key, ref, labels, where):
+    """key is an int at every label (a split D label keying as itself), and
+    its fibres are those of ref.  The key is read before its reference, so a
+    key that raises fails here first."""
+    values = {lab: key(lab) for lab in labels}
+    assert all(v == lab if _split(lab) else type(v) is int for lab, v in values.items()), where
+    assert _fibres(labels, values.__getitem__) == _fibres(labels, ref), where
+
+
 def _check_b_and_d_keys():
     """Every memoised B_n key (n <= 10) and D_n key (2 <= n <= 10, kappa in
-    {1, 1/2, 3}) equals its per-label reference at every label.  Each key is
-    read before its reference, so a key that raises fails here first."""
+    {1, 1/2, 3}, and -2/3 for the CM key) has the fibres of its per-label
+    reference."""
     b, d = coxeter.TYPES["B"], coxeter.TYPES["D"]
     for n in range(1, 11):
         labels = bipartitions(n)
         for param, cm_ref, lusztig_ref in _b_ref_points(n):
-            key = b.cm_key(n, param)
-            for bp in labels:
-                assert key(bp) == cm_ref(bp), (n, param, bp)
+            _check_key(b.cm_key(n, param), cm_ref, labels, (n, param, "CM"))
             if lusztig_ref:
-                key = b.lusztig_key(n, param)
-                for bp in labels:
-                    assert key(bp) == lusztig_ref(bp), (n, param, bp)
+                _check_key(b.lusztig_key(n, param), lusztig_ref, labels, (n, param, "Lusztig"))
     for n in range(2, 11):
-        for kappa in (Fraction(1), Fraction(1, 2), Fraction(3)):
+        for kappa in (Fraction(1), Fraction(1, 2), Fraction(3), Fraction(-2, 3)):
             param, charge = CherednikParameter.type_D(kappa), _int_charge(Fraction(0), kappa)
-            refs = ((d.cm_key, lambda bp: exact.charged_residue(bp, charge)),
-                    (d.lusztig_key, lambda bp: content_key(symbol_of(bp, n, 0, 1))))
+            refs = [(d.cm_key, lambda bp: exact.charged_residue(bp, charge))]
+            if kappa > 0:
+                refs.append((d.lusztig_key, lambda bp: content_key(symbol_of(bp, n, 0, 1))))
             for make, ref in refs:
-                key = make(n, param)
-                for lab in d_labels(n):
-                    assert key(lab) == (lab if lab[2] is not None else ref(lab[:2])), (n, kappa, lab)
+                split_apart = lambda lab: lab if _split(lab) else ref(lab[:2])
+                _check_key(make(n, param), split_apart, d_labels(n), (n, kappa))
 
 
 def test_memoised_keys_match_the_per_label_references():
@@ -480,4 +510,67 @@ def test_no_key_memo_outlives_its_partition():
     memo = type(cache(len))
     gc.collect()
     assert not [f for f in gc.get_objects() if type(f) is memo
-                and f.__wrapped__ in (exact.charged_contents, symbols.integral_row)]
+                and f.__wrapped__.__module__ == coxeter.__name__]
+
+
+def test_key_memos_are_found_while_their_key_lives():
+    # the search that ends test_no_key_memo_outlives_its_partition finds
+    # both B keys' memos while the keys are alive
+    memo, entry, param = type(cache(len)), coxeter.TYPES["B"], CherednikParameter.type_B(1, 1)
+    keys = [entry.cm_key(6, param), entry.lusztig_key(6, param)]
+    assert all(type(key(((2, 1), (3,)))) is int for key in keys)
+    gc.collect()
+    assert len([f for f in gc.get_objects() if type(f) is memo
+                and f.__wrapped__.__module__ == coxeter.__name__]) == 2
+
+
+def charged_contents(lam, shift, step):
+    """shift + step*c over the contents c of lam, sorted: one component's
+    exponents in exact.charged_residue, with shift its m_i and step m_p."""
+    return tuple(sorted([shift + step * c for c in partitions.contents(lam)]))
+
+
+def _decode(code, w):
+    """The slots that code holds, each as often as its w-bit count says."""
+    out, slot = [], 0
+    while code:
+        out += [slot] * (code & ((1 << w) - 1))
+        code, slot = code >> w, slot + 1
+    return tuple(out)
+
+
+def test_cm_key_codes_the_charged_contents():
+    """The B CM key holds each content c of lam0 at slot c + 3n and each
+    content c of lam1 at c - m + 3n, m = c1/kappa clamped to [-2n, 2n] and
+    -2n for a non-integral c1/kappa, in slots of n.bit_length() bits."""
+    for n in range(1, 9):
+        points = [(1, 1, 1), (-2, 1, -2), (Fraction(7, 3), Fraction(1, 3), min(7, 2 * n)),
+                  (2 * n - 1, 1, 2 * n - 1), (10 ** 5, 1, 2 * n), (-10 ** 5, 1, -2 * n),
+                  (3, -1, max(-3, -2 * n)), (Fraction(1, 2), 1, -2 * n), (Fraction(5, 2), Fraction(-3, 4), -2 * n)]
+        for c1, kappa, m in points:
+            key = coxeter.TYPES["B"].cm_key(n, CherednikParameter.type_B(c1, kappa))
+            for lam, mu in bipartitions(n):
+                want = sorted(charged_contents(lam, 3 * n, 1) + charged_contents(mu, 3 * n - m, 1))
+                assert _decode(key((lam, mu)), n.bit_length()) == tuple(want), (n, c1, kappa)
+
+
+CANONICAL_POINTS = {"A": ((1,),), "B": ((1, 1), (Fraction(1, 2), 1)), "D": ((1,),),
+                    "I2": ((1, 1), (1, 2))}
+
+
+def test_drive_returns_the_canonical_partition():
+    """At a nonzero point and at zero, on both paths, each partition equals
+    _canonical of the buckets grouped over the labels in enumeration order,
+    record for record."""
+    sizes = {"A": range(1, 7), "B": range(1, 9), "D": range(2, 9), "I2": range(5, 17)}
+    for tag, entry in coxeter.TYPES.items():
+        for size in sizes[tag]:
+            points = [v for v in CANONICAL_POINTS[tag] if size % 2 == 0 or v[0] == v[-1]]
+            for values in points + [(0,) * len(entry.params)]:
+                param = entry.parameter(values, size)
+                for path, make in (("CM", entry.cm_key), ("Lusztig", entry.lusztig_key)):
+                    got = families._drive(path, size, param)
+                    buckets = ([entry.labels(size)] if param.is_zero()
+                               else families._group_by(entry.labels(size), make(size, param)))
+                    want = families._canonical(buckets, size=size, param=param, method=path)
+                    assert got == want, (tag, size, values, path)

@@ -41,7 +41,7 @@ from cmfamilies.reps import (
 )
 from cmfamilies.verify import _a_order, _b_order, _coxeter_relations_ok
 from test_cuspidal import mat_is_zero
-from test_exact import _mutant
+from test_exact import _mutant, conj
 from test_partitions import hook_dimension
 
 
@@ -140,7 +140,7 @@ def i2_induced_by_class_fusion(m, parabolic, chi):
     table = i2_character_table(m)
     out = {}
     for lab in i2_labels(m):
-        total = sum((table[lab][cls].conjugate() * (ind[cls] * size) for cls, size in classes),
+        total = sum((conj(table[lab][cls]) * (ind[cls] * size) for cls, size in classes),
                     Cyclotomic.zero(m))
         assert not any(total.coeffs[1:])  # a rational number
         mult = Fraction(total.coeffs[0], total.den * order)
@@ -389,7 +389,7 @@ def _ref_i2_inner_product(m, phi, psi):
     for reps.i2_inner_product."""
     total = Cyclotomic.zero(m)
     for cls, size in i2_classes(m):
-        total = total + phi[cls] * size * psi[cls].conjugate()
+        total = total + phi[cls] * size * conj(psi[cls])
     return total * Fraction(1, 2 * m)
 
 
