@@ -3,6 +3,8 @@
 Output is deterministic: canonical family order, sorted labels, sorted JSON
 keys.  Exit codes: 0 success, 1 verification failure, 2 validation error:
 main turns every ValueError or ZeroDivisionError into "error: ..." on stderr.
+Each query is a fresh process, so this module imports the query layer only:
+verify and fixtures are loaded by `cmfamilies verify` alone, in cmd_verify.
 """
 from __future__ import annotations
 
@@ -19,7 +21,6 @@ from .exact import CherednikParameter
 from .families import Family, FamilyPartition
 from .partitions import parse_bipartition
 from .symbols import bar, symbol_of
-from .verify import run_suites
 
 
 def _build_param(args, sized: bool = True) -> CherednikParameter:
@@ -344,13 +345,12 @@ def cmd_symbols(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from .verify import run_suites
     keys = None if args.suite == "all" else [k.strip() for k in args.suite.split(",")]
     results = run_suites(keys)
-    ok = True
     for r in results:
         print(f"[{'PASS' if r.passed else 'FAIL'}] {r.name}: {r.detail}")
-        ok = ok and r.passed
-    return 0 if ok else 1
+    return 0 if all(r.passed for r in results) else 1
 
 
 @cache

@@ -162,11 +162,11 @@ def _b_anchor(n, param):
     m = param.b_integral_m()
     if m is None:
         return None
-    for k in range(1, n + 1):
-        if k * (k + abs(m)) == n:
-            box = (k,) * (k + abs(m))
-            return ((box, ()) if m >= 0 else ((), box)), f"B{n}"
-    return None
+    k = (isqrt(m * m + 4 * n) - abs(m)) // 2  # the root of k(k + |m|) = n, if it is an integer
+    if k * (k + abs(m)) != n:
+        return None
+    box = (k,) * (k + abs(m))
+    return ((box, ()) if m >= 0 else ((), box)), f"B{n}"
 
 
 def _b_rigid(n, param, anchor) -> list:

@@ -91,7 +91,7 @@ def leaves_B(n: int, c1, kappa) -> LeafPoset:
     # k = 0 is left: the open leaf B0 alone
     m = param.b_integral_m()
     m = n if m is None else abs(m)
-    ks = [k for k in range(n + 1) if k * (k + m) <= n]
+    ks = range((math.isqrt(m * m + 4 * n) - m) // 2 + 1)  # every k with k(k + m) <= n
     leaves = tuple(
         Leaf(index=k, dimension=2 * (n - j), parabolic_label=f"B{j}",
              parabolic_order=2**j * math.factorial(j))
@@ -109,7 +109,7 @@ def leaves_D(n: int, kappa) -> LeafPoset:
         raise ValueError("the type-D classification needs kappa != 0")
     if n < 2:
         raise ValueError("need n >= 2")
-    ks = [k for k in range(1, n + 1) if k * k <= n]
+    ks = range(1, math.isqrt(n) + 1)
     leaves = tuple(
         Leaf(index=k, dimension=2 * n if k == 1 else 2 * (n - j),
              parabolic_label=f"D{j}", parabolic_order=2 ** (j - 1) * math.factorial(j))

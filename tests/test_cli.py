@@ -257,9 +257,10 @@ def test_cli_import_loads_no_process_pool():
 
 
 # modules a query never runs, some of them pulled in by dataclasses, typing
-# or importlib.resources; -S keeps site's .pth preloads out of the check
+# or importlib.resources, and the verify layer; -S keeps site's .pth
+# preloads out of the check
 COLD_START_FREE = ("dataclasses", "inspect", "ast", "dis", "tokenize", "typing",
-                   "importlib.resources", "pathlib")
+                   "importlib.resources", "pathlib", "cmfamilies.verify", "cmfamilies.fixtures")
 
 
 def test_cli_import_loads_only_what_a_query_runs():
@@ -300,6 +301,31 @@ def test_rigid_closed_form_answers_a_size_too_large_to_enumerate():
         timeout=30, preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)))
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["rigid"] == [[[], [15] * 14], [[14] * 15, []]]
+
+
+@pytest.mark.parametrize("argv,want", [
+    ("rigid --type B --n 100000000 --c1 1 --kappa 1 --mode closed", []),
+    (f"rigid --type B --n {10**20} --c1 1 --kappa 1 --mode closed", []),
+    (f"leaves --type B --n {10**20} --c1 1/2 --kappa 1",
+     [{"below": [], "dim": 2 * 10**20, "k": 0, "parabolic": "B0"}]),
+], ids=["rigid-B1e8", "rigid-B1e20", "leaves-B1e20"])
+def test_closed_forms_answer_without_a_loop_over_the_size(argv, want):
+    """No box at B10^8 or B10^20 (m = 1), and the open leaf alone at B10^20
+    off the walls: each answers in under 0.5 s in a child whose address space
+    is capped at 1 GiB."""
+    src = str(Path(cmfamilies.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    cap = 1 << 30
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "cmfamilies", *argv.split()], env=env, capture_output=True,
+        text=True, timeout=30,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)))
+    elapsed = time.perf_counter() - start
+    assert proc.returncode == 0, proc.stderr
+    assert elapsed < 0.5, elapsed
+    out = json.loads(proc.stdout)
+    assert (out["rigid"] if argv.startswith("rigid") else out) == want
 
 
 def test_i2_families_at_m_2000_answer_in_rationals():

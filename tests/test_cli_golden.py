@@ -41,6 +41,9 @@ GOLDEN = [
     ("rigid --type B --n 3 --c1=-1 --kappa 1 --format text", 0, "5dfecbf35de344dc6dc4b8a79c4e5327122b2737250403b04abf2060fbc3927f"),
     ("rigid --type B --n 2 --c1 1 --kappa 1", 0, "9313a441c7e62d73dfbfcaa0d2c990a93af9d78dae5c6f56675ee4b1258c011b"),
     ("rigid --type B --n 2 --c1 1 --kappa 1 --mode oracle", 0, "96aa44d5cce3744690bd357226fce28d41b26790d8701f4cb7ab391ccdccadce"),
+    ("rigid --type B --n 1000000 --c1 1 --kappa 1", 0, "dd281393d2ddd33e5e2964e405e77c600a3d91ae8539d8adf1f6ab03663bc4e2"),
+    ("rigid --type B --n 110 --c1 1 --kappa 1", 0, "7e3bf4750a51b46913febfa79002b54ab640ccd7d0241bae04c2b4c2c81ed5f3"),
+    ("rigid --type B --n 110 --c1=-1 --kappa 1", 0, "f7745755dad00a12c7581906a7f3d06e2df9f2c41c9360024f45abfe1aa72e3f"),
     ("rigid --type D --n 4 --kappa 1", 0, "2f908f88b139cbe24cd41dd46b76e9143d0cc42daaaed0a8ed0d9cb8cb33b69f"),
     ("rigid --type D --n 3 --kappa 0 --format text", 0, "b34ebf446608e2a7f34a40dd6d4fde04cf04b165c1c753798251ee7e4b7c39a2"),
     ("rigid --type I2 --m 7 --a 1 --b 1 --mode oracle", 0, "ced629d722a676ff23d8065f7d42b6a54d40de83a50c1b3e51889dd3d24c3df5"),
@@ -51,6 +54,7 @@ GOLDEN = [
     ("leaves --type D --n 4 --kappa 1", 0, "7dcb1767e5a7a9e388f33a7fb0531975967e613112153e47d91971bb4190a04a"),
     ("leaves --type B --n 3 --c1 5 --kappa 1", 0, "c4a85923ca2be4a354f01798496d45cbc31b36fb3e7872922acf6b38cd7be03a"),
     ("leaves --type B --n 4 --c1 1/2 --kappa 1 --format text", 0, "bab043836b384ed0904b81def65eb40cfdd4dd26b53954d965de82cd16e7c6f2"),
+    ("leaves --type B --n 1000000 --c1 1/2 --kappa 1", 0, "f40cb45c538a96994e1c7983ef7eff49787466eac05e8fb64774f83e89e2028b"),
     ("symbols --type B --c1 1 --kappa 1 --bp [2,1|1] --enn 3", 0, "a84da6cf9ed69da10a0cd0f1969ac492b3890ed7548c921e6efe6d8a9fb4a365"),
     ("symbols --type B --c1 1 --kappa 1 --bp [2,1|1] --enn 3 --bar 5 --format text", 0, "106f263e43741dbd0b29d9f80e2c46cb0af3a54d588e747df707fb6ed1a2a6a0"),
     ("symbols --type B --c1 1 --kappa 1 --bp [2,1|1] --enn 3 --bar 1", 2, EMPTY),

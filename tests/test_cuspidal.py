@@ -97,6 +97,44 @@ def test_leaf_parabolic_order_is_the_group_order():
             assert leaf.parabolic_order == expected, leaf
 
 
+# The loops over the size that the isqrt closed forms of coxeter._b_anchor,
+# leaves_B and leaves_D replaced, kept as their references
+
+def _ref_box_ks(n, a):
+    return [k for k in range(1, n + 1) if k * (k + a) == n]
+
+
+def _ref_leaf_ks_B(n, a):
+    return [k for k in range(n + 1) if k * (k + a) <= n]
+
+
+def _ref_leaf_ks_D(n):
+    return [k for k in range(1, n + 1) if k * k <= n]
+
+
+def test_b_anchor_solves_the_box_equation_like_the_loop():
+    params = {m: CherednikParameter.type_B(m, 1) for m in range(-302, 303)}
+    for n in range(1, 301):
+        for a in range(n + 3):
+            ks = _ref_box_ks(n, a)
+            for m in (a, -a):
+                want = None
+                if ks:
+                    box = (ks[0],) * (ks[0] + a)
+                    want = ((box, ()) if m >= 0 else ((), box)), f"B{n}"
+                assert coxeter._b_anchor(n, params[m]) == want, (n, m)
+
+
+def test_leaf_ks_match_the_loops():
+    for n in range(1, 301):
+        for m in range(-(n + 2), n + 3):
+            assert [l.index for l in leaves_B(n, m, 1).leaves] == _ref_leaf_ks_B(n, abs(m)), (n, m)
+        # a non-integral c1/kappa leaves only the k with k(k + n) <= n
+        assert [l.index for l in leaves_B(n, Fraction(1, 2), 1).leaves] == _ref_leaf_ks_B(n, n)
+        if n >= 2:
+            assert [l.index for l in leaves_D(n, 1).leaves] == _ref_leaf_ks_D(n), n
+
+
 def test_leaves_json_shape():
     entry = leaves_B(6, 1, 1).to_json()[-1]
     assert set(entry) == {"k", "dim", "parabolic", "below"}
